@@ -244,7 +244,7 @@ func BenchmarkKVManyClients(b *testing.B) {
 func BenchmarkTCPStorageManyClients(b *testing.B) {
 	for _, c := range append(append([]int{}, sim.LoadConcurrencies...), 256) {
 		b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
-			cl, err := sim.NewTCPStorageCluster(Example7RQS(), sim.TCPStorageOptions{Clients: c + 1})
+			cl, err := sim.NewTCPStorageCluster(Example7RQS(), sim.StorageOptions{Clients: c + 1})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -154,7 +154,7 @@ func smrLoad(r *core.RQS, c int) func(b *testing.B) {
 // deployment shape the session layer was built for.
 func tcpStorageLoad(r *core.RQS, c int, read bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		cl, err := sim.NewTCPStorageCluster(r, sim.TCPStorageOptions{Clients: c + 1})
+		cl, err := sim.NewTCPStorageCluster(r, sim.StorageOptions{Clients: c + 1})
 		if err != nil {
 			b.Fatal(err)
 		}

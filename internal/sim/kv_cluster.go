@@ -19,13 +19,9 @@ type KVOptions struct {
 	// Clients is the number of KV client slots (default 4). Each
 	// client holds one port into every group.
 	Clients int
-	// Timeout is the 2Δ timer handed to any SWMR clients spawned from
-	// the underlying clusters; the KV paths are asynchronous and do
-	// not use it.
-	Timeout time.Duration
 	// DataDir, when non-empty, makes every group's servers durable:
 	// group g's server state lives under DataDir/g<g> (see
-	// StorageOptions.DataDir / TCPStorageOptions.DataDir).
+	// StorageOptions.DataDir).
 	DataDir string
 	// WALNoSync skips the WAL's fdatasync (benchmark-only).
 	WALNoSync bool
@@ -42,48 +38,57 @@ type KVOptions struct {
 	Auth *auth.Deployment
 }
 
-// groupDataDir is group g's slice of the data dir ("" when volatile).
-func (o *KVOptions) groupDataDir(g int) string {
-	if o.DataDir == "" {
-		return ""
-	}
-	return filepath.Join(o.DataDir, fmt.Sprintf("g%d", g))
-}
-
-func (o *KVOptions) defaults() {
-	if o.Groups <= 0 {
-		o.Groups = 2
-	}
-	if o.Clients <= 0 {
-		o.Clients = 4
-	}
-}
-
-// KVCluster is a keyed KV deployment over the in-memory transport: G
-// shard groups, each a full StorageCluster running the same quorum
-// system over its own network, with KV clients consistent-hashing keys
-// across the groups.
+// KVCluster is a keyed KV deployment over either transport: G shard
+// groups, each a full StorageCluster running the same quorum system
+// over its own network (in memory) or its own hosts (over TCP), with KV
+// clients consistent-hashing keys across the groups.
 type KVCluster struct {
 	RQS    *core.RQS
 	Groups []*StorageCluster
 }
 
-// NewKVCluster starts opts.Groups independent storage deployments of
-// the given quorum system.
+// NewKVCluster starts opts.Groups independent in-memory storage
+// deployments of the given quorum system. Like NewStorageCluster it
+// panics if a durable server's data directory cannot be opened.
 func NewKVCluster(rqs *core.RQS, opts KVOptions) *KVCluster {
-	opts.defaults()
+	c, err := newKVCluster(rqs, opts, false)
+	if err != nil {
+		panic(err.Error())
+	}
+	return c
+}
+
+// NewTCPKVCluster starts opts.Groups independent loopback-TCP storage
+// deployments of the given quorum system (per-server hosts plus one
+// shared client host per group).
+func NewTCPKVCluster(rqs *core.RQS, opts KVOptions) (*KVCluster, error) {
+	return newKVCluster(rqs, opts, true)
+}
+
+func newKVCluster(rqs *core.RQS, opts KVOptions, tcp bool) (*KVCluster, error) {
+	if opts.Groups <= 0 {
+		opts.Groups = 2
+	}
 	c := &KVCluster{RQS: rqs}
 	for g := 0; g < opts.Groups; g++ {
-		c.Groups = append(c.Groups, NewStorageCluster(rqs, StorageOptions{
+		dir := opts.DataDir
+		if dir != "" {
+			dir = filepath.Join(dir, fmt.Sprintf("g%d", g))
+		}
+		sc, err := newStorageCluster(rqs, StorageOptions{
 			Clients:   opts.Clients,
-			Timeout:   opts.Timeout,
-			DataDir:   opts.groupDataDir(g),
+			DataDir:   dir,
 			WALNoSync: opts.WALNoSync,
 			Hooks:     opts.Hooks,
 			Auth:      opts.Auth,
-		}))
+		}, tcp)
+		if err != nil {
+			c.Stop()
+			return nil, err
+		}
+		c.Groups = append(c.Groups, sc)
 	}
-	return c
+	return c, nil
 }
 
 // Client returns a KV client holding one fresh port into every group.
@@ -99,9 +104,9 @@ func (c *KVCluster) Client() *storage.KVClient {
 	return storage.NewKVClient(groups)
 }
 
-// SetInjector installs a fault injector on every group's network (nil
-// removes it). A single injector instance serves all groups — the
-// chaos scripts are safe for concurrent multi-network installs.
+// SetInjector installs a fault injector on every group (nil removes
+// it). A single injector instance serves all groups — the chaos
+// scripts are safe for concurrent multi-network installs.
 func (c *KVCluster) SetInjector(inj transport.Injector) {
 	for _, sc := range c.Groups {
 		sc.SetInjector(inj)
@@ -117,80 +122,6 @@ func (c *KVCluster) RestartServer(group int, id core.ProcessID, down time.Durati
 
 // Stop shuts every group down.
 func (c *KVCluster) Stop() {
-	for _, sc := range c.Groups {
-		sc.Stop()
-	}
-}
-
-// kvDeployment is the transport-neutral surface the KV workloads and
-// tests drive; KVCluster and TCPKVCluster both satisfy it.
-type kvDeployment interface {
-	Client() *storage.KVClient
-	SetInjector(inj transport.Injector)
-	Stop()
-}
-
-// TCPKVCluster is the KV deployment over real loopback TCP: G shard
-// groups, each a full TCPStorageCluster (per-server OS-process hosts
-// plus one shared client host per group).
-type TCPKVCluster struct {
-	RQS    *core.RQS
-	Groups []*TCPStorageCluster
-}
-
-// NewTCPKVCluster starts opts.Groups independent TCP storage
-// deployments of the given quorum system.
-func NewTCPKVCluster(rqs *core.RQS, opts KVOptions) (*TCPKVCluster, error) {
-	opts.defaults()
-	c := &TCPKVCluster{RQS: rqs}
-	for g := 0; g < opts.Groups; g++ {
-		sc, err := NewTCPStorageCluster(rqs, TCPStorageOptions{
-			Clients:   opts.Clients,
-			Timeout:   opts.Timeout,
-			DataDir:   opts.groupDataDir(g),
-			WALNoSync: opts.WALNoSync,
-			Hooks:     opts.Hooks,
-			Auth:      opts.Auth,
-		})
-		if err != nil {
-			c.Stop()
-			return nil, err
-		}
-		c.Groups = append(c.Groups, sc)
-	}
-	return c, nil
-}
-
-// Client returns a KV client holding one fresh port into every group.
-func (c *TCPKVCluster) Client() *storage.KVClient {
-	groups := make([]storage.KVGroup, len(c.Groups))
-	for g, sc := range c.Groups {
-		groups[g] = storage.KVGroup{System: sc.RQS, Port: sc.clientPort()}
-		if sc.auth != nil {
-			groups[g].Signer = mustSigner(sc.auth, groups[g].Port.ID())
-			groups[g].Verifier = sc.auth.Verifier()
-		}
-	}
-	return storage.NewKVClient(groups)
-}
-
-// SetInjector installs a fault injector on every host of every group
-// (nil removes it).
-func (c *TCPKVCluster) SetInjector(inj transport.Injector) {
-	for _, sc := range c.Groups {
-		sc.SetInjector(inj)
-	}
-}
-
-// RestartServer kill -9s and restarts one server of one group; a
-// durable deployment recovers its keyspace from the WAL, a volatile
-// one comes back amnesiac.
-func (c *TCPKVCluster) RestartServer(group int, id core.ProcessID, down time.Duration) error {
-	return c.Groups[group].RestartServer(id, down)
-}
-
-// Stop tears every group down.
-func (c *TCPKVCluster) Stop() {
 	for _, sc := range c.Groups {
 		sc.Stop()
 	}

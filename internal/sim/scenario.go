@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/histcheck"
 	"repro/internal/storage"
-	"repro/internal/transport"
 )
 
 // This file is the scenario runner of the chaos layer: it deploys a
@@ -62,8 +61,8 @@ type RunContext struct {
 	// server recovers from its WAL, a volatile one restarts amnesiac.
 	// Nil for workloads without restartable servers (SMR).
 	Restart func(id core.ProcessID, down time.Duration) error
-	// Proxy fronts server 0's wire on TCP runs of scenarios that set
-	// WireProxy; nil otherwise.
+	// Proxy fronts (shard group 0's) server 0's wire on TCP runs of
+	// scenarios that set WireProxy; nil otherwise.
 	Proxy *chaos.Proxy
 }
 
@@ -199,17 +198,6 @@ func (r *RunResult) Failure() string {
 	}
 }
 
-// storageDeployment is the surface the storage workloads need; both
-// StorageCluster (memory) and TCPStorageCluster satisfy it.
-type storageDeployment interface {
-	Writer() *storage.Writer
-	Reader() *storage.Reader
-	MWWriter() *storage.MWWriter
-	MWReader() *storage.MWReader
-	SetInjector(inj transport.Injector)
-	Stop()
-}
-
 // RunScenario executes one matrix cell: deploy, inject, drive, check.
 // Faults replay deterministically from the seed; wall-clock timing of
 // concurrent clients does not (the histcheck conditions hold for every
@@ -271,64 +259,8 @@ func RunScenario(sc *Scenario, tr Transport, wl Workload, seed int64) *RunResult
 	start := time.Now()
 
 	var proxy *chaos.Proxy
-	runWorkload := func() error { return nil }
-	switch wl {
-	case KVWorkload:
-		// The keyed service: two shard groups of the scenario's system,
-		// the fault script installed on every group (the chaos scripts
-		// are safe for concurrent multi-network installs).
-		var d kvDeployment
-		switch tr {
-		case MemoryTransport:
-			mc := NewKVCluster(system, KVOptions{Groups: 2, Clients: kvScenarioClients, DataDir: dataDir, Hooks: hooks, Auth: dep})
-			rc.Restart = func(id core.ProcessID, down time.Duration) error {
-				return mc.RestartServer(0, id, down)
-			}
-			d = mc
-		case TCPTransport:
-			tc, err := NewTCPKVCluster(system, KVOptions{Groups: 2, Clients: kvScenarioClients, DataDir: dataDir, Hooks: hooks, Auth: dep})
-			if err != nil {
-				res.Err = fmt.Errorf("tcp kv cluster: %w", err)
-				return res
-			}
-			rc.Restart = func(id core.ProcessID, down time.Duration) error {
-				return tc.RestartServer(0, id, down)
-			}
-			if sc.WireProxy {
-				// The proxy fronts group 0's server 0: half of the keyspace
-				// rides through the blackhole while the other shard group
-				// stays clean — exactly the partial-outage shape a keyed
-				// service must mask.
-				g0 := tc.Groups[0]
-				target := g0.ServerHosts[0].Addr()
-				proxy, err = chaos.NewProxy(target)
-				if err != nil {
-					tc.Stop()
-					res.Err = fmt.Errorf("wire proxy: %w", err)
-					return res
-				}
-				defer proxy.Close()
-				proxyAddr := proxy.Addr()
-				g0.ClientHost.SetDialer(func(addr string, timeout time.Duration) (stdnet.Conn, error) {
-					if addr == target {
-						addr = proxyAddr
-					}
-					return stdnet.DialTimeout("tcp", addr, timeout)
-				})
-				rc.Proxy = proxy
-			}
-			d = tc
-		default:
-			res.Err = fmt.Errorf("unknown transport %q", tr)
-			return res
-		}
-		defer d.Stop()
-		if script != nil {
-			d.SetInjector(script)
-			defer d.SetInjector(nil)
-		}
-		runWorkload = func() error { return runKVWorkload(d, rec, opTimeout, &res.Auth) }
-	case SMRWorkload:
+	var runWorkload func() error
+	if wl == SMRWorkload {
 		c, err := NewSMRCluster(system, SMROptions{Hooks: acceptorHooks})
 		if err != nil {
 			res.Err = fmt.Errorf("smr cluster: %w", err)
@@ -340,52 +272,59 @@ func RunScenario(sc *Scenario, tr Transport, wl Workload, seed int64) *RunResult
 			defer c.SetInjector(nil)
 		}
 		runWorkload = func() error { return runSMRWorkload(c, rec, opTimeout) }
-	default:
-		var d storageDeployment
-		switch tr {
-		case MemoryTransport:
-			mc := NewStorageCluster(system, StorageOptions{Hooks: hooks, DataDir: dataDir, Auth: dep})
-			rc.Restart = mc.RestartServer
-			d = mc
-		case TCPTransport:
-			tc, err := NewTCPStorageCluster(system, TCPStorageOptions{Hooks: hooks, DataDir: dataDir, Auth: dep})
-			if err != nil {
-				res.Err = fmt.Errorf("tcp cluster: %w", err)
-				return res
-			}
-			rc.Restart = tc.RestartServer
-			if sc.WireProxy {
-				target := tc.ServerHosts[0].Addr()
-				proxy, err = chaos.NewProxy(target)
-				if err != nil {
-					tc.Stop()
-					res.Err = fmt.Errorf("wire proxy: %w", err)
-					return res
-				}
-				defer proxy.Close()
-				proxyAddr := proxy.Addr()
-				tc.ClientHost.SetDialer(func(addr string, timeout time.Duration) (stdnet.Conn, error) {
-					if addr == target {
-						addr = proxyAddr
-					}
-					return stdnet.DialTimeout("tcp", addr, timeout)
-				})
-				rc.Proxy = proxy
-			}
-			d = tc
-		default:
-			res.Err = fmt.Errorf("unknown transport %q", tr)
+	} else {
+		// Every storage cell is a KV deployment: two shard groups for the
+		// keyed service, one for the single-register workloads (driven
+		// through Groups[0]). The fault script is installed on every
+		// group (the chaos scripts are safe for concurrent multi-network
+		// installs).
+		groups := 1
+		if wl == KVWorkload {
+			groups = 2
+		}
+		kc, err := newKVCluster(system, KVOptions{Groups: groups, Clients: kvScenarioClients,
+			DataDir: dataDir, Hooks: hooks, Auth: dep}, tr == TCPTransport)
+		if err != nil {
+			res.Err = fmt.Errorf("%s cluster: %w", tr, err)
 			return res
 		}
-		defer d.Stop()
-		if script != nil {
-			d.SetInjector(script)
-			defer d.SetInjector(nil)
+		defer kc.Stop()
+		rc.Restart = func(id core.ProcessID, down time.Duration) error {
+			return kc.RestartServer(0, id, down)
 		}
-		if wl == SWMRWorkload {
-			runWorkload = func() error { return runSWMRWorkload(d, rec, opTimeout) }
-		} else {
-			runWorkload = func() error { return runMWMRWorkload(d, rec, opTimeout, &res.Auth) }
+		if sc.WireProxy {
+			// The proxy fronts group 0's server 0: on the kv workload half
+			// of the keyspace rides through the blackhole while the other
+			// shard group stays clean — exactly the partial-outage shape a
+			// keyed service must mask.
+			g0 := kc.Groups[0]
+			target := g0.ServerHosts[0].Addr()
+			proxy, err = chaos.NewProxy(target)
+			if err != nil {
+				res.Err = fmt.Errorf("wire proxy: %w", err)
+				return res
+			}
+			defer proxy.Close()
+			proxyAddr := proxy.Addr()
+			g0.ClientHost.SetDialer(func(addr string, timeout time.Duration) (stdnet.Conn, error) {
+				if addr == target {
+					addr = proxyAddr
+				}
+				return stdnet.DialTimeout("tcp", addr, timeout)
+			})
+			rc.Proxy = proxy
+		}
+		if script != nil {
+			kc.SetInjector(script)
+			defer kc.SetInjector(nil)
+		}
+		switch wl {
+		case SWMRWorkload:
+			runWorkload = func() error { return runSWMRWorkload(kc.Groups[0], rec, opTimeout) }
+		case MWMRWorkload:
+			runWorkload = func() error { return runMWMRWorkload(kc.Groups[0], rec, opTimeout, &res.Auth) }
+		default:
+			runWorkload = func() error { return runKVWorkload(kc, rec, opTimeout, &res.Auth) }
 		}
 	}
 
@@ -466,7 +405,7 @@ func recordKeyed(rec *histcheck.Recorder, kind histcheck.Kind, client, key strin
 // one getter cycling through kvScenarioKeys concurrently, then one
 // settle read per key strictly after every write completed. Timestamps
 // are the packed versions; the verdict checks each key's sub-history.
-func runKVWorkload(d kvDeployment, rec *histcheck.Recorder, opTimeout time.Duration, authStats *storage.AuthStats) error {
+func runKVWorkload(d *KVCluster, rec *histcheck.Recorder, opTimeout time.Duration, authStats *storage.AuthStats) error {
 	const putters = 2
 	clients := make([]*storage.KVClient, putters+1, putters+2)
 	for i := range clients {
@@ -539,7 +478,7 @@ func runKVWorkload(d kvDeployment, rec *histcheck.Recorder, opTimeout time.Durat
 
 // runSWMRWorkload drives the Figure 5-7 protocol: the single writer
 // against two concurrent readers.
-func runSWMRWorkload(d storageDeployment, rec *histcheck.Recorder, opTimeout time.Duration) error {
+func runSWMRWorkload(d *StorageCluster, rec *histcheck.Recorder, opTimeout time.Duration) error {
 	w := d.Writer()
 	readers := []*storage.Reader{d.Reader(), d.Reader()}
 
@@ -590,7 +529,7 @@ func runSWMRWorkload(d storageDeployment, rec *histcheck.Recorder, opTimeout tim
 // scenario relies on (a stale settle read is provably non-atomic).
 // Client creation order is fixed (writers on ports n, n+1; readers on
 // n+2, n+3) so scripted rules can address clients by process ID.
-func runMWMRWorkload(d storageDeployment, rec *histcheck.Recorder, opTimeout time.Duration, authStats *storage.AuthStats) error {
+func runMWMRWorkload(d *StorageCluster, rec *histcheck.Recorder, opTimeout time.Duration, authStats *storage.AuthStats) error {
 	writers := []*storage.MWWriter{d.MWWriter(), d.MWWriter()}
 	readers := []*storage.MWReader{d.MWReader(), d.MWReader()}
 	defer func() {

@@ -197,12 +197,22 @@ var scenarios = []*Scenario{
 			"The countersignature binds the original sequence number, so " +
 			"authenticated readers reject the replay and complete on the " +
 			"verified honest majority; the replayed stale tag never enters " +
-			"a quorum.",
+			"a quorum. Replies from the honest servers {1,2} to the clients " +
+			"are delayed 10ms, so the replay always reaches a read before " +
+			"its verified quorum completes.",
 		Transports: bothTransports,
 		Workloads:  []Workload{MWMRWorkload, KVWorkload},
 		System:     func() *core.RQS { return core.MajorityRQS(3) },
 		Hooks:      replayForge(0),
 		Auth:       true,
+		Script: func(r *core.RQS, seed int64) *chaos.Script {
+			clients := core.FullSet(r.N() + kvScenarioClients).Diff(r.Universe())
+			return chaos.NewScript(seed).Rule(chaos.Rule{
+				From:   core.NewSet(1, 2),
+				To:     clients,
+				Effect: chaos.Delay{Dist: chaos.Fixed(10 * time.Millisecond)},
+			})
+		},
 	},
 	{
 		Name: "byzantine-equivocating-acceptor",

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -42,6 +43,55 @@ func TestStorageClusterReaderOptsInheritsTimeout(t *testing.T) {
 	r := c.ReaderOpts(storage.ReaderOptions{Semantics: storage.Regular})
 	if res := r.Read(); res.TS != 0 {
 		t.Errorf("empty read = %+v", res)
+	}
+}
+
+// TestStorageClusterTCPSharedSessions drives the colocated TCP
+// deployment end to end and asserts the session-layer invariant the
+// load numbers rest on: C logical clients cost ONE socket per server
+// process, not C.
+func TestStorageClusterTCPSharedSessions(t *testing.T) {
+	const clients = 8
+	r := core.Example7RQS()
+	c, err := NewTCPStorageCluster(r, StorageOptions{Clients: clients + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	if c.Timeout != tcpTimeout {
+		t.Errorf("timeout = %v, want the loopback default %v", c.Timeout, tcpTimeout)
+	}
+
+	c.Writer().Write("v")
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		rd := c.Reader()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				if res := rd.Read(); res.Val != "v" {
+					t.Errorf("read %+v, want v", res)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// O(1) sockets per process pair: the client host dialed each of the
+	// n server processes exactly once, regardless of client count.
+	if s := c.ClientHost.Stats(); s.Sessions != r.N() {
+		t.Errorf("client host holds %d sessions for %d clients × %d servers, want %d (one per server process)",
+			s.Sessions, clients, r.N(), r.N())
+	}
+	for i, h := range c.ServerHosts {
+		if s := h.Stats(); s.AcceptedConns > 1 {
+			t.Errorf("server %d accepted %d conns from the client process, want ≤ 1", i, s.AcceptedConns)
+		}
+		if s := h.Stats(); s.Drops != 0 {
+			t.Errorf("server %d dropped %d envelopes", i, s.Drops)
+		}
 	}
 }
 

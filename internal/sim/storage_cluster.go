@@ -1,7 +1,8 @@
-// Package sim assembles protocol clusters over the in-memory transport:
-// servers plus client ports for the storage protocol, and the
-// proposer/acceptor/learner topologies of the consensus protocol. It is
-// the shared harness behind the tests, the benchmarks and the examples.
+// Package sim assembles protocol clusters: storage servers plus client
+// ports over either transport — the in-memory network or real loopback
+// TCP — and the proposer/acceptor/learner topologies of the consensus
+// protocol over the in-memory network. It is the shared harness behind
+// the tests, the benchmarks and the examples.
 package sim
 
 import (
@@ -16,17 +17,32 @@ import (
 	"repro/internal/transport"
 )
 
+// tcpTimeout is the default 2Δ timer over loopback TCP.
+const tcpTimeout = 5 * time.Millisecond
+
 // StorageCluster is a running storage deployment: n servers on process
-// IDs 0..n-1 and a pool of client ports above them.
+// IDs 0..n-1 and a pool of client ports above them, over either
+// transport. The protocol code is the same on both; only the ports
+// differ.
+//
+// Over TCP the deployment has the shape a production colocation has:
+// every server is its own OS process (one TCPHost each), and ALL client
+// nodes share one client process (one TCPHost hosting C logical nodes),
+// so the session layer keeps the socket count per process pair O(1).
 type StorageCluster struct {
 	RQS     *core.RQS
-	Net     *transport.Network
 	Servers []*storage.Server
 	Timeout time.Duration
 
-	// dataDir, when non-empty, makes every server durable: each runs
-	// over a WAL in its own subdirectory, and RestartServer recovers
-	// from that log instead of bringing the server back amnesiac.
+	// Net is the in-memory network (nil over TCP).
+	Net *transport.Network
+	// ServerHosts and ClientHost are the TCP hosts (nil in memory).
+	ServerHosts []*transport.TCPHost
+	ClientHost  *transport.TCPHost
+
+	// dataDir, when non-empty, makes every server durable (see
+	// StorageOptions.DataDir); RestartServer then recovers from disk
+	// instead of bringing the server back amnesiac.
 	dataDir   string
 	walNoSync bool
 	// auth, when non-nil, runs the deployment authenticated: servers
@@ -35,24 +51,30 @@ type StorageCluster struct {
 	// material survives a process crash — it lives in the deployment's
 	// provisioning, not the process).
 	auth *auth.Deployment
+	// addrs is the TCP address map every host resolves peers through;
+	// RestartServer brings a fresh host up at the old address.
+	addrs map[core.ProcessID]string
 
-	clientMu   sync.Mutex // tests spawn clients from concurrent goroutines
-	nClients   int
+	mu         sync.Mutex // tests spawn clients from concurrent goroutines
+	clients    []transport.Port
 	nextClient int
+	inj        transport.Injector // re-installed on restarted TCP hosts
 }
 
-// StorageOptions configures NewStorageCluster.
+// StorageOptions configures NewStorageCluster / NewTCPStorageCluster.
 type StorageOptions struct {
 	// Clients is the number of client slots to reserve (default 4).
 	Clients int
-	// Timeout is the protocol's 2Δ timer (default storage.DefaultTimeout).
+	// Timeout is the protocol's 2Δ timer (default storage.DefaultTimeout
+	// in memory, 5ms over loopback TCP).
 	Timeout time.Duration
 	// Hooks optionally makes individual servers Byzantine.
 	Hooks map[core.ProcessID]storage.Hooks
 	// DataDir, when non-empty, runs every server over a write-ahead log
-	// in DataDir/s<id>: acks only follow the fsync, and RestartServer
-	// replays the log instead of losing the state. Empty = volatile
-	// servers that restart amnesiac.
+	// in DataDir/s<id>/wal (over TCP the host's session dedup table
+	// persists beside it in DataDir/s<id>/net): acks only follow the
+	// fsync, and RestartServer replays the log instead of losing the
+	// state. Empty = volatile servers that restart amnesiac.
 	DataDir string
 	// WALNoSync skips the WAL's fdatasync (benchmark-only; meaningless
 	// without DataDir).
@@ -89,49 +111,145 @@ func mustSigner(d *auth.Deployment, id core.ProcessID) auth.Signer {
 	return s
 }
 
+var registerTCPStorageOnce sync.Once
+
+// RegisterTCPStorageMessages registers the storage payload types with
+// the framed TCP codec (idempotent).
+func RegisterTCPStorageMessages() {
+	registerTCPStorageOnce.Do(func() {
+		transport.Register(storage.WriteReq{})
+		transport.Register(storage.WriteAck{})
+		transport.Register(storage.ReadReq{})
+		transport.Register(storage.ReadAck{})
+		transport.Register(storage.MWReadReq{})
+		transport.Register(storage.MWReadAck{})
+		transport.Register(storage.MWWriteReq{})
+		transport.Register(storage.MWWriteAck{})
+		transport.Register(storage.KVCASReq{})
+		transport.Register(storage.KVCASAck{})
+	})
+}
+
 // NewStorageCluster starts servers for every process in the RQS
-// universe. It panics if a durable server's data directory cannot be
-// opened — the harness callers (tests, benchmarks) have no recovery
-// path for a broken temp dir anyway.
+// universe over the in-memory transport. It panics if a durable
+// server's data directory cannot be opened — the harness callers
+// (tests, benchmarks) have no recovery path for a broken temp dir
+// anyway.
 func NewStorageCluster(rqs *core.RQS, opts StorageOptions) *StorageCluster {
+	c, err := newStorageCluster(rqs, opts, false)
+	if err != nil {
+		panic(err.Error())
+	}
+	return c
+}
+
+// NewTCPStorageCluster starts the RQS's servers on one loopback host
+// each and a single shared client host carrying opts.Clients logical
+// client nodes.
+func NewTCPStorageCluster(rqs *core.RQS, opts StorageOptions) (*StorageCluster, error) {
+	return newStorageCluster(rqs, opts, true)
+}
+
+func newStorageCluster(rqs *core.RQS, opts StorageOptions, tcp bool) (*StorageCluster, error) {
 	if opts.Clients <= 0 {
 		opts.Clients = 4
 	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = storage.DefaultTimeout
+		if tcp {
+			opts.Timeout = tcpTimeout
+		}
 	}
-	n := rqs.N()
-	net := transport.NewNetwork(n + opts.Clients)
 	c := &StorageCluster{
 		RQS:       rqs,
-		Net:       net,
 		Timeout:   opts.Timeout,
 		dataDir:   opts.DataDir,
 		walNoSync: opts.WALNoSync,
 		auth:      opts.Auth,
-		nClients:  opts.Clients,
 	}
-	for id := 0; id < n; id++ {
-		srv, err := c.newServer(core.ProcessID(id), opts.Hooks[id])
+	ports, err := c.buildPorts(rqs.N()+opts.Clients, tcp)
+	if err != nil {
+		c.Stop()
+		return nil, err
+	}
+	c.clients = ports[rqs.N():]
+	for id := 0; id < rqs.N(); id++ {
+		srv, err := c.newServer(ports[id], id, opts.Hooks[id])
 		if err != nil {
-			net.Close()
-			panic(fmt.Sprintf("sim: durable server %d: %v", id, err))
+			c.Stop()
+			return nil, fmt.Errorf("sim: server %d: %w", id, err)
 		}
 		srv.Start()
 		c.Servers = append(c.Servers, srv)
 	}
-	return c
+	return c, nil
 }
 
-// newServer builds server id in the cluster's durability mode.
-func (c *StorageCluster) newServer(id core.ProcessID, hooks storage.Hooks) (*storage.Server, error) {
+// buildPorts creates the transport and one port per process: servers
+// 0..n-1, then the client slots. Over TCP every listener is bound
+// before any node attaches, so the shared address map is COMPLETE
+// before any protocol goroutine starts: servers resolve client
+// addresses lazily when they first reply, and starting them only after
+// the map is fully populated gives those reads a happens-before edge
+// (the Start goroutine spawn) instead of racing the setup writes.
+func (c *StorageCluster) buildPorts(total int, tcp bool) ([]transport.Port, error) {
+	ports := make([]transport.Port, total)
+	if !tcp {
+		c.Net = transport.NewNetwork(total)
+		for id := range ports {
+			ports[id] = c.Net.Port(id)
+		}
+		return ports, nil
+	}
+	RegisterTCPStorageMessages()
+	n := c.RQS.N()
+	c.addrs = make(map[core.ProcessID]string, total)
+	for id := 0; id < n; id++ {
+		host, err := transport.NewTCPHostDir("127.0.0.1:0", c.addrs, c.serverDir(id, "net"))
+		if err != nil {
+			return nil, err
+		}
+		c.ServerHosts = append(c.ServerHosts, host)
+		c.addrs[id] = host.Addr()
+	}
+	host, err := transport.NewTCPHost("127.0.0.1:0", c.addrs)
+	if err != nil {
+		return nil, err
+	}
+	c.ClientHost = host
+	for id := n; id < total; id++ {
+		c.addrs[id] = host.Addr()
+	}
+	for id := range ports {
+		h := c.ClientHost
+		if id < n {
+			h = c.ServerHosts[id]
+		}
+		if ports[id], err = h.Node(id); err != nil {
+			return nil, err
+		}
+	}
+	return ports, nil
+}
+
+// serverDir is server id's durable state subdirectory sub ("" when
+// volatile).
+func (c *StorageCluster) serverDir(id core.ProcessID, sub string) string {
+	if c.dataDir == "" {
+		return ""
+	}
+	return filepath.Join(c.dataDir, fmt.Sprintf("s%d", id), sub)
+}
+
+// newServer builds server id over port in the cluster's durability
+// mode.
+func (c *StorageCluster) newServer(port transport.Port, id core.ProcessID, hooks storage.Hooks) (*storage.Server, error) {
 	var srv *storage.Server
 	var err error
 	if c.dataDir == "" {
-		srv = storage.NewServer(c.Net.Port(id), hooks)
+		srv = storage.NewServer(port, hooks)
 	} else {
-		dir := filepath.Join(c.dataDir, fmt.Sprintf("s%d", id))
-		srv, err = storage.NewDurableServer(c.Net.Port(id), hooks, dir,
+		srv, err = storage.NewDurableServer(port, hooks, c.serverDir(id, "wal"),
 			storage.DurableOptions{NoSync: c.walNoSync})
 		if err != nil {
 			return nil, err
@@ -183,57 +301,110 @@ func (c *StorageCluster) ReaderOpts(opts storage.ReaderOptions) *storage.Reader 
 	return storage.NewReaderOpts(c.RQS, c.clientPort(), opts)
 }
 
+// clientPort hands out the next client slot, in process-ID order.
 func (c *StorageCluster) clientPort() transport.Port {
-	c.clientMu.Lock()
-	defer c.clientMu.Unlock()
-	if c.nextClient >= c.nClients {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.nextClient >= len(c.clients) {
 		panic("sim: client slots exhausted; raise StorageOptions.Clients")
 	}
-	id := c.RQS.N() + c.nextClient
 	c.nextClient++
-	return c.Net.Port(id)
+	return c.clients[c.nextClient-1]
 }
 
-// CrashServers crashes every server in the set at the network boundary.
+// CrashServers crashes every server in the set at the network boundary
+// (in-memory transport only; over TCP use RestartServer).
 func (c *StorageCluster) CrashServers(set core.Set) {
 	for _, id := range set.Members() {
 		c.Net.Crash(id)
 	}
 }
 
-// SetInjector installs a fault injector on the cluster's network
-// (nil removes it).
+// SetInjector installs a fault injector on the deployment (nil removes
+// it): on the memory network, or on every TCP host — requests are
+// decided at the client host, replies at the server hosts, so both
+// directions of every link go through it.
 func (c *StorageCluster) SetInjector(inj transport.Injector) {
-	c.Net.SetInjector(inj)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.inj = inj
+	if c.Net != nil {
+		c.Net.SetInjector(inj)
+		return
+	}
+	c.ClientHost.SetInjector(inj)
+	for _, h := range c.ServerHosts {
+		h.SetInjector(inj)
+	}
 }
 
-// RestartServer models kill -9 + restart of server id: the process
-// disappears at the network boundary and its loop stops, stays down
-// for the given duration, then a fresh server resumes at the same
+// RestartServer models kill -9 + restart of server id's process: it
+// disappears (in memory at the network boundary, over TCP its host
+// closes and every conn dies abruptly) and its loop stops, it stays
+// down for the given duration, then a fresh server resumes at the same
 // process ID — strictly from on-disk state. A durable cluster's fresh
-// server replays its write-ahead log; a volatile cluster's comes back
-// amnesiac, exactly like a real process whose memory died with it.
-// Messages sent while it was down are dropped — liveness during the
-// outage rests on the remaining quorums.
+// server replays its write-ahead log (and over TCP reloads its dedup
+// table); a volatile cluster's comes back amnesiac, exactly like a real
+// process whose memory died with it. In memory, messages sent while it
+// was down are dropped; over TCP, client sessions redial with jittered
+// backoff and replay their unacked frames to the new incarnation.
 func (c *StorageCluster) RestartServer(id core.ProcessID, down time.Duration) error {
-	c.Net.Crash(id)
+	if c.Net != nil {
+		c.Net.Crash(id)
+	} else {
+		c.ServerHosts[id].Close()
+	}
 	c.Servers[id].Stop()
 	if down > 0 {
 		time.Sleep(down)
 	}
-	fresh, err := c.newServer(id, storage.Hooks{})
+	port, err := c.reopenServerPort(id)
+	if err != nil {
+		return fmt.Errorf("sim: restart server %d: %w", id, err)
+	}
+	fresh, err := c.newServer(port, id, storage.Hooks{})
 	if err != nil {
 		return fmt.Errorf("sim: recover server %d: %w", id, err)
 	}
 	c.Servers[id] = fresh
 	fresh.Start()
-	c.Net.Restart(id)
+	if c.Net != nil {
+		c.Net.Restart(id)
+	}
 	return nil
+}
+
+// reopenServerPort returns the port a restarted server id runs on: the
+// same memory port, or a node on a fresh TCP host bound at the old
+// address and carrying the installed injector.
+func (c *StorageCluster) reopenServerPort(id core.ProcessID) (transport.Port, error) {
+	if c.Net != nil {
+		return c.Net.Port(id), nil
+	}
+	host, err := transport.NewTCPHostDir(c.addrs[id], c.addrs, c.serverDir(id, "net"))
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if c.inj != nil {
+		host.SetInjector(c.inj)
+	}
+	c.ServerHosts[id] = host
+	c.mu.Unlock()
+	return host.Node(id)
 }
 
 // Stop shuts the cluster down.
 func (c *StorageCluster) Stop() {
-	c.Net.Close()
+	if c.Net != nil {
+		c.Net.Close()
+	}
+	if c.ClientHost != nil {
+		c.ClientHost.Close()
+	}
+	for _, h := range c.ServerHosts {
+		h.Close()
+	}
 	for _, s := range c.Servers {
 		s.Stop()
 	}

@@ -76,9 +76,12 @@ func (e *ErrCASConflict) Error() string {
 // tests verify exactly this with histcheck). CAS therefore guarantees
 // unique *success* per version — the register-level guarantee a
 // quorum system can give without consensus — not that losing values
-// vanish. Compare-and-swap loops (read version, CAS against it, retry
-// on failure) are safe: all same-version contenders in such a loop
-// propose the same logical successor state.
+// vanish: it is a conditional write, not a linearizable
+// compare-and-swap. An increment loop (read version, CAS cur+1 against
+// it, retry on failure) keeps value == version TS, but its counter can
+// end above its number of wins: a version nobody won still advances
+// through a failed CAS that a later Get writes back. It ends at most
+// at the number of CAS attempts.
 
 // KVCASReq asks a server to install 〈Tag, Val〉 under Key iff its
 // register currently holds exactly tag Expect (Tag = 〈Expect.TS+1,
@@ -135,7 +138,9 @@ type Store interface {
 	Put(key, val string) (Version, error)
 	// CAS installs val iff key's version still equals expect. At most
 	// one concurrent CAS per (key, expect) succeeds; a definitively
-	// lost CAS returns *ErrCASConflict carrying the observed version.
+	// lost CAS returns *ErrCASConflict carrying the observed version,
+	// yet its value may still take effect (a conditional write, not a
+	// linearizable compare-and-swap).
 	CAS(key string, expect Version, val string) (CASResult, error)
 }
 

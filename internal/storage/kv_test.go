@@ -3,8 +3,6 @@ package storage_test
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -123,80 +121,6 @@ func TestKVErrClosed(t *testing.T) {
 	}
 	if _, err := kv.CAS("k", storage.Version{}, "v3"); !errors.Is(err, storage.ErrClosed) {
 		t.Fatalf("CAS after Stop: err = %v, want ErrClosed", err)
-	}
-}
-
-// TestKVCASCounter is the memory-transport half of the CAS contract
-// test (the sim package runs it on both transports): concurrent
-// increment-by-CAS loops where every version admits exactly one
-// winner, so the counter never loses an increment.
-func TestKVCASCounter(t *testing.T) {
-	const clients, increments = 6, 5
-	c := sim.NewKVCluster(core.Example7RQS(), sim.KVOptions{Groups: 1, Clients: clients + 1})
-	defer c.Stop()
-
-	type win struct {
-		expectTS int64
-		client   int
-	}
-	var mu sync.Mutex
-	var wins []win
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		kv := c.Client()
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for won := 0; won < increments; {
-				val, ver, err := kv.Get("ctr")
-				if err != nil {
-					t.Errorf("client %d: Get: %v", id, err)
-					return
-				}
-				cur := 0
-				if val != storage.NoValue {
-					cur, _ = strconv.Atoi(val)
-				}
-				res, err := kv.CAS("ctr", ver, strconv.Itoa(cur+1))
-				var conflict *storage.ErrCASConflict
-				if err != nil && !errors.As(err, &conflict) {
-					t.Errorf("client %d: CAS: %v", id, err)
-					return
-				}
-				if res.OK {
-					mu.Lock()
-					wins = append(wins, win{expectTS: ver.TS, client: id})
-					mu.Unlock()
-					won++
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	// Exactly one winner per version: no two successes share an
-	// expect-version timestamp.
-	byTS := make(map[int64]int)
-	for _, w := range wins {
-		byTS[w.expectTS]++
-		if byTS[w.expectTS] > 1 {
-			t.Fatalf("version ts=%d admitted %d CAS winners", w.expectTS, byTS[w.expectTS])
-		}
-	}
-	if len(wins) != clients*increments {
-		t.Fatalf("recorded %d wins, want %d", len(wins), clients*increments)
-	}
-	// No increment lost: same-version contenders propose the same
-	// successor value, so the final counter equals the win count.
-	val, _, err := c.Client().Get("ctr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if val != strconv.Itoa(clients*increments) {
-		t.Fatalf("final counter %q, want %d", val, clients*increments)
 	}
 }
 

@@ -131,8 +131,9 @@ type ClassAssignment = analysis.ClassAssignment
 
 // Storage deployment (Section 3).
 type (
-	// StorageCluster is a running storage deployment over the in-memory
-	// transport: servers on IDs 0..n-1 plus client slots.
+	// StorageCluster is a running storage deployment (NewStorage runs
+	// it over the in-memory transport): servers on IDs 0..n-1 plus
+	// client slots.
 	StorageCluster = sim.StorageCluster
 	// StorageOptions configures NewStorage.
 	StorageOptions = sim.StorageOptions
@@ -171,7 +172,10 @@ func NewStorage(system *System, opts StorageOptions) *StorageCluster {
 // hashing of keys onto independent shard groups.
 type (
 	// KVStore is the versioned Get/Put/CAS interface; KVClient is the
-	// quorum-backed implementation.
+	// quorum-backed implementation. CAS is not a linearizable
+	// compare-and-swap: at most one CAS per (key, version) reports
+	// success, but a failed CAS is a conditional write whose value may
+	// still take effect (see storage.Store).
 	KVStore = storage.Store
 	// KVClient is a Get/Put/CAS client consistent-hashing keys across
 	// shard groups. One operation at a time per client.
@@ -184,11 +188,9 @@ type (
 	KVVersion = storage.Version
 	// KVCASResult reports how a CAS completed.
 	KVCASResult = storage.CASResult
-	// KVCluster is a running KV deployment over the in-memory
-	// transport: shard groups of storage servers plus KV client slots.
+	// KVCluster is a running KV deployment over either transport:
+	// shard groups of storage servers plus KV client slots.
 	KVCluster = sim.KVCluster
-	// TCPKVCluster is the KV deployment over real loopback TCP.
-	TCPKVCluster = sim.TCPKVCluster
 	// KVOptions configures NewKV / NewTCPKV.
 	KVOptions = sim.KVOptions
 )
@@ -202,7 +204,7 @@ func NewKV(system *System, opts KVOptions) *KVCluster {
 }
 
 // NewTCPKV is NewKV over real loopback TCP deployments.
-func NewTCPKV(system *System, opts KVOptions) (*TCPKVCluster, error) {
+func NewTCPKV(system *System, opts KVOptions) (*KVCluster, error) {
 	return sim.NewTCPKVCluster(system, opts)
 }
 
@@ -445,14 +447,5 @@ func NewMWMRReader(system *System, port Port) *MWReader {
 // SWMR protocol's, the MWMR variant's and the KV CAS extension's —
 // with the framed TCP transport codec.
 func RegisterStorageMessages() {
-	transport.Register(storage.WriteReq{})
-	transport.Register(storage.WriteAck{})
-	transport.Register(storage.ReadReq{})
-	transport.Register(storage.ReadAck{})
-	transport.Register(storage.MWReadReq{})
-	transport.Register(storage.MWReadAck{})
-	transport.Register(storage.MWWriteReq{})
-	transport.Register(storage.MWWriteAck{})
-	transport.Register(storage.KVCASReq{})
-	transport.Register(storage.KVCASAck{})
+	sim.RegisterTCPStorageMessages()
 }
