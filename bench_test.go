@@ -288,11 +288,12 @@ func BenchmarkSMRPipelinedManyClients(b *testing.B) {
 // share one consensus deployment (one key generation, one cluster),
 // against the per-slot-setup baseline that stands a full cluster up
 // for every decision (the E11 consensus bench). ns/op is ns/decision
-// in every case; the window is how many proposals are in flight at
-// once through the slot multiplexer.
+// and allocs/op allocations per decision in every case; the window is
+// how many proposals are in flight at once over the shared deployment.
 func BenchmarkSMRPipelined(b *testing.B) {
 	for _, window := range []int{1, 16, 64} {
 		b.Run(fmt.Sprintf("pipelined/window-%d", window), func(b *testing.B) {
+			b.ReportAllocs()
 			c, err := NewSMR(Example7RQS(), SMROptions{})
 			if err != nil {
 				b.Fatal(err)
@@ -321,6 +322,7 @@ func BenchmarkSMRPipelined(b *testing.B) {
 		})
 	}
 	b.Run("per-slot-setup", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			c, err := NewConsensus(Example7RQS(), ConsensusOptions{Learners: 1})
 			if err != nil {
@@ -446,9 +448,9 @@ func BenchmarkA3SMRLogThroughput(b *testing.B) {
 	net := NewNetwork(nA + 2)
 	var replicas []*LogReplica
 	for _, id := range system.Universe().Members() {
-		replicas = append(replicas, NewLogReplica(system, topo, net.Port(id), ring, signers[id], ElectionConfig{}))
+		replicas = append(replicas, NewLogReplica(system, topo, net.Port(id), ring, signers[id]))
 	}
-	prop := NewLogProposer(system, topo, net.Port(nA), ring, ElectionConfig{})
+	prop := NewLogProposer(topo, net.Port(nA))
 	logHost := NewLog(system, topo, net.Port(nA+1), 0)
 	defer func() {
 		net.Close()

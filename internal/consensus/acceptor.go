@@ -32,7 +32,9 @@ type Acceptor struct {
 	port   transport.Port
 	elect  ElectionConfig
 
-	// Locking state (Figure 15 initialisation).
+	// Locking state (Figure 15 initialisation). The maps are created on
+	// first write: a pipelined host builds one acceptor per log slot, and
+	// the initial view never writes updateproof.
 	view        int
 	prep        Value
 	prepview    map[int]bool
@@ -40,10 +42,12 @@ type Acceptor struct {
 	updateview  [2]map[int]bool
 	updateQ     [2]map[int][]core.Set
 	updateproof [2]map[int][]SignedUpdate
-	oldStep     map[int]map[vwKey]bool // update messages sent (the `old` set), per step
+	oldStep     map[stepKey]bool // update messages sent (the `old` set)
 
-	// Received update bookkeeping for the quorum triggers of line 34.
-	coll [2]map[vwKey]*senderRec
+	// Senders of update2〈v, view, *〉 regardless of the attached Q, for
+	// the step-2 trigger of line 34; the step-1 trigger reads the
+	// decider's update1 record, which is keyed the same way.
+	upd2From map[vwKey]*senderRec
 
 	dec        decider
 	hasDecided bool
@@ -54,7 +58,8 @@ type Acceptor struct {
 	pendingActive bool
 	pendingNeeded map[[2]int]bool // (step index 0/1, view) still unproven
 
-	// Election state.
+	// Election state. The suspect timer is created when first armed, so
+	// an acceptor with the Election module disabled never has one.
 	timerRunning   bool
 	timer          *time.Timer
 	suspectTimeout time.Duration
@@ -77,9 +82,16 @@ type Acceptor struct {
 	// for an honest acceptor. Set before Start via SetHooks.
 	hooks Hooks
 
+	// Loop plumbing, created by Start (nil on an inline-driven acceptor).
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
+}
+
+// stepKey names one update message this acceptor sent: update_step〈v, w〉.
+type stepKey struct {
+	step int
+	vwKey
 }
 
 // NewAcceptor builds an acceptor. signer must hold this acceptor's key.
@@ -87,37 +99,20 @@ func NewAcceptor(rqs *core.RQS, topo Topology, port transport.Port, ring *Keyrin
 	if elect.InitTimeout <= 0 {
 		elect.InitTimeout = 50 * time.Millisecond
 	}
-	a := &Acceptor{
+	return &Acceptor{
 		id:             port.ID(),
 		rqs:            rqs,
-		elems:          core.Elements(rqs.Adversary()),
+		elems:          rqs.AdversaryElements(),
 		ring:           ring,
 		signer:         signer,
 		topo:           topo,
 		port:           port,
 		elect:          elect,
 		view:           InitView,
-		prepview:       make(map[int]bool),
-		oldStep:        map[int]map[vwKey]bool{1: {}, 2: {}, 3: {}},
 		dec:            newDecider(rqs),
 		suspectTimeout: elect.InitTimeout,
 		nextView:       InitView,
-		decisionFrom:   make(map[Value]core.Set),
-		stop:           make(chan struct{}),
-		done:           make(chan struct{}),
 	}
-	for s := 0; s < 2; s++ {
-		a.updateview[s] = make(map[int]bool)
-		a.updateQ[s] = make(map[int][]core.Set)
-		a.updateproof[s] = make(map[int][]SignedUpdate)
-		a.coll[s] = make(map[vwKey]*senderRec)
-	}
-	// Inert timer until armed.
-	a.timer = time.NewTimer(time.Hour)
-	if !a.timer.Stop() {
-		<-a.timer.C
-	}
-	return a
 }
 
 // SetHooks installs the Byzantine fault-injection hooks. Must be
@@ -161,7 +156,11 @@ func (a *Acceptor) sendDecision(m DecisionMsg) {
 }
 
 // Start launches the acceptor loop.
-func (a *Acceptor) Start() { go a.run() }
+func (a *Acceptor) Start() {
+	a.stop = make(chan struct{})
+	a.done = make(chan struct{})
+	go a.run()
+}
 
 // HandleEnvelope processes one incoming envelope synchronously, for
 // hosts that drive many acceptors from a single goroutine (the smr
@@ -187,12 +186,16 @@ func (a *Acceptor) Decided() (Value, bool) { return a.decidedVal, a.hasDecided }
 
 func (a *Acceptor) run() {
 	defer close(a.done)
-	defer a.timer.Stop()
+	defer a.stopTimer()
 	for {
+		var suspect <-chan time.Time // nil until the timer is first armed
+		if a.timer != nil {
+			suspect = a.timer.C
+		}
 		select {
 		case <-a.stop:
 			return
-		case <-a.timer.C:
+		case <-suspect:
 			a.onSuspectTimeout()
 			a.persistAndFlush()
 		case env, ok := <-a.port.Inbox():
@@ -264,16 +267,15 @@ func (a *Acceptor) onPrepare(env transport.Envelope, m PrepareMsg) {
 		}
 	}
 	// Line 32.
-	if a.prep == m.V {
-		a.prepview[a.view] = true
-	} else {
+	if a.prep != m.V || a.prepview == nil {
 		a.prep = m.V
-		a.prepview = map[int]bool{a.view: true}
+		a.prepview = make(map[int]bool)
 	}
+	a.prepview[a.view] = true
 	a.dirty = true
 	// Line 33: echo update1.
 	u := UpdateMsg{Step: 1, V: m.V, View: a.view}
-	a.oldStep[1][vwKey{m.V, a.view}] = true
+	a.markSent(1, vwKey{m.V, a.view})
 	a.sendUpdates(u, env.Hop+1)
 	// The "upon received update_step from some quorum" guards of line 34
 	// are standing rules: update messages that raced ahead of this
@@ -287,20 +289,16 @@ func (a *Acceptor) onUpdate(env transport.Envelope, m UpdateMsg) {
 	if !a.topo.Acceptors.Contains(env.From) {
 		return
 	}
-	a.dec.record(env.From, m, env.Hop)
-	if !a.hasDecided {
-		if d, ok := a.dec.check(); ok {
-			a.decide(d.v)
-		}
+	if d, ok := a.dec.record(env.From, m, env.Hop); ok && !a.hasDecided {
+		a.decide(d.v)
 	}
-	if m.Step != 1 && m.Step != 2 {
+	switch m.Step {
+	case 1:
+	case 2:
+		rec(&a.upd2From, vwKey{m.V, m.View}, a.rqs.Index()).add(env.From, env.Hop)
+	default:
 		return
 	}
-	// Track senders of update_step〈v, view〉 regardless of attached Q.
-	k := vwKey{m.V, m.View}
-	r := rec(a.coll[m.Step-1], k, a.rqs.Index())
-	r.add(env.From, env.Hop)
-
 	a.evalTriggers(m.Step, m.V, m.View)
 }
 
@@ -313,47 +311,58 @@ func (a *Acceptor) evalTriggers(step int, v Value, view int) {
 		return
 	}
 	k := vwKey{v, view}
-	r, ok := a.coll[step-1][k]
-	if !ok {
-		return
-	}
 	switch step {
 	case 1:
+		r, ok := a.dec.upd1[k]
+		if !ok {
+			return
+		}
 		for _, q := range r.tr.ContainedAll(core.Class3) {
 			if hasQuorum(a.updateQ[0][view], q) {
 				continue
 			}
-			a.applyUpdate(0, v, view)
-			a.updateQ[0][view] = append(a.updateQ[0][view], q)
+			a.applyUpdate(0, v, view, q)
 			next := UpdateMsg{Step: 2, V: v, View: view, Q: q}
-			a.oldStep[2][k] = true
+			a.markSent(2, k)
 			a.sendUpdates(next, r.maxHopOver(q)+1)
 		}
 	case 2:
-		if len(a.updateQ[1][view]) > 0 {
+		r, ok := a.upd2From[k]
+		if !ok || len(a.updateQ[1][view]) > 0 {
 			return
 		}
 		if q, ok := r.tr.Contained(core.Class3); ok {
-			a.applyUpdate(1, v, view)
-			a.updateQ[1][view] = append(a.updateQ[1][view], q)
+			a.applyUpdate(1, v, view, q)
 			next := UpdateMsg{Step: 3, V: v, View: view, Q: q}
-			a.oldStep[3][k] = true
+			a.markSent(3, k)
 			a.sendUpdates(next, r.maxHopOver(q)+1)
 		}
 	}
 }
 
-// applyUpdate is lines 34-35: adopt v as the step-updated value.
-func (a *Acceptor) applyUpdate(step int, v Value, view int) {
+// applyUpdate is lines 34-35: adopt v as the step-updated value, with
+// the quorum q whose step messages triggered it.
+func (a *Acceptor) applyUpdate(step int, v Value, view int, q core.Set) {
 	a.dirty = true
-	if a.update[step] == v {
-		a.updateview[step][view] = true
-		return
+	if a.update[step] != v || a.updateview[step] == nil {
+		a.update[step] = v
+		a.updateview[step] = make(map[int]bool)
+		a.updateQ[step] = nil
+		a.updateproof[step] = nil
 	}
-	a.update[step] = v
-	a.updateview[step] = map[int]bool{view: true}
-	a.updateQ[step] = make(map[int][]core.Set)
-	a.updateproof[step] = make(map[int][]SignedUpdate)
+	a.updateview[step][view] = true
+	if a.updateQ[step] == nil { // after a reset, or a recovery: updateQ is not persisted
+		a.updateQ[step] = make(map[int][]core.Set)
+	}
+	a.updateQ[step][view] = append(a.updateQ[step][view], q)
+}
+
+// markSent records that update_step〈k〉 was sent (the `old` set).
+func (a *Acceptor) markSent(step int, k vwKey) {
+	if a.oldStep == nil {
+		a.oldStep = make(map[stepKey]bool)
+	}
+	a.oldStep[stepKey{step, k}] = true
 }
 
 func (a *Acceptor) decide(v Value) {
@@ -417,7 +426,7 @@ func (a *Acceptor) onSignReq(env transport.Envelope, m SignReq) {
 	if m.Step < 1 || m.Step > 3 {
 		return
 	}
-	if !a.oldStep[m.Step][vwKey{m.V, m.View}] {
+	if !a.oldStep[stepKey{m.Step, vwKey{m.V, m.View}}] {
 		return
 	}
 	msg := UpdateMsg{Step: m.Step, V: m.V, View: m.View}
@@ -448,6 +457,9 @@ func (a *Acceptor) onSignAck(m SignAck) {
 		if have.Signer == su.Signer {
 			return
 		}
+	}
+	if a.updateproof[s] == nil {
+		a.updateproof[s] = make(map[int][]SignedUpdate)
 	}
 	a.updateproof[s][su.Msg.View] = append(a.updateproof[s][su.Msg.View], su)
 	var signers core.Set
@@ -487,10 +499,13 @@ func (a *Acceptor) onDecision(from core.ProcessID, m DecisionMsg) {
 	if !a.topo.Acceptors.Contains(from) {
 		return
 	}
+	if a.decisionFrom == nil {
+		a.decisionFrom = make(map[Value]core.Set)
+	}
 	a.decisionFrom[m.V] = a.decisionFrom[m.V].Add(from)
 	if _, ok := a.rqs.ContainedQuorum(a.decisionFrom[m.V], core.Class3); ok {
 		a.timerStopped = true
-		a.timer.Stop()
+		a.stopTimer()
 	}
 	if !a.hasDecided && core.IsBasic(a.decisionFrom[m.V], a.rqs.Adversary()) {
 		a.decide(m.V)
@@ -504,7 +519,17 @@ func (a *Acceptor) armTimer() {
 		return
 	}
 	a.timerRunning = true
+	if a.timer == nil {
+		a.timer = time.NewTimer(a.suspectTimeout)
+		return
+	}
 	a.timer.Reset(a.suspectTimeout)
+}
+
+func (a *Acceptor) stopTimer() {
+	if a.timer != nil {
+		a.timer.Stop()
+	}
 }
 
 func (a *Acceptor) onSuspectTimeout() {

@@ -1,6 +1,8 @@
 package consensus
 
 import (
+	"math/bits"
+
 	"repro/internal/core"
 )
 
@@ -27,7 +29,9 @@ func (t Topology) Leader(view int) core.ProcessID {
 //
 // Quorum containment is tracked incrementally per (value, view) key, so
 // each received update costs O(quorums-containing-sender) instead of a
-// rescan of the quorum list.
+// rescan of the quorum list. The per-step maps are created on first
+// write: a pipelined host builds one decider per slot and retires the
+// slot once it decides, often before any step-2 or step-3 message.
 type decider struct {
 	rqs *core.RQS
 	idx *core.QuorumIndex
@@ -48,82 +52,59 @@ type vwqKey struct {
 	q core.Set
 }
 
-// senderRec records who sent one particular update message. Tracker-
-// backed records (upd1/upd3) keep the responded set inside the tracker;
-// tracker-less ones (upd2, which only needs an O(1) subset test against
-// the named quorum) keep it in set.
+// senderRec records who sent one particular update message, and the
+// lowest hop each sender's copy arrived at. Tracker-backed records
+// (upd1/upd3) also feed the senders to a quorum tracker; upd2 only
+// needs an O(1) subset test against the named quorum, so it has none.
 type senderRec struct {
-	set  core.Set
 	tr   *core.QuorumTracker // nil when containment isn't needed (upd2)
-	hops map[core.ProcessID]int
+	seen core.Set
+	hops [core.MaxProcesses]int // hops[id] is meaningful iff seen ∋ id
 }
 
 func newDecider(rqs *core.RQS) decider {
-	return decider{
-		rqs:  rqs,
-		idx:  rqs.Index(),
-		upd1: make(map[vwKey]*senderRec),
-		upd2: make(map[vwqKey]*senderRec),
-		upd3: make(map[vwKey]*senderRec),
-	}
+	return decider{rqs: rqs, idx: rqs.Index()}
 }
 
+// add records from's copy. from must lie in [0, core.MaxProcesses):
+// every caller has checked it against the acceptor set.
 func (r *senderRec) add(from core.ProcessID, hop int) {
 	if r.tr != nil {
 		r.tr.Add(from)
-	} else {
-		r.set = r.set.Add(from)
 	}
-	if h, ok := r.hops[from]; !ok || hop < h {
+	if !r.seen.Contains(from) || hop < r.hops[from] {
 		r.hops[from] = hop
 	}
+	r.seen = r.seen.Add(from)
 }
 
 // maxHopOver returns the largest hop among members of q: the message
 // delay at which the triggering quorum completed.
 func (r *senderRec) maxHopOver(q core.Set) int {
 	hop := 0
-	for _, id := range q.Members() {
-		if h, ok := r.hops[id]; ok && h > hop {
+	for v := uint64(q & r.seen); v != 0; v &= v - 1 {
+		if h := r.hops[bits.TrailingZeros64(v)]; h > hop {
 			hop = h
 		}
 	}
 	return hop
 }
 
-// rec returns the record for k, creating it with a quorum tracker over
-// idx if absent.
-func rec(m map[vwKey]*senderRec, k vwKey, idx *core.QuorumIndex) *senderRec {
-	r, ok := m[k]
+// rec returns the record for k in *m, creating the map and a record
+// with a quorum tracker over idx (none when idx is nil) if absent.
+func rec[K comparable](m *map[K]*senderRec, k K, idx *core.QuorumIndex) *senderRec {
+	r, ok := (*m)[k]
 	if !ok {
-		r = &senderRec{tr: idx.NewTracker(), hops: make(map[core.ProcessID]int)}
-		m[k] = r
+		if *m == nil {
+			*m = make(map[K]*senderRec)
+		}
+		r = &senderRec{}
+		if idx != nil {
+			r.tr = idx.NewTracker()
+		}
+		(*m)[k] = r
 	}
 	return r
-}
-
-// record notes an update message from an acceptor. Messages from
-// processes outside the acceptor set are ignored.
-func (d *decider) record(from core.ProcessID, m UpdateMsg, hop int) {
-	if !d.rqs.Universe().Contains(from) {
-		return
-	}
-	switch m.Step {
-	case 1:
-		rec(d.upd1, vwKey{m.V, m.View}, d.idx).add(from, hop)
-	case 2:
-		// The rule only ever asks whether the named Q2 itself is covered,
-		// an O(1) subset test; no tracker needed.
-		k := vwqKey{m.V, m.View, m.Q}
-		r, ok := d.upd2[k]
-		if !ok {
-			r = &senderRec{hops: make(map[core.ProcessID]int)}
-			d.upd2[k] = r
-		}
-		r.add(from, hop)
-	case 3:
-		rec(d.upd3, vwKey{m.V, m.View}, d.idx).add(from, hop)
-	}
 }
 
 // decision is a fired decision with its message-delay depth.
@@ -132,26 +113,38 @@ type decision struct {
 	hops int
 }
 
-// check evaluates the three decision rules and returns the first that
-// fires.
-func (d *decider) check() (decision, bool) {
-	// Line 51: same update1 from a class-1 quorum.
-	for k, r := range d.upd1 {
+// record notes an update message from an acceptor and reports whether
+// its record now satisfies that step's decision rule. Messages from
+// processes outside the acceptor set are ignored. Callers record every
+// update, so only the record the message lands in can newly satisfy a
+// rule; the others were checked when they last changed.
+func (d *decider) record(from core.ProcessID, m UpdateMsg, hop int) (decision, bool) {
+	if !d.rqs.Universe().Contains(from) {
+		return decision{}, false
+	}
+	switch m.Step {
+	case 1:
+		// Line 51: same update1 from a class-1 quorum.
+		r := rec(&d.upd1, vwKey{m.V, m.View}, d.idx)
+		r.add(from, hop)
 		if q, ok := r.tr.Contained(core.Class1); ok {
-			return decision{v: k.v, hops: r.maxHopOver(q)}, true
+			return decision{v: m.V, hops: r.maxHopOver(q)}, true
 		}
-	}
-	// Line 52: same update2〈v, view, Q2〉 from exactly the class-2 quorum
-	// Q2 named in the message.
-	for k, r := range d.upd2 {
-		if cls, listed := d.idx.ClassOf(k.q); listed && cls <= core.Class2 && k.q.SubsetOf(r.set) {
-			return decision{v: k.v, hops: r.maxHopOver(k.q)}, true
+	case 2:
+		// Line 52: same update2〈v, view, Q2〉 from exactly the class-2
+		// quorum Q2 named in the message — an O(1) subset test, so the
+		// record needs no tracker.
+		r := rec(&d.upd2, vwqKey{m.V, m.View, m.Q}, nil)
+		r.add(from, hop)
+		if cls, listed := d.idx.ClassOf(m.Q); listed && cls <= core.Class2 && m.Q.SubsetOf(r.seen) {
+			return decision{v: m.V, hops: r.maxHopOver(m.Q)}, true
 		}
-	}
-	// Line 53: same update3 from any quorum.
-	for k, r := range d.upd3 {
+	case 3:
+		// Line 53: same update3 from any quorum.
+		r := rec(&d.upd3, vwKey{m.V, m.View}, d.idx)
+		r.add(from, hop)
 		if q, ok := r.tr.Contained(core.Class3); ok {
-			return decision{v: k.v, hops: r.maxHopOver(q)}, true
+			return decision{v: m.V, hops: r.maxHopOver(q)}, true
 		}
 	}
 	return decision{}, false

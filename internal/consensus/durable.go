@@ -27,7 +27,7 @@ import (
 //   - oldStep (which update messages were sent): forgetting it only
 //     makes the recovered acceptor refuse to countersign old updates
 //     (onSignReq), which errs on the safe, mute side.
-//   - updateQ / updateproof / coll: quorum bookkeeping and signature
+//   - updateQ / updateproof / upd2From: quorum bookkeeping and signature
 //     sets that peers re-supply; losing them costs extra round trips
 //     after a new-view, never safety.
 //   - election timers/backoff: liveness state, re-armed on traffic.

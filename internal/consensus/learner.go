@@ -18,7 +18,9 @@ type Learn struct {
 }
 
 // Learner learns the decided value (Figure 10 right column and Figure 15
-// lines 60 and 101-103).
+// lines 60 and 101-103). HandleEnvelope holds the decision rules; Start
+// runs them on the learner's own goroutine, and a host pipelining many
+// instances (the smr log) calls HandleEnvelope from its own loop instead.
 type Learner struct {
 	id   core.ProcessID
 	rqs  *core.RQS
@@ -26,9 +28,11 @@ type Learner struct {
 	port transport.Port
 
 	dec          decider
-	decisionFrom map[Value]core.Set
+	decisionFrom map[Value]core.Set // created on first decision message
+	hasLearned   bool
 	pullEvery    time.Duration
 
+	// Loop plumbing, created by Start (nil on an inline-driven learner).
 	learned  chan Learn
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -36,24 +40,26 @@ type Learner struct {
 }
 
 // NewLearner builds a learner. pullEvery is the "preset time" after which
-// an unlearned learner starts pulling decisions (0 disables pulling).
+// a started, unlearned learner starts pulling decisions (0 disables
+// pulling); hosts driving HandleEnvelope schedule Pull themselves.
 func NewLearner(rqs *core.RQS, topo Topology, port transport.Port, pullEvery time.Duration) *Learner {
 	return &Learner{
-		id:           port.ID(),
-		rqs:          rqs,
-		topo:         topo,
-		port:         port,
-		dec:          newDecider(rqs),
-		decisionFrom: make(map[Value]core.Set),
-		pullEvery:    pullEvery,
-		learned:      make(chan Learn, 1),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
+		id:        port.ID(),
+		rqs:       rqs,
+		topo:      topo,
+		port:      port,
+		dec:       newDecider(rqs),
+		pullEvery: pullEvery,
 	}
 }
 
 // Start launches the learner loop.
-func (l *Learner) Start() { go l.run() }
+func (l *Learner) Start() {
+	l.learned = make(chan Learn, 1)
+	l.stop = make(chan struct{})
+	l.done = make(chan struct{})
+	go l.run()
+}
 
 // Stop terminates the loop and waits for exit.
 func (l *Learner) Stop() {
@@ -61,12 +67,7 @@ func (l *Learner) Stop() {
 	<-l.done
 }
 
-// Learned yields the learned value (at most one per learner). The
-// channel is closed when the learner stops, so a receiver blocked on it
-// always wakes up; check the second receive value.
-func (l *Learner) Learned() <-chan Learn { return l.learned }
-
-// Wait blocks until the learner learns or the timeout elapses.
+// Wait blocks until the started learner learns or the timeout elapses.
 func (l *Learner) Wait(timeout time.Duration) (Learn, bool) {
 	select {
 	case v, ok := <-l.learned:
@@ -76,64 +77,70 @@ func (l *Learner) Wait(timeout time.Duration) (Learn, bool) {
 	}
 }
 
+// Pull asks every acceptor to re-send its decision (Figure 15 line 60).
+func (l *Learner) Pull() {
+	transport.Broadcast(l.port, l.topo.Acceptors, DecisionPullMsg{})
+}
+
+// HandleEnvelope processes one incoming envelope synchronously and
+// reports the learned value the first time the learner learns; every
+// later envelope is ignored. The caller owns serialization: it must not
+// be mixed with Start.
+func (l *Learner) HandleEnvelope(env transport.Envelope) (Learn, bool) {
+	if l.hasLearned || !l.topo.Acceptors.Contains(env.From) {
+		return Learn{}, false
+	}
+	var res Learn
+	switch m := env.Payload.(type) {
+	case UpdateMsg:
+		d, ok := l.dec.record(env.From, m, env.Hop)
+		if !ok {
+			return Learn{}, false
+		}
+		res = Learn{V: d.v, Hops: d.hops}
+	case DecisionMsg:
+		if l.decisionFrom == nil {
+			l.decisionFrom = make(map[Value]core.Set)
+		}
+		l.decisionFrom[m.V] = l.decisionFrom[m.V].Add(env.From)
+		if !core.IsBasic(l.decisionFrom[m.V], l.rqs.Adversary()) {
+			return Learn{}, false
+		}
+		res = Learn{V: m.V, Hops: -1}
+	default:
+		return Learn{}, false
+	}
+	// Shed the per-instance protocol state: a learned learner ignores
+	// everything, so a host pipelining many instances keeps live heap
+	// proportional to unlearned ones.
+	l.hasLearned = true
+	l.dec = decider{}
+	l.decisionFrom = nil
+	return res, true
+}
+
 func (l *Learner) run() {
 	defer close(l.done)
 	defer close(l.learned)
 	var pull <-chan time.Time
-	var ticker *time.Ticker
 	if l.pullEvery > 0 {
-		ticker = time.NewTicker(l.pullEvery)
+		ticker := time.NewTicker(l.pullEvery)
 		defer ticker.Stop()
 		pull = ticker.C
-	}
-	hasLearned := false
-	learn := func(v Learn) {
-		if hasLearned {
-			return
-		}
-		hasLearned = true
-		l.learned <- v
-		if ticker != nil {
-			ticker.Stop()
-		}
-		// Shed the per-instance protocol state: a learned learner only
-		// drains its inbox, so a host pipelining many instances (the
-		// smr log) keeps live heap proportional to unlearned slots.
-		l.dec = decider{}
-		l.decisionFrom = nil
 	}
 	for {
 		select {
 		case <-l.stop:
 			return
 		case <-pull:
-			if !hasLearned {
-				transport.Broadcast(l.port, l.topo.Acceptors, DecisionPullMsg{})
-			}
+			l.Pull()
 		case env, ok := <-l.port.Inbox():
 			if !ok {
 				return
 			}
-			if hasLearned {
-				continue
-			}
-			switch m := env.Payload.(type) {
-			case UpdateMsg:
-				if !l.topo.Acceptors.Contains(env.From) {
-					continue
-				}
-				l.dec.record(env.From, m, env.Hop)
-				if d, decided := l.dec.check(); decided {
-					learn(Learn{V: d.v, Hops: d.hops})
-				}
-			case DecisionMsg:
-				if !l.topo.Acceptors.Contains(env.From) {
-					continue
-				}
-				l.decisionFrom[m.V] = l.decisionFrom[m.V].Add(env.From)
-				if core.IsBasic(l.decisionFrom[m.V], l.rqs.Adversary()) {
-					learn(Learn{V: m.V, Hops: -1})
-				}
+			if res, ok := l.HandleEnvelope(env); ok {
+				l.learned <- res
+				pull = nil
 			}
 		}
 	}

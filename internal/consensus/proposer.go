@@ -42,7 +42,7 @@ func NewProposer(rqs *core.RQS, topo Topology, port transport.Port, ring *Keyrin
 	return &Proposer{
 		id:        port.ID(),
 		rqs:       rqs,
-		elems:     core.Elements(rqs.Adversary()),
+		elems:     rqs.AdversaryElements(),
 		ring:      ring,
 		topo:      topo,
 		port:      port,
@@ -74,17 +74,15 @@ func (p *Proposer) Propose(v Value) {
 	}
 }
 
-// ProposeOnce performs the initial-view propose synchronously on the
-// caller's goroutine and retains nothing. It serves hosts that will
-// never participate in later views — the pipelined smr proposer with
-// elections disabled constructs a transient proposer per slot, calls
-// this, and lets it be collected, instead of keeping a started
-// proposer per slot alive forever. Must not be mixed with Start.
-func (p *Proposer) ProposeOnce(v Value) {
-	p.value = v
-	p.proposed = true
-	transport.Broadcast(p.port, p.topo.Acceptors, SyncMsg{})
-	transport.BroadcastHop(p.port, p.topo.Acceptors, PrepareMsg{V: v, View: InitView}, 1)
+// ProposeInitial is the initial-view propose (Figure 15 lines 1-10 with
+// the consult phase skipped, Figure 9): every proposer leads view 0, so
+// it wakes the acceptors' election timers and sends prepare directly.
+// It keeps no state, so a host that never runs later views — the
+// pipelined smr proposer — calls it per slot without building a
+// Proposer.
+func ProposeInitial(port transport.Port, topo Topology, v Value) {
+	transport.Broadcast(port, topo.Acceptors, SyncMsg{})
+	transport.BroadcastHop(port, topo.Acceptors, PrepareMsg{V: v, View: InitView}, 1)
 }
 
 func (p *Proposer) run() {
@@ -97,11 +95,7 @@ func (p *Proposer) run() {
 			p.value = v
 			p.proposed = true
 			if p.view == InitView {
-				// Skip the consult phase (Figure 9) and wake the
-				// acceptors' election timers.
-				transport.Broadcast(p.port, p.topo.Acceptors, SyncMsg{})
-				transport.BroadcastHop(p.port, p.topo.Acceptors,
-					PrepareMsg{V: v, View: InitView}, 1)
+				ProposeInitial(p.port, p.topo, v)
 			} else {
 				p.startConsult()
 			}

@@ -47,6 +47,9 @@ type RQS struct {
 
 	idxOnce sync.Once
 	idx     *QuorumIndex
+
+	elemsOnce sync.Once
+	elems     []Set
 }
 
 // Config describes a refined quorum system to be built by New.
@@ -156,6 +159,13 @@ func (r *RQS) ClassOfListed(q Set) (QuorumClass, bool) {
 func (r *RQS) Index() *QuorumIndex {
 	r.idxOnce.Do(func() { r.idx = buildIndex(r) })
 	return r.idx
+}
+
+// AdversaryElements returns Elements(r.Adversary()), enumerating it on
+// first use. The result is shared and must not be mutated.
+func (r *RQS) AdversaryElements() []Set {
+	r.elemsOnce.Do(func() { r.elems = Elements(r.adv) })
+	return r.elems
 }
 
 // NewTracker creates an incremental quorum tracker for one protocol

@@ -13,7 +13,7 @@ import (
 // SMRCluster is a running pipelined state-machine-replication
 // deployment: every log slot shares one consensus cluster — one key
 // generation, one network, one process per role — with per-slot
-// protocol instances multiplexed by slot id (internal/smr). Acceptor
+// protocol instances demultiplexed by slot id (internal/smr). Acceptor
 // replicas sit on IDs 0..n-1 (the RQS universe), the proposer host on
 // n, the log/learner host on n+1.
 type SMRCluster struct {
@@ -28,8 +28,6 @@ type SMRCluster struct {
 
 // SMROptions configures NewSMRCluster.
 type SMROptions struct {
-	// Election configures the per-slot view-change machinery.
-	Election consensus.ElectionConfig
 	// PullEvery enables learner decision-pulling (default 20ms; < 0
 	// disables). Pulling lets a log host that joined a slot late catch
 	// up from decided acceptors.
@@ -63,9 +61,9 @@ func NewSMRCluster(rqs *core.RQS, opts SMROptions) (*SMRCluster, error) {
 	c := &SMRCluster{RQS: rqs, Net: net, Topo: topo, Ring: ring}
 	for _, id := range rqs.Universe().Members() {
 		c.Replicas = append(c.Replicas, smr.NewReplicaHooks(
-			rqs, topo, net.Port(id), ring, signers[id], opts.Election, opts.Hooks[id]))
+			rqs, topo, net.Port(id), ring, signers[id], opts.Hooks[id]))
 	}
-	c.Prop = smr.NewProposer(rqs, topo, net.Port(nA), ring, opts.Election)
+	c.Prop = smr.NewProposer(topo, net.Port(nA))
 	c.Log = smr.NewLog(rqs, topo, net.Port(nA+1), opts.PullEvery)
 	return c, nil
 }

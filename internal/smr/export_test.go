@@ -1,0 +1,5 @@
+package smr
+
+// liveLearners reports how many slot learners the log host holds. Call
+// it only after Stop: the map belongs to the host's goroutine.
+func (l *Log) liveLearners() int { return len(l.learners) }

@@ -5,12 +5,18 @@
 // Each log slot is one consensus instance, but slots are pipelined over
 // one shared consensus deployment: a deployment performs one key
 // generation and stands up one process per role (Replica hosting
-// acceptors, Proposer hosting proposers, Log hosting learners), and a
-// per-slot multiplexer (mux) routes SlotMsg-wrapped consensus messages
-// to lazily created per-slot protocol instances. Deciding a command
+// acceptors, Proposer hosting proposers, Log hosting learners).
+// Consensus messages travel wrapped in SlotMsg, and each host
+// demultiplexes them on its one goroutine, driving lazily created
+// per-slot protocol instances synchronously: no host creates a
+// goroutine, channel, timer or ticker per slot. Deciding a command
 // therefore costs one consensus round over an already-running cluster
 // instead of a full cluster setup — the amortization BenchmarkSMRPipelined
 // measures against the per-slot-setup baseline.
+//
+// Slots decide in the initial view: the hosts do not run the Election
+// module, whose view changes the consensus package and
+// sim.ConsensusCluster exercise on single instances.
 //
 // Proposer.Append allocates log slots; many slots may be in flight at
 // once and commit out of order, with Log.Prefix exposing the gap-free
@@ -34,127 +40,12 @@ type SlotMsg struct {
 	Payload transport.Message
 }
 
-// mux demultiplexes a real port into per-slot virtual ports. Slots can
-// be retired (see retire): messages for a retired slot are dropped
-// instead of re-materializing its channel, and the retired-slot record
-// is a watermark plus a sparse overflow set, so a long-lived host's
-// memory tracks the slots in flight, not the slots ever decided.
-type mux struct {
-	real transport.Port
-
-	mu      sync.Mutex
-	slots   map[int]chan transport.Envelope
-	onNew   func(slot int) // called (unlocked) when a new slot appears
-	floor   int            // every slot < floor is retired
-	retired map[int]bool   // retired slots ≥ floor (out-of-order window)
-	closed  bool
-	wg      sync.WaitGroup
-}
-
-func newMux(real transport.Port, onNew func(int)) *mux {
-	m := &mux{
-		real:    real,
-		slots:   make(map[int]chan transport.Envelope),
-		retired: make(map[int]bool),
-		onNew:   onNew,
-	}
-	m.wg.Add(1)
-	go m.run()
-	return m
-}
-
-func (m *mux) run() {
-	defer m.wg.Done()
-	for env := range m.real.Inbox() {
-		sm, ok := env.Payload.(SlotMsg)
-		if !ok {
-			continue
-		}
-		ch, fresh, gone := m.slotChan(sm.Slot)
-		if gone {
-			continue
-		}
-		if ch == nil {
-			return
-		}
-		if fresh && m.onNew != nil {
-			m.onNew(sm.Slot)
-		}
-		ch <- transport.Envelope{From: env.From, To: env.To, Hop: env.Hop, Payload: sm.Payload}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
-	for _, ch := range m.slots {
-		close(ch)
-	}
-}
-
-func (m *mux) slotChan(slot int) (ch chan transport.Envelope, fresh, gone bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if slot < m.floor || m.retired[slot] {
-		return nil, false, true
-	}
-	if m.closed {
-		return nil, false, false
-	}
-	ch, ok := m.slots[slot]
-	if !ok {
-		ch = make(chan transport.Envelope, slotChanBuf)
-		m.slots[slot] = ch
-		fresh = true
-	}
-	return ch, fresh, false
-}
-
-// retire drops a slot: its channel is released (never closed — the run
-// goroutine may still hold a reference mid-send; buffered sends land
-// harmlessly and the channel is collected) and later messages for it
-// are discarded. The caller must have stopped the slot's consumer
-// first. Contiguous retirements collapse into the floor watermark.
-func (m *mux) retire(slot int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.slots, slot)
-	if slot < m.floor || m.retired[slot] {
-		return
-	}
-	if slot == m.floor {
-		m.floor++
-		for m.retired[m.floor] {
-			delete(m.retired, m.floor)
-			m.floor++
-		}
-		return
-	}
-	m.retired[slot] = true
-}
-
-// slotChanBuf sizes a slot's virtual inbox. One consensus instance
-// exchanges a few dozen messages end to end and its goroutine consumes
-// them continuously, so a small burst buffer suffices; the previous
-// 1024-envelope buffer cost ~40KB of zeroed memory per slot per role
-// host and dominated pipelined per-decision cost (8 hosts × 40KB ≈
-// 320KB per decision on the Example 7 deployment).
-const slotChanBuf = 64
-
-// port returns the virtual port of a slot.
-func (m *mux) port(slot int) transport.Port {
-	ch, _, _ := m.slotChan(slot)
-	return &slotPort{real: m.real, slot: slot, inbox: ch}
-}
-
-// wait blocks until the mux goroutine exits (after the real port closes).
-func (m *mux) wait() { m.wg.Wait() }
-
-// slotPort is one slot's virtual port: sends wrap payloads in SlotMsg
-// on the shared real port; the inbox (nil for synchronously driven
-// instances, which never read it) is fed by the owner's demultiplexer.
+// slotPort is one slot's view of its host's port: sends wrap payloads
+// in SlotMsg on the shared port. It has no inbox — the host feeds the
+// slot's instance from its own demultiplexing loop.
 type slotPort struct {
-	real  transport.Port
-	slot  int
-	inbox chan transport.Envelope
+	real transport.Port
+	slot int
 }
 
 var _ transport.Port = (*slotPort)(nil)
@@ -185,37 +76,25 @@ func (p *slotPort) Broadcast(dst core.Set, payload transport.Message, hop int) {
 	p.real.Broadcast(dst, SlotMsg{Slot: p.slot, Payload: payload}, hop)
 }
 
-func (p *slotPort) Inbox() <-chan transport.Envelope { return p.inbox }
+func (p *slotPort) Inbox() <-chan transport.Envelope { return nil }
 
-// Replica hosts the acceptor role for every slot: consensus acceptors
-// are created lazily when a slot's first message arrives.
-//
-// With the Election module disabled (the common pipelined deployment),
-// every slot's acceptor is a pure message-driven state machine, so the
-// replica drives them all synchronously from its one demultiplexing
-// goroutine — no per-slot goroutine, channel, or wakeup per message.
-// With elections enabled, acceptors need their internal timer loop and
-// each slot gets its own goroutine behind a mux.
+// Replica hosts the acceptor role for every slot: a slot's acceptor is
+// created when the slot's first message arrives and is driven
+// synchronously on the replica's one goroutine.
 type Replica struct {
 	rqs    *core.RQS
 	topo   consensus.Topology
 	ring   *consensus.Keyring
 	signer *consensus.Signer
-	elect  consensus.ElectionConfig
 	hooks  consensus.Hooks // installed on every slot acceptor (chaos injection)
-
-	mux        *mux           // election mode; nil when inline
-	port       transport.Port // inline mode
-	inlineDone chan struct{}
-
-	mu        sync.Mutex
-	acceptors map[int]*consensus.Acceptor // election mode only
+	port   transport.Port
+	done   chan struct{}
 }
 
 // NewReplica starts the acceptor host on the given port.
 func NewReplica(rqs *core.RQS, topo consensus.Topology, port transport.Port,
-	ring *consensus.Keyring, signer *consensus.Signer, elect consensus.ElectionConfig) *Replica {
-	return NewReplicaHooks(rqs, topo, port, ring, signer, elect, consensus.Hooks{})
+	ring *consensus.Keyring, signer *consensus.Signer) *Replica {
+	return NewReplicaHooks(rqs, topo, port, ring, signer, consensus.Hooks{})
 }
 
 // NewReplicaHooks is NewReplica with a Byzantine fault-injection
@@ -225,36 +104,28 @@ func NewReplica(rqs *core.RQS, topo consensus.Topology, port transport.Port,
 // be supplied at construction: slot acceptors are created lazily on
 // the replica's goroutine, so a later setter would race.
 func NewReplicaHooks(rqs *core.RQS, topo consensus.Topology, port transport.Port,
-	ring *consensus.Keyring, signer *consensus.Signer, elect consensus.ElectionConfig,
-	hooks consensus.Hooks) *Replica {
+	ring *consensus.Keyring, signer *consensus.Signer, hooks consensus.Hooks) *Replica {
 	r := &Replica{
-		rqs: rqs, topo: topo, ring: ring, signer: signer, elect: elect, hooks: hooks,
+		rqs: rqs, topo: topo, ring: ring, signer: signer, hooks: hooks,
+		port: port, done: make(chan struct{}),
 	}
-	if elect.Enabled {
-		r.acceptors = make(map[int]*consensus.Acceptor)
-		r.mux = newMux(port, r.ensureSlot)
-		return r
-	}
-	r.port = port
-	r.inlineDone = make(chan struct{})
-	go r.runInline()
+	go r.run()
 	return r
 }
 
-// runInline demultiplexes and executes every slot's acceptor on this
-// one goroutine (timer-free acceptors only; see Replica). The slot
-// maps need no lock — nothing else touches them.
+// run demultiplexes and executes every slot's acceptor on this one
+// goroutine. The slot maps need no lock — nothing else touches them.
 //
 // Decided slots are retired: the acceptor's whole protocol state is
-// replaced by its decided value, which is all a decided acceptor ever
-// uses again (answering decision pulls). Retiring keeps a long-lived
-// deployment's live heap proportional to the slots in flight, not the
-// slots ever decided. An acceptor that adopted a decision early stops
-// forwarding update steps, but by then a full quorum has already
-// broadcast every step and its decision, so lagging acceptors and
-// learners still converge through decision messages.
-func (r *Replica) runInline() {
-	defer close(r.inlineDone)
+// replaced by a tombstone holding its decided value, which is all a
+// decided acceptor ever uses again (answering decision pulls). A
+// tombstone is kept for every slot the replica ever decided. An
+// acceptor that adopted a decision early stops forwarding update
+// steps, but by then a full quorum has already broadcast every step
+// and its decision, so lagging acceptors and learners still converge
+// through decision messages.
+func (r *Replica) run() {
+	defer close(r.done)
 	acceptors := make(map[int]*consensus.Acceptor)
 	decided := make(map[int]consensus.Value)
 	for env := range r.port.Inbox() {
@@ -262,20 +133,23 @@ func (r *Replica) runInline() {
 		if !ok {
 			continue
 		}
-		if v, ok := decided[sm.Slot]; ok {
-			if _, isPull := sm.Payload.(consensus.DecisionPullMsg); isPull {
-				r.port.Send(env.From, SlotMsg{Slot: sm.Slot, Payload: consensus.DecisionMsg{V: v}})
-			}
-			continue
-		}
+		// Live slots first: the tombstone map holds every slot ever
+		// decided, so probing it for each message costs cache misses.
 		a, ok := acceptors[sm.Slot]
 		if !ok {
+			if v, ok := decided[sm.Slot]; ok {
+				if _, isPull := sm.Payload.(consensus.DecisionPullMsg); isPull {
+					r.port.Send(env.From, SlotMsg{Slot: sm.Slot, Payload: consensus.DecisionMsg{V: v}})
+				}
+				continue
+			}
 			a = consensus.NewAcceptor(r.rqs, r.topo,
-				&slotPort{real: r.port, slot: sm.Slot}, r.ring, r.signer, r.elect)
+				&slotPort{real: r.port, slot: sm.Slot}, r.ring, r.signer, consensus.ElectionConfig{})
 			a.SetHooks(r.hooks)
 			acceptors[sm.Slot] = a
 		}
-		a.HandleEnvelope(transport.Envelope{From: env.From, To: env.To, Hop: env.Hop, Payload: sm.Payload})
+		env.Payload = sm.Payload
+		a.HandleEnvelope(env)
 		if v, ok := a.Decided(); ok {
 			decided[sm.Slot] = v
 			delete(acceptors, sm.Slot)
@@ -283,98 +157,38 @@ func (r *Replica) runInline() {
 	}
 }
 
-func (r *Replica) ensureSlot(slot int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.acceptors[slot]; ok {
-		return
-	}
-	a := consensus.NewAcceptor(r.rqs, r.topo, r.mux.port(slot), r.ring, r.signer, r.elect)
-	a.SetHooks(r.hooks)
-	a.Start()
-	r.acceptors[slot] = a
-}
+// Stop waits for the replica's goroutine to exit. Call after the
+// network closes.
+func (r *Replica) Stop() { <-r.done }
 
-// Stop shuts every slot's acceptor down. Call after the network closes.
-func (r *Replica) Stop() {
-	if r.mux == nil {
-		<-r.inlineDone // inline acceptors have no goroutines to stop
-		return
-	}
-	r.mux.wait()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, a := range r.acceptors {
-		a.Stop()
-	}
-}
-
-// Proposer hosts the proposer role across slots.
-//
-// With elections disabled, a slot's proposer has exactly one duty —
-// the initial-view prepare broadcast — so Propose performs it through
-// a transient consensus.Proposer (ProposeOnce) and retains nothing:
-// no per-slot goroutine, state, or mux channel ever accumulates. With
-// elections enabled, per-slot proposers must stay alive to run later
-// views, and each gets a goroutine behind a mux.
+// Proposer hosts the proposer role across slots. A slot's proposer has
+// exactly one duty — the initial-view prepare broadcast — so Propose
+// performs it synchronously (consensus.ProposeInitial) and retains
+// nothing per slot.
 type Proposer struct {
-	rqs  *core.RQS
 	topo consensus.Topology
-	ring *consensus.Keyring
+	port transport.Port
 	next atomic.Int64 // next slot Append hands out
-
-	mux        *mux           // election mode; nil when inline
-	port       transport.Port // inline mode
-	inlineDone chan struct{}
-
-	mu        sync.Mutex
-	proposers map[int]*consensus.Proposer // election mode only
+	done chan struct{}
 }
 
-// NewProposer starts the proposer host on the given port. elect must
-// match the acceptors' election configuration: it decides whether
-// per-slot proposers are retained for view changes.
-func NewProposer(rqs *core.RQS, topo consensus.Topology, port transport.Port,
-	ring *consensus.Keyring, elect consensus.ElectionConfig) *Proposer {
-	p := &Proposer{rqs: rqs, topo: topo, ring: ring}
-	if elect.Enabled {
-		p.proposers = make(map[int]*consensus.Proposer)
-		p.mux = newMux(port, func(slot int) { p.ensureSlot(slot) })
-		return p
-	}
-	p.port = port
-	p.inlineDone = make(chan struct{})
-	// Nothing addresses the proposer host when elections are off
-	// (view-change traffic is the only proposer-bound kind), but the
-	// inbox must still drain so unexpected senders cannot wedge.
+// NewProposer starts the proposer host on the given port.
+func NewProposer(topo consensus.Topology, port transport.Port) *Proposer {
+	p := &Proposer{topo: topo, port: port, done: make(chan struct{})}
+	// Nothing addresses the proposer host (view-change traffic is the
+	// only proposer-bound kind), but the inbox must still drain so
+	// unexpected senders cannot wedge.
 	go func() {
-		defer close(p.inlineDone)
+		defer close(p.done)
 		for range port.Inbox() {
 		}
 	}()
 	return p
 }
 
-func (p *Proposer) ensureSlot(slot int) *consensus.Proposer {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pr, ok := p.proposers[slot]
-	if !ok {
-		pr = consensus.NewProposer(p.rqs, p.topo, p.mux.port(slot), p.ring)
-		pr.Start()
-		p.proposers[slot] = pr
-	}
-	return pr
-}
-
 // Propose submits a command for a log slot.
 func (p *Proposer) Propose(slot int, cmd consensus.Value) {
-	if p.mux == nil {
-		consensus.NewProposer(p.rqs, p.topo,
-			&slotPort{real: p.port, slot: slot}, p.ring).ProposeOnce(cmd)
-		return
-	}
-	p.ensureSlot(slot).Propose(cmd)
+	consensus.ProposeInitial(&slotPort{real: p.port, slot: slot}, p.topo, cmd)
 }
 
 // Append allocates the next free log slot, proposes cmd into it, and
@@ -388,81 +202,102 @@ func (p *Proposer) Append(cmd consensus.Value) int {
 	return slot
 }
 
-// Stop shuts the proposer host down. Call after the network closes.
-func (p *Proposer) Stop() {
-	if p.mux == nil {
-		<-p.inlineDone
-		return
-	}
-	p.mux.wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, pr := range p.proposers {
-		pr.Stop()
-	}
-}
+// Stop waits for the proposer host's goroutine to exit. Call after the
+// network closes.
+func (p *Proposer) Stop() { <-p.done }
 
 // Log hosts the learner role and assembles the committed command log.
+// A slot's learner is created when the slot's first message arrives,
+// driven synchronously on the log's one goroutine, and dropped once the
+// slot's entry is recorded; later messages for the slot are discarded.
 type Log struct {
 	rqs       *core.RQS
 	topo      consensus.Topology
+	port      transport.Port
 	pullEvery time.Duration
-	mux       *mux
+	done      chan struct{}
+	learners  map[int]unlearned // owned by the host's goroutine
 
 	mu       sync.Mutex
-	learners map[int]*consensus.Learner
 	entries  map[int]consensus.Value
 	watchers map[int][]chan consensus.Value
-	lwg      sync.WaitGroup
 }
 
-// NewLog starts the learner host on the given port.
+// NewLog starts the learner host on the given port. Every pullEvery
+// (0 disables pulling) it asks the acceptors to re-send their decision
+// for each slot that has gone unlearned for at least that long, so a
+// log host that missed a slot's update stream catches up.
 func NewLog(rqs *core.RQS, topo consensus.Topology, port transport.Port, pullEvery time.Duration) *Log {
 	l := &Log{
-		rqs: rqs, topo: topo, pullEvery: pullEvery,
-		learners: make(map[int]*consensus.Learner),
+		rqs: rqs, topo: topo, port: port, pullEvery: pullEvery,
+		done:     make(chan struct{}),
+		learners: make(map[int]unlearned),
 		entries:  make(map[int]consensus.Value),
 		watchers: make(map[int][]chan consensus.Value),
 	}
-	l.mux = newMux(port, l.ensureSlot)
+	go l.run()
 	return l
 }
 
-func (l *Log) ensureSlot(slot int) {
+// unlearned is a slot the log host has heard of but not yet learned.
+type unlearned struct {
+	lr    *consensus.Learner
+	since time.Time
+}
+
+func (l *Log) run() {
+	defer close(l.done)
+	var pull <-chan time.Time
+	if l.pullEvery > 0 {
+		ticker := time.NewTicker(l.pullEvery)
+		defer ticker.Stop()
+		pull = ticker.C
+	}
+	for {
+		select {
+		case now := <-pull:
+			for _, u := range l.learners {
+				if now.Sub(u.since) >= l.pullEvery {
+					u.lr.Pull()
+				}
+			}
+		case env, ok := <-l.port.Inbox():
+			if !ok {
+				return
+			}
+			sm, ok := env.Payload.(SlotMsg)
+			if !ok {
+				continue
+			}
+			u, ok := l.learners[sm.Slot]
+			if !ok {
+				if _, done := l.Get(sm.Slot); done {
+					continue // a straggler for a recorded slot
+				}
+				u = unlearned{
+					lr:    consensus.NewLearner(l.rqs, l.topo, &slotPort{real: l.port, slot: sm.Slot}, 0),
+					since: time.Now(),
+				}
+				l.learners[sm.Slot] = u
+			}
+			env.Payload = sm.Payload
+			if res, ok := u.lr.HandleEnvelope(env); ok {
+				delete(l.learners, sm.Slot)
+				l.record(sm.Slot, res.V)
+			}
+		}
+	}
+}
+
+// record commits a slot's entry and releases its waiters.
+func (l *Log) record(slot int, v consensus.Value) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.learners[slot]; ok {
-		return
+	l.entries[slot] = v
+	for _, w := range l.watchers[slot] {
+		w <- v // buffered; each watcher receives exactly one value
 	}
-	lr := consensus.NewLearner(l.rqs, l.topo, l.mux.port(slot), l.pullEvery)
-	lr.Start()
-	l.learners[slot] = lr
-	l.lwg.Add(1)
-	go func() {
-		defer l.lwg.Done()
-		res, ok := <-lr.Learned()
-		if !ok {
-			return
-		}
-		l.mu.Lock()
-		l.entries[slot] = res.V
-		ws := l.watchers[slot]
-		delete(l.watchers, slot)
-		delete(l.learners, slot)
-		l.mu.Unlock()
-		for _, w := range ws {
-			w <- res.V
-		}
-		// Retire the slot: the learner goroutine, its virtual inbox and
-		// any further messages for the slot are all dead weight once the
-		// entry is recorded. Retire FIRST so the demultiplexer stops
-		// feeding the slot before its consumer goes away — otherwise a
-		// straggler burst bigger than the inbox buffer could block
-		// mux.run on a dead channel; after retire, at most one in-flight
-		// send lands in the buffer.
-		l.mux.retire(slot)
-		lr.Stop()
-	}()
+	delete(l.watchers, slot)
 }
 
 // Get returns the committed command of a slot, if any.
@@ -473,7 +308,8 @@ func (l *Log) Get(slot int) (consensus.Value, bool) {
 	return v, ok
 }
 
-// Wait blocks until a slot commits or the timeout elapses.
+// Wait blocks until a slot commits or the timeout elapses. A Wait that
+// times out leaves nothing behind.
 func (l *Log) Wait(slot int, timeout time.Duration) (consensus.Value, bool) {
 	l.mu.Lock()
 	if v, ok := l.entries[slot]; ok {
@@ -483,12 +319,32 @@ func (l *Log) Wait(slot int, timeout time.Duration) (consensus.Value, bool) {
 	ch := make(chan consensus.Value, 1)
 	l.watchers[slot] = append(l.watchers[slot], ch)
 	l.mu.Unlock()
+
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case v := <-ch:
 		return v, true
-	case <-time.After(timeout):
-		return consensus.None, false
+	case <-timer.C:
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if v, ok := l.entries[slot]; ok { // committed as the timer fired
+		return v, true
+	}
+	ws := l.watchers[slot]
+	for i, w := range ws {
+		if w == ch {
+			ws = append(ws[:i], ws[i+1:]...)
+			break
+		}
+	}
+	if len(ws) == 0 {
+		delete(l.watchers, slot)
+	} else {
+		l.watchers[slot] = ws
+	}
+	return consensus.None, false
 }
 
 // Prefix returns the longest gap-free committed prefix starting at slot 0.
@@ -505,15 +361,6 @@ func (l *Log) Prefix() []consensus.Value {
 	}
 }
 
-// Stop shuts the learner host down. Call after the network closes.
-func (l *Log) Stop() {
-	l.mux.wait()
-	l.mu.Lock()
-	learners := l.learners
-	l.learners = map[int]*consensus.Learner{}
-	l.mu.Unlock()
-	for _, lr := range learners {
-		lr.Stop()
-	}
-	l.lwg.Wait()
-}
+// Stop waits for the log host's goroutine to exit. Call after the
+// network closes.
+func (l *Log) Stop() { <-l.done }

@@ -34,10 +34,9 @@ func deploy(t *testing.T, rqs *core.RQS) *deployment {
 	net := transport.NewNetwork(nA + 2)
 	d := &deployment{net: net}
 	for _, id := range rqs.Universe().Members() {
-		d.replicas = append(d.replicas, NewReplica(
-			rqs, topo, net.Port(id), ring, signers[id], consensus.ElectionConfig{}))
+		d.replicas = append(d.replicas, NewReplica(rqs, topo, net.Port(id), ring, signers[id]))
 	}
-	d.prop = NewProposer(rqs, topo, net.Port(nA), ring, consensus.ElectionConfig{})
+	d.prop = NewProposer(topo, net.Port(nA))
 	d.log = NewLog(rqs, topo, net.Port(nA+1), 20*time.Millisecond)
 	return d
 }
@@ -98,6 +97,13 @@ func TestLogGetAndMissingSlot(t *testing.T) {
 	if _, ok := d.log.Wait(7, 30*time.Millisecond); ok {
 		t.Error("Wait on unproposed slot should time out")
 	}
+	// A timed-out Wait withdraws its watcher: otherwise every Wait on a
+	// slot that never commits would leak a channel.
+	d.log.mu.Lock()
+	defer d.log.mu.Unlock()
+	if n := len(d.log.watchers); n != 0 {
+		t.Errorf("%d slots still have watchers after the Wait timed out", n)
+	}
 }
 
 func TestManySlotsConcurrently(t *testing.T) {
@@ -118,10 +124,12 @@ func TestManySlotsConcurrently(t *testing.T) {
 	}
 }
 
-// TestLogRetiresLearnedSlots pins the log host's slot retirement: once
-// a slot's entry is recorded, its learner is removed (memory tracks
-// slots in flight, not slots ever decided) while Get/Wait/Prefix keep
-// serving the entry.
+// TestLogRetiresLearnedSlots pins the log host's slot retirement: a
+// slot's learner is dropped in the same step that records its entry,
+// and stragglers for a recorded slot never bring one back, so once
+// every slot has committed and the host has drained, no learner is
+// left (memory tracks slots in flight, not slots ever decided) while
+// Get and Prefix keep serving the entries.
 func TestLogRetiresLearnedSlots(t *testing.T) {
 	d := deploy(t, core.Example7RQS())
 	defer d.stop()
@@ -134,20 +142,9 @@ func TestLogRetiresLearnedSlots(t *testing.T) {
 			t.Fatalf("slot %d did not commit", s)
 		}
 	}
-	// Retirement runs on the watcher goroutine right after Wait is
-	// released; give it a moment, then the learner map must be empty.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		d.log.mu.Lock()
-		live := len(d.log.learners)
-		d.log.mu.Unlock()
-		if live == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d learners still live after all %d slots committed", live, slots)
-		}
-		time.Sleep(time.Millisecond)
+	d.stop() // the log host's goroutine has exited: its map is ours to read
+	if live := d.log.liveLearners(); live != 0 {
+		t.Fatalf("%d learners still live after all %d slots committed", live, slots)
 	}
 	for s := 0; s < slots; s++ {
 		if v, ok := d.log.Get(s); !ok || v != fmt.Sprintf("cmd-%d", s) {

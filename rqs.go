@@ -323,9 +323,11 @@ func NewSMR(system *System, opts SMROptions) (*SMRCluster, error) {
 
 // SMR constructors (see internal/smr for the deployment pattern).
 var (
-	// NewLogReplica starts an acceptor host on a port.
+	// NewLogReplica starts an acceptor host on a port. Slots decide in
+	// the initial view: the SMR hosts do not run view changes.
 	NewLogReplica = smr.NewReplica
-	// NewLogProposer starts a proposer host on a port.
+	// NewLogProposer starts a proposer host on a port; it sends each
+	// slot's initial-view prepare and keeps nothing per slot.
 	NewLogProposer = smr.NewProposer
 	// NewLog starts a learner/log host on a port.
 	NewLog = smr.NewLog
