@@ -9,7 +9,14 @@
 // Consensus messages travel wrapped in SlotMsg, and each host
 // demultiplexes them on its one goroutine, driving lazily created
 // per-slot protocol instances synchronously: no host creates a
-// goroutine, channel, timer or ticker per slot. Deciding a command
+// goroutine, channel, timer or ticker per slot or per burst. A host
+// handles its inbox in bursts — the envelope it woke for plus whatever
+// is already queued behind it — and its slot instances' sends collect
+// in the host's outbox, which is flushed at the end of the burst as
+// one envelope per destination (a SlotBatch, or a bare SlotMsg when it
+// holds one message): with many slots in flight, one burst carries
+// messages for many of them, and per-envelope transport cost, not
+// protocol work, bounds pipelined throughput. Deciding a command
 // therefore costs one consensus round over an already-running cluster
 // instead of a full cluster setup — the amortization BenchmarkSMRPipelined
 // measures against the per-slot-setup baseline.
@@ -25,6 +32,7 @@
 package smr
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,53 +42,152 @@ import (
 	"repro/internal/transport"
 )
 
-// SlotMsg wraps a consensus message with its log-slot index.
+// SlotMsg wraps a consensus message with its log-slot index and the hop
+// depth its sender gave it, which the receiver restores when it unpacks
+// the message (the envelope may be a SlotBatch with a hop of its own).
 type SlotMsg struct {
 	Slot    int
+	Hop     int
 	Payload transport.Message
 }
 
-// slotPort is one slot's view of its host's port: sends wrap payloads
-// in SlotMsg on the shared port. It has no inbox — the host feeds the
-// slot's instance from its own demultiplexing loop.
+// SlotBatch is one envelope's worth of slot messages from one host's
+// inbox burst to one destination, in send order.
+type SlotBatch struct {
+	Msgs []SlotMsg
+}
+
+// hostBurst bounds how many inbox envelopes a host handles before it
+// flushes its outbox, so a flooded host still sends its reactions.
+const hostBurst = 64
+
+// outbox collects, in send order, every slot message a host's slot
+// instances send while the host handles one inbox burst; flush sends
+// them as one envelope per destination.
+type outbox struct {
+	port    transport.Port
+	msgs    []SlotMsg
+	dsts    []core.Set // dsts[i] is where msgs[i] goes
+	scratch []SlotMsg  // one destination's share of a mixed flush
+}
+
+func (o *outbox) add(dst core.Set, m SlotMsg) {
+	o.msgs = append(o.msgs, m)
+	o.dsts = append(o.dsts, dst)
+}
+
+// flush sends the collected messages and empties the outbox. When every
+// message has the same destination set — the usual case: an acceptor's
+// update targets, a log host's acceptors — the batch goes out in one
+// broadcast; otherwise each destination gets its own share, in order.
+func (o *outbox) flush() {
+	if len(o.msgs) == 0 {
+		return
+	}
+	dst, uniform := o.dsts[0], true
+	var all core.Set
+	for _, d := range o.dsts {
+		uniform = uniform && d == dst
+		all = all.Union(d)
+	}
+	if uniform {
+		o.send(dst, o.msgs)
+	} else {
+		for v := uint64(all); v != 0; v &= v - 1 {
+			to := bits.TrailingZeros64(v)
+			o.scratch = o.scratch[:0]
+			for i, d := range o.dsts {
+				if d.Contains(to) {
+					o.scratch = append(o.scratch, o.msgs[i])
+				}
+			}
+			o.send(core.Set(0).Add(to), o.scratch)
+		}
+		clear(o.scratch)
+	}
+	clear(o.msgs)
+	o.msgs, o.dsts = o.msgs[:0], o.dsts[:0]
+}
+
+// send puts msgs on the wire to dst as one envelope: a lone message
+// travels bare, so an isolated send pays no wrapper.
+func (o *outbox) send(dst core.Set, msgs []SlotMsg) {
+	if len(msgs) == 1 {
+		o.port.Broadcast(dst, msgs[0], msgs[0].Hop)
+		return
+	}
+	o.port.Broadcast(dst, SlotBatch{Msgs: append([]SlotMsg(nil), msgs...)}, 0)
+}
+
+// eachSlotMsg calls deliver for every slot message env carries, in send
+// order, with the message's own hop restored on the envelope.
+func eachSlotMsg(env transport.Envelope, deliver func(slot int, env transport.Envelope)) {
+	switch m := env.Payload.(type) {
+	case SlotMsg:
+		env.Hop, env.Payload = m.Hop, m.Payload
+		deliver(m.Slot, env)
+	case SlotBatch:
+		for i := range m.Msgs {
+			sm := &m.Msgs[i]
+			env.Hop, env.Payload = sm.Hop, sm.Payload
+			deliver(sm.Slot, env)
+		}
+	}
+}
+
+// burst delivers env and then every envelope already queued behind it,
+// up to hostBurst envelopes; it reports false once the inbox has closed.
+func burst(inbox <-chan transport.Envelope, env transport.Envelope, deliver func(int, transport.Envelope)) bool {
+	eachSlotMsg(env, deliver)
+	for n := 1; n < hostBurst; n++ {
+		select {
+		case env, ok := <-inbox:
+			if !ok {
+				return false
+			}
+			eachSlotMsg(env, deliver)
+		default:
+			return true
+		}
+	}
+	return true
+}
+
+// slotPort is one slot's view of its host: every send wraps the payload
+// in a SlotMsg and appends it to the host's outbox. It has no inbox —
+// the host feeds the slot's instance from its own demultiplexing loop.
 type slotPort struct {
-	real transport.Port
+	out  *outbox
 	slot int
 }
 
 var _ transport.Port = (*slotPort)(nil)
 
-func (p *slotPort) ID() core.ProcessID { return p.real.ID() }
+func (p *slotPort) ID() core.ProcessID { return p.out.port.ID() }
 
 func (p *slotPort) Send(to core.ProcessID, payload transport.Message) {
-	p.real.Send(to, SlotMsg{Slot: p.slot, Payload: payload})
+	p.SendHop(to, payload, 0)
 }
 
 func (p *slotPort) SendHop(to core.ProcessID, payload transport.Message, hop int) {
-	p.real.SendHop(to, SlotMsg{Slot: p.slot, Payload: payload}, hop)
+	p.Broadcast(core.Set(0).Add(to), payload, hop)
 }
 
 func (p *slotPort) SendBatch(to core.ProcessID, payloads []transport.Message, hop int) {
-	wrapped := make([]transport.Message, len(payloads))
-	for i, pl := range payloads {
-		wrapped[i] = SlotMsg{Slot: p.slot, Payload: pl}
+	for _, pl := range payloads {
+		p.SendHop(to, pl, hop)
 	}
-	p.real.SendBatch(to, wrapped, hop)
 }
 
-// Broadcast wraps the payload once and fans it out through the real
-// port's batched broadcast, so a consensus instance's per-quorum
-// fan-out costs one transport acceptance per burst even when
-// multiplexed by slot.
 func (p *slotPort) Broadcast(dst core.Set, payload transport.Message, hop int) {
-	p.real.Broadcast(dst, SlotMsg{Slot: p.slot, Payload: payload}, hop)
+	p.out.add(dst, SlotMsg{Slot: p.slot, Hop: hop, Payload: payload})
 }
 
 func (p *slotPort) Inbox() <-chan transport.Envelope { return nil }
 
 // Replica hosts the acceptor role for every slot: a slot's acceptor is
-// created when the slot's first message arrives and is driven
-// synchronously on the replica's one goroutine.
+// created when the slot's first message other than a decision pull
+// arrives and is driven synchronously on the replica's one goroutine.
 type Replica struct {
 	rqs    *core.RQS
 	topo   consensus.Topology
@@ -89,6 +196,11 @@ type Replica struct {
 	hooks  consensus.Hooks // installed on every slot acceptor (chaos injection)
 	port   transport.Port
 	done   chan struct{}
+
+	// Owned by the replica's goroutine.
+	out       outbox
+	acceptors map[int]*consensus.Acceptor
+	decided   map[int]consensus.Value // tombstones of retired slots
 }
 
 // NewReplica starts the acceptor host on the given port.
@@ -108,13 +220,29 @@ func NewReplicaHooks(rqs *core.RQS, topo consensus.Topology, port transport.Port
 	r := &Replica{
 		rqs: rqs, topo: topo, ring: ring, signer: signer, hooks: hooks,
 		port: port, done: make(chan struct{}),
+		out:       outbox{port: port},
+		acceptors: make(map[int]*consensus.Acceptor),
+		decided:   make(map[int]consensus.Value),
 	}
 	go r.run()
 	return r
 }
 
-// run demultiplexes and executes every slot's acceptor on this one
-// goroutine. The slot maps need no lock — nothing else touches them.
+// run executes every slot's acceptor on this one goroutine, one inbox
+// burst at a time, and sends each burst's reactions as one envelope per
+// destination. The slot maps need no lock — nothing else touches them.
+func (r *Replica) run() {
+	defer close(r.done)
+	for env := range r.port.Inbox() {
+		open := burst(r.port.Inbox(), env, r.deliver)
+		r.out.flush()
+		if !open {
+			return
+		}
+	}
+}
+
+// deliver hands one slot message to the slot's acceptor.
 //
 // Decided slots are retired: the acceptor's whole protocol state is
 // replaced by a tombstone holding its decided value, which is all a
@@ -124,36 +252,30 @@ func NewReplicaHooks(rqs *core.RQS, topo consensus.Topology, port transport.Port
 // steps, but by then a full quorum has already broadcast every step
 // and its decision, so lagging acceptors and learners still converge
 // through decision messages.
-func (r *Replica) run() {
-	defer close(r.done)
-	acceptors := make(map[int]*consensus.Acceptor)
-	decided := make(map[int]consensus.Value)
-	for env := range r.port.Inbox() {
-		sm, ok := env.Payload.(SlotMsg)
-		if !ok {
-			continue
-		}
-		// Live slots first: the tombstone map holds every slot ever
-		// decided, so probing it for each message costs cache misses.
-		a, ok := acceptors[sm.Slot]
-		if !ok {
-			if v, ok := decided[sm.Slot]; ok {
-				if _, isPull := sm.Payload.(consensus.DecisionPullMsg); isPull {
-					r.port.Send(env.From, SlotMsg{Slot: sm.Slot, Payload: consensus.DecisionMsg{V: v}})
-				}
-				continue
+func (r *Replica) deliver(slot int, env transport.Envelope) {
+	// Live slots first: the tombstone map holds every slot ever
+	// decided, so probing it for each message costs cache misses.
+	a, ok := r.acceptors[slot]
+	if !ok {
+		_, isPull := env.Payload.(consensus.DecisionPullMsg)
+		if v, ok := r.decided[slot]; ok {
+			if isPull {
+				r.out.add(core.Set(0).Add(env.From), SlotMsg{Slot: slot, Payload: consensus.DecisionMsg{V: v}})
 			}
-			a = consensus.NewAcceptor(r.rqs, r.topo,
-				&slotPort{real: r.port, slot: sm.Slot}, r.ring, r.signer, consensus.ElectionConfig{})
-			a.SetHooks(r.hooks)
-			acceptors[sm.Slot] = a
+			return
 		}
-		env.Payload = sm.Payload
-		a.HandleEnvelope(env)
-		if v, ok := a.Decided(); ok {
-			decided[sm.Slot] = v
-			delete(acceptors, sm.Slot)
+		if isPull {
+			return // a fresh acceptor has no decision to answer with
 		}
+		a = consensus.NewAcceptor(r.rqs, r.topo,
+			&slotPort{out: &r.out, slot: slot}, r.ring, r.signer, consensus.ElectionConfig{})
+		a.SetHooks(r.hooks)
+		r.acceptors[slot] = a
+	}
+	a.HandleEnvelope(env)
+	if v, ok := a.Decided(); ok {
+		r.decided[slot] = v
+		delete(r.acceptors, slot)
 	}
 }
 
@@ -186,9 +308,13 @@ func NewProposer(topo consensus.Topology, port transport.Port) *Proposer {
 	return p
 }
 
-// Propose submits a command for a log slot.
+// Propose submits a command for a log slot. Its sync and prepare travel
+// as one batch per acceptor; the outbox is the call's own, so concurrent
+// calls share nothing.
 func (p *Proposer) Propose(slot int, cmd consensus.Value) {
-	consensus.ProposeInitial(&slotPort{real: p.port, slot: slot}, p.topo, cmd)
+	out := outbox{port: p.port}
+	consensus.ProposeInitial(&slotPort{out: &out, slot: slot}, p.topo, cmd)
+	out.flush()
 }
 
 // Append allocates the next free log slot, proposes cmd into it, and
@@ -216,6 +342,7 @@ type Log struct {
 	port      transport.Port
 	pullEvery time.Duration
 	done      chan struct{}
+	out       outbox            // owned by the host's goroutine
 	learners  map[int]unlearned // owned by the host's goroutine
 
 	mu       sync.Mutex
@@ -231,6 +358,7 @@ func NewLog(rqs *core.RQS, topo consensus.Topology, port transport.Port, pullEve
 	l := &Log{
 		rqs: rqs, topo: topo, port: port, pullEvery: pullEvery,
 		done:     make(chan struct{}),
+		out:      outbox{port: port},
 		learners: make(map[int]unlearned),
 		entries:  make(map[int]consensus.Value),
 		watchers: make(map[int][]chan consensus.Value),
@@ -261,31 +389,36 @@ func (l *Log) run() {
 					u.lr.Pull()
 				}
 			}
+			l.out.flush()
 		case env, ok := <-l.port.Inbox():
 			if !ok {
 				return
 			}
-			sm, ok := env.Payload.(SlotMsg)
-			if !ok {
-				continue
-			}
-			u, ok := l.learners[sm.Slot]
-			if !ok {
-				if _, done := l.Get(sm.Slot); done {
-					continue // a straggler for a recorded slot
-				}
-				u = unlearned{
-					lr:    consensus.NewLearner(l.rqs, l.topo, &slotPort{real: l.port, slot: sm.Slot}, 0),
-					since: time.Now(),
-				}
-				l.learners[sm.Slot] = u
-			}
-			env.Payload = sm.Payload
-			if res, ok := u.lr.HandleEnvelope(env); ok {
-				delete(l.learners, sm.Slot)
-				l.record(sm.Slot, res.V)
+			open := burst(l.port.Inbox(), env, l.deliver)
+			l.out.flush()
+			if !open {
+				return
 			}
 		}
+	}
+}
+
+// deliver hands one slot message to the slot's learner.
+func (l *Log) deliver(slot int, env transport.Envelope) {
+	u, ok := l.learners[slot]
+	if !ok {
+		if _, done := l.Get(slot); done {
+			return // a straggler for a recorded slot
+		}
+		u = unlearned{
+			lr:    consensus.NewLearner(l.rqs, l.topo, &slotPort{out: &l.out, slot: slot}, 0),
+			since: time.Now(),
+		}
+		l.learners[slot] = u
+	}
+	if res, ok := u.lr.HandleEnvelope(env); ok {
+		delete(l.learners, slot)
+		l.record(slot, res.V)
 	}
 }
 

@@ -50,6 +50,23 @@ func (d *deployment) stop() {
 	d.log.Stop()
 }
 
+// decideInWindows appends n commands in rounds of window slots, waiting
+// for every slot of a round to commit before the next round starts.
+func (d *deployment) decideInWindows(t *testing.T, n, window int) {
+	t.Helper()
+	slots := make([]int, window)
+	for done := 0; done < n; done += window {
+		for i := range slots {
+			slots[i] = d.prop.Append("cmd")
+		}
+		for _, s := range slots {
+			if _, ok := d.log.Wait(s, 10*time.Second); !ok {
+				t.Fatalf("slot %d did not commit", s)
+			}
+		}
+	}
+}
+
 func TestReplicatedLogCommitsInOrderableSlots(t *testing.T) {
 	d := deploy(t, core.Example7RQS())
 	defer d.stop()
