@@ -250,10 +250,11 @@ var scenarios = []*Scenario{
 	{
 		Name: "kill9-recover-midwrite",
 		Description: "The crash-recovery tier: servers run over write-ahead " +
-			"logs, a fixed 12ms delay into servers stretches the run, and " +
-			"110ms in server 1 is kill -9'd mid-operation with real process-" +
-			"state loss — the fresh incarnation replays its WAL (and, on " +
-			"TCP, reloads its session dedup table) before serving again. " +
+			"logs, a fixed 12ms delay into servers stretches the run, half " +
+			"of the traffic into servers is duplicated, and 110ms in server " +
+			"1 is kill -9'd mid-operation with real process-state loss — the " +
+			"fresh incarnation replays its WAL before serving again, and " +
+			"requests arrive at it twice on both sides of the crash. " +
 			"Every acked write it vouched for must still be there: histcheck " +
 			"rejects the history if recovery loses or doubles one. The kv " +
 			"cell drives multi-key writes across both shard groups through " +
@@ -262,10 +263,9 @@ var scenarios = []*Scenario{
 		Workloads:  storageWorkloads,
 		Durable:    true,
 		Script: func(r *core.RQS, seed int64) *chaos.Script {
-			return chaos.NewScript(seed).Rule(chaos.Rule{
-				To:     r.Universe(),
-				Effect: chaos.Delay{Dist: chaos.Fixed(12 * time.Millisecond)},
-			})
+			return chaos.NewScript(seed).
+				Rule(chaos.Rule{To: r.Universe(), Effect: chaos.Delay{Dist: chaos.Fixed(12 * time.Millisecond)}}).
+				Rule(chaos.Rule{To: r.Universe(), Effect: chaos.Dup{P: 0.5}})
 		},
 		Events: func(rc *RunContext) {
 			time.Sleep(110 * time.Millisecond)

@@ -71,10 +71,9 @@ type StorageOptions struct {
 	// Hooks optionally makes individual servers Byzantine.
 	Hooks map[core.ProcessID]storage.Hooks
 	// DataDir, when non-empty, runs every server over a write-ahead log
-	// in DataDir/s<id>/wal (over TCP the host's session dedup table
-	// persists beside it in DataDir/s<id>/net): acks only follow the
-	// fsync, and RestartServer replays the log instead of losing the
-	// state. Empty = volatile servers that restart amnesiac.
+	// in DataDir/s<id>/wal: acks only follow the fsync, and
+	// RestartServer replays the log instead of losing the state. Empty
+	// = volatile servers that restart amnesiac.
 	DataDir string
 	// WALNoSync skips the WAL's fdatasync (benchmark-only; meaningless
 	// without DataDir).
@@ -205,7 +204,7 @@ func (c *StorageCluster) buildPorts(total int, tcp bool) ([]transport.Port, erro
 	n := c.RQS.N()
 	c.addrs = make(map[core.ProcessID]string, total)
 	for id := 0; id < n; id++ {
-		host, err := transport.NewTCPHostDir("127.0.0.1:0", c.addrs, c.serverDir(id, "net"))
+		host, err := transport.NewTCPHost("127.0.0.1:0", c.addrs)
 		if err != nil {
 			return nil, err
 		}
@@ -232,15 +231,6 @@ func (c *StorageCluster) buildPorts(total int, tcp bool) ([]transport.Port, erro
 	return ports, nil
 }
 
-// serverDir is server id's durable state subdirectory sub ("" when
-// volatile).
-func (c *StorageCluster) serverDir(id core.ProcessID, sub string) string {
-	if c.dataDir == "" {
-		return ""
-	}
-	return filepath.Join(c.dataDir, fmt.Sprintf("s%d", id), sub)
-}
-
 // newServer builds server id over port in the cluster's durability
 // mode.
 func (c *StorageCluster) newServer(port transport.Port, id core.ProcessID, hooks storage.Hooks) (*storage.Server, error) {
@@ -249,7 +239,8 @@ func (c *StorageCluster) newServer(port transport.Port, id core.ProcessID, hooks
 	if c.dataDir == "" {
 		srv = storage.NewServer(port, hooks)
 	} else {
-		srv, err = storage.NewDurableServer(port, hooks, c.serverDir(id, "wal"),
+		dir := filepath.Join(c.dataDir, fmt.Sprintf("s%d", id), "wal")
+		srv, err = storage.NewDurableServer(port, hooks, dir,
 			storage.DurableOptions{NoSync: c.walNoSync})
 		if err != nil {
 			return nil, err
@@ -343,11 +334,12 @@ func (c *StorageCluster) SetInjector(inj transport.Injector) {
 // closes and every conn dies abruptly) and its loop stops, it stays
 // down for the given duration, then a fresh server resumes at the same
 // process ID — strictly from on-disk state. A durable cluster's fresh
-// server replays its write-ahead log (and over TCP reloads its dedup
-// table); a volatile cluster's comes back amnesiac, exactly like a real
-// process whose memory died with it. In memory, messages sent while it
-// was down are dropped; over TCP, client sessions redial with jittered
-// backoff and replay their unacked frames to the new incarnation.
+// server replays its write-ahead log; a volatile cluster's comes back
+// amnesiac, exactly like a real process whose memory died with it. In
+// memory, messages sent while it was down are dropped; over TCP, client
+// sessions redial with jittered backoff and replay their unacked frames
+// to the new incarnation — including frames the old one delivered but
+// never acked, which the fresh server applies again (idempotently).
 func (c *StorageCluster) RestartServer(id core.ProcessID, down time.Duration) error {
 	if c.Net != nil {
 		c.Net.Crash(id)
@@ -381,7 +373,7 @@ func (c *StorageCluster) reopenServerPort(id core.ProcessID) (transport.Port, er
 	if c.Net != nil {
 		return c.Net.Port(id), nil
 	}
-	host, err := transport.NewTCPHostDir(c.addrs[id], c.addrs, c.serverDir(id, "net"))
+	host, err := transport.NewTCPHost(c.addrs[id], c.addrs)
 	if err != nil {
 		return nil, err
 	}

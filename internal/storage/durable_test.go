@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
@@ -99,6 +100,86 @@ func TestDurableReplayIdempotence(t *testing.T) {
 	after := srv2.StateSnapshot()
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("replaying records twice moved the keyspace:\n before %#v\n after %#v", before, after)
+	}
+}
+
+// TestDurableRedeliveryAfterRecovery delivers one burst of every
+// request kind to a durable server, kills it, reopens it from its WAL
+// and delivers the same burst again, as client sessions do when they
+// replay unacked frames to a restarted server. The second delivery
+// must not move the keyspace or log a record, and must ack every write
+// exactly as the first did. The CAS is the one request answered
+// differently: its own tag is now installed, so it acks Applied=false
+// (the client counts only a server's first verdict, see casPhase).
+func TestDurableRedeliveryAfterRecovery(t *testing.T) {
+	dir := t.TempDir()
+	net := transport.NewNetwork(2)
+	defer net.Close()
+	cas := KVCASReq{Seq: 9, Key: "kv", Tag: Tag{TS: 1, Writer: 1}, Val: "c"}
+	burst := func() []transport.Envelope {
+		return burstOf(
+			WriteReq{Key: "sw", TS: 1, Val: "a", Round: 1},
+			WriteReq{Key: "sw", TS: 1, Val: "a", Round: 2, Sets: []core.Set{core.NewSet(0, 1)}},
+			ReadReq{Key: "sw", ReadNo: 1, Round: 1},
+			WriteReq{Key: "sw", TS: 1, Val: "a", Round: 3},
+			MWWriteReq{Seq: 1, Key: "mw", Tag: Tag{TS: 1, Writer: 1}, Val: "x"},
+			MWReadReq{Seq: 2, Key: "mw"},
+			MWReadReq{Seq: 3, Key: "mw", TagOnly: true},
+			cas,
+		)
+	}
+	// deliver runs the burst and returns its write acks, its CAS ack and
+	// how many WAL records it appended.
+	deliver := func(srv *Server) (writeAcks []transport.Message, casAck KVCASAck, appended int64) {
+		t.Helper()
+		before, _ := srv.WALStats()
+		if !srv.handleBurst(burst()) {
+			t.Fatal("burst failed")
+		}
+		after, _ := srv.WALStats()
+		for {
+			select {
+			case env := <-net.Port(1).Inbox():
+				switch ack := env.Payload.(type) {
+				case WriteAck, MWWriteAck:
+					writeAcks = append(writeAcks, ack)
+				case KVCASAck:
+					casAck = ack
+				}
+			default:
+				return writeAcks, casAck, after.Appends - before.Appends
+			}
+		}
+	}
+
+	srv, err := NewDurableServer(net.Port(0), Hooks{}, dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstAcks, firstCAS, _ := deliver(srv)
+	if len(firstAcks) != 4 || !firstCAS.Applied {
+		t.Fatalf("first delivery acked writes %v and CAS %+v, want 4 write acks and an applied CAS", firstAcks, firstCAS)
+	}
+	want := srv.StateSnapshot()
+	srv.wal.Close() // kill -9
+
+	srv2, err := NewDurableServer(net.Port(0), Hooks{}, dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.wal.Close()
+	acks, casAck, appended := deliver(srv2)
+	if got := srv2.StateSnapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("redelivery moved the keyspace:\n got %#v\nwant %#v", got, want)
+	}
+	if appended != 0 {
+		t.Errorf("redelivery appended %d WAL records, want 0", appended)
+	}
+	if !reflect.DeepEqual(acks, firstAcks) {
+		t.Errorf("redelivered write acks = %v, want %v", acks, firstAcks)
+	}
+	if casAck.Applied || casAck.Seq != cas.Seq || casAck.Tag != cas.Tag {
+		t.Errorf("redelivered CAS ack = %+v, want Applied=false, Seq %d, Tag %v", casAck, cas.Seq, cas.Tag)
 	}
 }
 

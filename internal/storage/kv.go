@@ -375,7 +375,11 @@ func (c *mwClient) casPhase(key string, expect, tag Tag, val string, done <-chan
 			return CASResult{Version: curTag, Val: curVal, Rounds: 1}
 		}
 		ack, isAck := env.Payload.(KVCASAck)
-		if !isAck || ack.Seq != c.seq {
+		if !isAck || ack.Seq != c.seq || !c.tr.Add(env.From) {
+			// A server's first verdict on this Seq is its only one. A
+			// request redelivered to it after a restart finds its own
+			// tag installed and acks Applied=false; counting that would
+			// reject a server already counted as applied.
 			env.Release()
 			continue
 		}
@@ -403,7 +407,7 @@ func (c *mwClient) casPhase(key string, expect, tag Tag, val string, done <-chan
 				return CASResult{Version: curTag, Val: curVal, Rounds: 1}
 			}
 		}
-		if c.tr.Add(env.From) && c.tr.Complete() {
+		if c.tr.Complete() {
 			// Everyone responded without a fully-applied quorum (the
 			// success check above would have fired).
 			return CASResult{Version: curTag, Val: curVal, Rounds: 1}

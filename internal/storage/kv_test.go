@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -121,6 +122,51 @@ func TestKVErrClosed(t *testing.T) {
 	}
 	if _, err := kv.CAS("k", storage.Version{}, "v3"); !errors.Is(err, storage.ErrClosed) {
 		t.Fatalf("CAS after Stop: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestCASCountsOneVerdictPerServer pins the CAS client's ack accounting
+// under redelivery. A server that applied the CAS and then receives the
+// same request again (a duplicate, or a redelivery after it restarted)
+// acks Applied=false under the same Seq. Only its first verdict counts,
+// so the CAS wins once a class-3 quorum applied, even though a second
+// server genuinely rejected it.
+func TestCASCountsOneVerdictPerServer(t *testing.T) {
+	net := transport.NewNetwork(4)
+	defer net.Close()
+	kv := storage.NewKVClient([]storage.KVGroup{{System: core.MajorityRQS(3), Port: net.Port(3)}})
+	type outcome struct {
+		res storage.CASResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := kv.CAS("k", storage.Version{}, "v")
+		done <- outcome{res, err}
+	}()
+	var req storage.KVCASReq
+	for id := 0; id < 3; id++ {
+		select {
+		case env := <-net.Port(id).Inbox():
+			req = env.Payload.(storage.KVCASReq)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("server %d never received the CAS", id)
+		}
+	}
+	ack := func(from int, applied bool, tag storage.Tag) {
+		net.Port(from).Send(3, storage.KVCASAck{Seq: req.Seq, Applied: applied, Tag: tag})
+	}
+	ack(0, true, req.Tag)
+	ack(0, false, req.Tag) // the redelivered request finds its own tag installed
+	ack(1, false, storage.Tag{TS: 1, Writer: 9})
+	ack(2, true, req.Tag)
+	select {
+	case o := <-done:
+		if o.err != nil || !o.res.OK || o.res.Version != req.Tag {
+			t.Fatalf("CAS = (%+v, %v), want a win at %v: servers 0 and 2 form a class-3 quorum", o.res, o.err, req.Tag)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("CAS never completed")
 	}
 }
 

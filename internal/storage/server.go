@@ -858,11 +858,29 @@ func (s *Server) flushBatch(b *syncBatch) {
 // quorum ids into the final round's slot. Callers hold the register's
 // shard mutex; if the current history map is shared with outstanding
 // read acks it is copied first (the acks keep the old, now-immutable
-// snapshot). It reports whether the request was a well-formed round
-// (the WAL logs exactly those); re-applying the same request is a
-// no-op, which is what makes log replay idempotent.
+// snapshot). It reports whether the row changed (the WAL logs exactly
+// those requests); re-applying the same request changes nothing, which
+// is what makes log replay and redelivery idempotent.
 func applyWrite(reg *regState, req WriteReq) bool {
 	if req.Round < 1 || req.Round > 3 {
+		return false
+	}
+	pair := Pair{TS: req.TS, Val: req.Val}
+	row := reg.history[req.TS] // a copy: the live row moves only below
+	changed := false
+	for m := 1; m <= req.Round; m++ {
+		slot := &row[m-1]
+		if !slot.Pair.IsBottom() && slot.Pair != pair {
+			continue
+		}
+		if slot.Pair != pair {
+			slot.Pair, changed = pair, true
+		}
+		if m == req.Round && slot.addSets(req.Sets) {
+			changed = true
+		}
+	}
+	if !changed {
 		return false
 	}
 	if reg.histShared {
@@ -871,18 +889,6 @@ func applyWrite(reg *regState, req WriteReq) bool {
 	}
 	if reg.history == nil {
 		reg.history = make(History)
-	}
-	pair := Pair{TS: req.TS, Val: req.Val}
-	row := reg.history[req.TS]
-	for m := 1; m <= req.Round; m++ {
-		slot := row[m-1]
-		if slot.Pair.IsBottom() || slot.Pair == pair {
-			slot.Pair = pair
-			if m == req.Round {
-				slot = slot.addSet(req.Sets)
-			}
-			row[m-1] = slot
-		}
 	}
 	reg.history[req.TS] = row
 	return true

@@ -68,14 +68,22 @@ func (s Slot) HasSet(q core.Set) bool {
 	return false
 }
 
-// addSet returns the slot with q added to Sets if absent.
-func (s Slot) addSet(qs []core.Set) Slot {
+// addSets adds every q of qs absent from Sets and reports whether any
+// was. The first append copies Sets, so a slice shared with an
+// outstanding read ack is never written through.
+func (s *Slot) addSets(qs []core.Set) bool {
+	added := false
 	for _, q := range qs {
-		if !s.HasSet(q) {
-			s.Sets = append(s.Sets, q)
+		if s.HasSet(q) {
+			continue
 		}
+		if !added {
+			s.Sets = s.Sets[:len(s.Sets):len(s.Sets)]
+			added = true
+		}
+		s.Sets = append(s.Sets, q)
 	}
-	return s
+	return added
 }
 
 // Row is a server's history row for one timestamp: slots for rounds 1..3,

@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"fmt"
 	"net"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -36,31 +34,16 @@ type tcpCluster struct {
 	t     *testing.T
 	addrs map[core.ProcessID]string
 	nodes []*TCPNode
-	dirs  []string // per-process dedup state dirs; nil = volatile
 }
 
 func newTCPCluster(t *testing.T, n int) *tcpCluster {
-	return newTCPClusterDurable(t, n, false)
-}
-
-// newTCPClusterDurable gives each node a stable per-process state dir
-// when durable is set, so a Stop/Start cycle reopens the same dedup
-// table — the process-restart-with-disk shape of the recovery tier.
-func newTCPClusterDurable(t *testing.T, n int, durable bool) *tcpCluster {
 	t.Helper()
 	c := &tcpCluster{t: t, addrs: make(map[core.ProcessID]string, n), nodes: make([]*TCPNode, n)}
-	if durable {
-		base := t.TempDir()
-		c.dirs = make([]string, n)
-		for i := range c.dirs {
-			c.dirs[i] = filepath.Join(base, fmt.Sprintf("p%d", i))
-		}
-	}
 	for i := 0; i < n; i++ {
 		c.addrs[i] = "127.0.0.1:0"
 	}
 	for i := 0; i < n; i++ {
-		node, err := NewTCPNodeDir(i, c.addrs, c.dir(i))
+		node, err := NewTCPNode(i, c.addrs)
 		if err != nil {
 			c.Close()
 			t.Fatalf("node %d: %v", i, err)
@@ -71,16 +54,7 @@ func newTCPClusterDurable(t *testing.T, n int, durable bool) *tcpCluster {
 	return c
 }
 
-func (c *tcpCluster) dir(id core.ProcessID) string {
-	if c.dirs == nil {
-		return ""
-	}
-	return c.dirs[id]
-}
-
 func (c *tcpCluster) Port(id core.ProcessID) Port { return c.nodes[id] }
-
-func (c *tcpCluster) DurableRestart() bool { return c.dirs != nil }
 
 func (c *tcpCluster) Stop(id core.ProcessID) bool {
 	c.nodes[id].Close()
@@ -88,7 +62,7 @@ func (c *tcpCluster) Stop(id core.ProcessID) bool {
 }
 
 func (c *tcpCluster) Start(id core.ProcessID) {
-	node, err := NewTCPNodeDir(id, c.addrs, c.dir(id)) // addrs[id] is the concrete old address
+	node, err := NewTCPNode(id, c.addrs) // addrs[id] is the concrete old address
 	if err != nil {
 		c.t.Fatalf("restart node %d: %v", id, err)
 	}
@@ -117,9 +91,14 @@ func TestConformanceTCP(t *testing.T) {
 	})
 }
 
+// TestConformanceTCPDurable and TestConformanceTCPSharedSessionsDurable
+// cover the hosts under durable storage servers. A host keeps no state
+// on disk, so those are the same hosts as everywhere else and these
+// runs use the volatile clusters: a durable server gets exactly the
+// at-least-once restart contract its volatile twin gets.
 func TestConformanceTCPDurable(t *testing.T) {
 	Conformance(t, func(t *testing.T, n int) ConformanceCluster {
-		return newTCPClusterDurable(t, n, true)
+		return newTCPCluster(t, n)
 	})
 }
 
@@ -135,27 +114,15 @@ type tcpSharedCluster struct {
 	addrs  map[core.ProcessID]string
 	shared *TCPHost
 	solo   *TCPNode // process 1, restartable
-	dir    string   // solo's dedup state dir; "" = volatile
 	nodes  map[core.ProcessID]*TCPNode
 }
 
 func newTCPSharedCluster(t *testing.T, n int) *tcpSharedCluster {
-	return newTCPSharedClusterDurable(t, n, false)
-}
-
-// newTCPSharedClusterDurable makes the restartable solo host (process
-// 1, the only process the suite restarts) durable: it reopens the same
-// dedup dir on Start. The shared host stays volatile — it never
-// restarts here.
-func newTCPSharedClusterDurable(t *testing.T, n int, durable bool) *tcpSharedCluster {
 	t.Helper()
 	c := &tcpSharedCluster{
 		t:     t,
 		addrs: make(map[core.ProcessID]string, n),
 		nodes: make(map[core.ProcessID]*TCPNode, n),
-	}
-	if durable {
-		c.dir = t.TempDir()
 	}
 	shared, err := NewTCPHost("127.0.0.1:0", c.addrs)
 	if err != nil {
@@ -176,7 +143,7 @@ func newTCPSharedClusterDurable(t *testing.T, n int, durable bool) *tcpSharedClu
 	}
 	if n > 1 {
 		c.addrs[1] = "127.0.0.1:0"
-		solo, err := NewTCPNodeDir(1, c.addrs, c.dir)
+		solo, err := NewTCPNode(1, c.addrs)
 		if err != nil {
 			c.Close()
 			t.Fatalf("node 1: %v", err)
@@ -190,8 +157,6 @@ func newTCPSharedClusterDurable(t *testing.T, n int, durable bool) *tcpSharedClu
 
 func (c *tcpSharedCluster) Port(id core.ProcessID) Port { return c.nodes[id] }
 
-func (c *tcpSharedCluster) DurableRestart() bool { return c.dir != "" }
-
 func (c *tcpSharedCluster) Stop(id core.ProcessID) bool {
 	if id != 1 || c.solo == nil {
 		return false // only the solo host models a restart here
@@ -201,7 +166,7 @@ func (c *tcpSharedCluster) Stop(id core.ProcessID) bool {
 }
 
 func (c *tcpSharedCluster) Start(id core.ProcessID) {
-	solo, err := NewTCPNodeDir(1, c.addrs, c.dir) // addrs[1] is the concrete old address
+	solo, err := NewTCPNode(1, c.addrs) // addrs[1] is the concrete old address
 	if err != nil {
 		c.t.Fatalf("restart node 1: %v", err)
 	}
@@ -231,7 +196,7 @@ func TestConformanceTCPSharedSessions(t *testing.T) {
 
 func TestConformanceTCPSharedSessionsDurable(t *testing.T) {
 	Conformance(t, func(t *testing.T, n int) ConformanceCluster {
-		return newTCPSharedClusterDurable(t, n, true)
+		return newTCPSharedCluster(t, n)
 	})
 }
 

@@ -48,11 +48,6 @@ type TCPHost struct {
 	addrs map[core.ProcessID]string // logical node → hosting process's address
 	done  chan struct{}             // closed on Close; gates inbox delivery
 
-	// stateDir, when non-empty, makes the dedup table durable: per-peer
-	// (nonce, delivered) files persisted before delivery and reloaded
-	// on construction (see dedup.go).
-	stateDir string
-
 	// nodes and routes are copy-on-write maps read lock-free on every
 	// send: nodes resolves a local destination to its inbox, routes
 	// memoizes the logical-destination → session resolution.
@@ -143,11 +138,16 @@ func (n *TCPNode) awaitInbox(env Envelope, done <-chan struct{}) deliverVerdict 
 // delivered for the peer process's current session incarnation. A
 // reconnect from the same incarnation resumes it (retransmitted frames
 // are dropped as dups); a new incarnation (peer process restarted)
-// resets it. The record is also the piggyback rendezvous: the host's
-// outgoing session to the same process stamps (nonce, delivered) into
-// its data frames, and conveyed tracks how much of that made it onto
-// the wire so the serve loop can suppress standalone acks the reverse
-// traffic already carried.
+// resets it. The record lives only in memory, so delivery is
+// exactly-once within this host's lifetime and at-least-once across a
+// restart of this host: a restarted receiver redelivers frames whose
+// ack died with it, and every handler above must tolerate that (see
+// "Redelivery across restarts" in ARCHITECTURE.md). The record is
+// also the piggyback rendezvous: the host's outgoing session to the
+// same process stamps (nonce, delivered) into its data frames, and
+// conveyed tracks how much of that made it onto the wire so the serve
+// loop can suppress standalone acks the reverse traffic already
+// carried.
 type rcvState struct {
 	mu        sync.Mutex
 	nonce     uint64 // current peer incarnation (0 until the first hello)
@@ -158,14 +158,6 @@ type rcvState struct {
 	// dataAck frames (purely unidirectional traffic keeps the slimmer
 	// data frames).
 	hasPeer atomic.Bool
-
-	// Persistence watermark (durable hosts only, see dedup.go): the
-	// newest (nonce, delivered) pair written to the peer's state file.
-	// saveMu serializes savers without holding mu across the file
-	// write, so piggyback snapshots never wait on an fsync.
-	saveMu         sync.Mutex
-	savedNonce     uint64
-	savedDelivered uint64
 
 	// Session flow control (guarded by mu): per-logical-link staging
 	// queues. A frame whose destination inbox is momentarily full is
@@ -352,16 +344,6 @@ var _ Port = (*TCPNode)(nil)
 // race, not merely a missed route. Attach logical nodes with Node,
 // likewise before peers start sending to them (see Node).
 func NewTCPHost(listenAddr string, addrs map[core.ProcessID]string) (*TCPHost, error) {
-	return NewTCPHostDir(listenAddr, addrs, "")
-}
-
-// NewTCPHostDir is NewTCPHost with a durable dedup table: stateDir
-// (created if absent) holds one file per peer recording the highest
-// delivered seq of the peer's current incarnation, persisted before
-// delivery and reloaded here — so a kill -9'd receiver still drops the
-// retransmitted duplicates when it comes back. Empty stateDir means
-// volatile dedup (identical to NewTCPHost).
-func NewTCPHostDir(listenAddr string, addrs map[core.ProcessID]string, stateDir string) (*TCPHost, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("tcp: listen %s: %w", listenAddr, err)
@@ -371,16 +353,9 @@ func NewTCPHostDir(listenAddr string, addrs map[core.ProcessID]string, stateDir 
 		ln:       ln,
 		addrs:    addrs,
 		done:     make(chan struct{}),
-		stateDir: stateDir,
 		links:    make(map[string]*peerLink),
 		rcv:      make(map[string]*rcvState),
 		accepted: make(map[net.Conn]struct{}),
-	}
-	if stateDir != "" {
-		if err := h.loadDedupState(); err != nil {
-			ln.Close()
-			return nil, err
-		}
 	}
 	empty := make(map[core.ProcessID]*TCPNode)
 	h.nodes.Store(&empty)
@@ -389,6 +364,13 @@ func NewTCPHostDir(listenAddr string, addrs map[core.ProcessID]string, stateDir 
 	h.wg.Add(1)
 	go h.acceptLoop()
 	return h, nil
+}
+
+// NewTCPHostDir is NewTCPHost; the directory argument is ignored.
+//
+// Deprecated: a host keeps no state on disk. Use NewTCPHost.
+func NewTCPHostDir(listenAddr string, addrs map[core.ProcessID]string, _ string) (*TCPHost, error) {
+	return NewTCPHost(listenAddr, addrs)
 }
 
 // Node attaches logical process id to the host and returns its port.
@@ -421,17 +403,11 @@ func (h *TCPHost) Node(id core.ProcessID) (*TCPNode, error) {
 // process, the pre-session-layer deployment shape. addrs must contain
 // the node's own listen address. Closing the node closes its host.
 func NewTCPNode(id core.ProcessID, addrs map[core.ProcessID]string) (*TCPNode, error) {
-	return NewTCPNodeDir(id, addrs, "")
-}
-
-// NewTCPNodeDir is NewTCPNode over a host with a durable dedup table
-// in stateDir (empty = volatile; see NewTCPHostDir).
-func NewTCPNodeDir(id core.ProcessID, addrs map[core.ProcessID]string, stateDir string) (*TCPNode, error) {
 	addr, ok := addrs[id]
 	if !ok {
 		return nil, fmt.Errorf("tcp: no address for process %d", id)
 	}
-	h, err := NewTCPHostDir(addr, addrs, stateDir)
+	h, err := NewTCPHost(addr, addrs)
 	if err != nil {
 		return nil, err
 	}
@@ -1205,17 +1181,6 @@ func (h *TCPHost) serveConn(conn net.Conn) {
 			revLink.applyAck(pbNonce, pbAck)
 		}
 		if len(burst) > 0 {
-			// Durable dedup is write-ahead: the burst's resume point
-			// must be on disk before any frame reaches an inbox, else a
-			// crash between delivery and save would double-deliver the
-			// retransmissions after restart. One atomic file write per
-			// burst (frames within one conn arrive seq-ascending, so
-			// the last frame's seq covers the burst).
-			if h.stateDir != "" {
-				if !h.persistDedup(peerAddr, st, nonce, burst[len(burst)-1].seq) {
-					return
-				}
-			}
 			// Deliver the burst under one dedup-lock acquisition. The
 			// lock also serializes against an overlapping serve loop for
 			// the same session (a redial racing the old conn's drain),

@@ -622,15 +622,10 @@ func (l *Log) hookWrite(f *os.File, b []byte) (int, error) {
 	return n, err
 }
 
-// WriteFileAtomic durably replaces path with data: temp file in the
-// same directory, write, fsync, rename over path, fsync the
-// directory. Readers see either the old or the new content, never a
-// mix. It is the write-rename idiom shared by WAL snapshots and the
-// transport's persistent dedup state.
-func WriteFileAtomic(path string, data []byte) error {
-	return writeFileAtomic(path, data, true)
-}
-
+// writeFileAtomic replaces path with data: temp file in the same
+// directory, write, fsync, rename over path, fsync the directory (the
+// fsyncs only when sync is set). Readers see either the old or the new
+// content, never a mix. WAL snapshots are written this way.
 func writeFileAtomic(path string, data []byte, sync bool) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".tmp-*")

@@ -363,10 +363,10 @@ func TestFailAfterNBytesSweep(t *testing.T) {
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state")
-	if err := WriteFileAtomic(path, []byte("one")); err != nil {
+	if err := writeFileAtomic(path, []byte("one"), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(path, []byte("two")); err != nil {
+	if err := writeFileAtomic(path, []byte("two"), true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
