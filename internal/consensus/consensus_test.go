@@ -19,6 +19,12 @@ func threshold8(t *testing.T) *core.RQS {
 	return r
 }
 
+// hopDelay is the uniform link delay of the latency tests. It makes a
+// run synchronous, so a message's arrival order follows its hop depth;
+// on an instant network a descheduled acceptor can hold back the last
+// update1 of the class-1 quorum until a deeper decision rule has fired.
+const hopDelay = 10 * time.Millisecond
+
 func waitAll(t *testing.T, c *sim.ConsensusCluster, want consensus.Value, wantHops int) {
 	t.Helper()
 	for i, l := range c.Learners {
@@ -41,6 +47,7 @@ func TestBestCaseTwoDelaysClass1(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
+	c.Net.SetDelay(hopDelay)
 	c.Proposers[0].Propose("v")
 	waitAll(t, c, "v", 2)
 }
@@ -65,6 +72,7 @@ func TestBestCaseLatenciesByClass(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Stop()
+			c.Net.SetDelay(hopDelay)
 			c.CrashAcceptors(tt.crash)
 			c.Proposers[0].Propose("x")
 			waitAll(t, c, "x", tt.wantHops)

@@ -85,6 +85,13 @@ func runABD(n int, crash core.Set, timeout time.Duration) (writeRounds, readRoun
 	return wres.Rounds, rres.Rounds
 }
 
+// e7HopDelay is the uniform link delay of E7's RQS runs. It makes the
+// runs synchronous, so a message's arrival order follows its hop depth.
+// On an instant network a descheduled acceptor can hold back the last
+// update1 of the class-1 quorum until a deeper rule has fired, and the
+// learner then reports that rule's depth.
+const e7HopDelay = 10 * time.Millisecond
+
 // E7ConsensusLatency measures learning latency in message delays per
 // surviving class (Definition 4: (m,QCm)-fast means m+1 delays) against
 // the PBFT-style baseline, which always takes 4.
@@ -107,6 +114,7 @@ func E7ConsensusLatency() *Table {
 		if err != nil {
 			panic(err)
 		}
+		c.Net.SetDelay(e7HopDelay)
 		c.CrashAcceptors(tc.crash)
 		c.Proposers[0].Propose("v")
 		res, ok := c.Learners[0].Wait(10 * time.Second)

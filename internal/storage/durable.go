@@ -10,23 +10,24 @@ import (
 
 // Durability layer of the storage server: a wal.Log under the keyspace.
 //
-// The write path rides the existing burst drain — every mutation that
-// phase 2 applies is appended as a WAL record (the request message
-// itself, serialized through the transport codec), and one wal.Sync
-// between phase 2 and the ack flush makes the whole burst durable with
-// a single fdatasync (group commit). Acks therefore never leave for
-// state that could not survive a kill -9; if the log fails, the server
-// stops instead of acknowledging non-durable state.
+// Every mutation a handler applies is appended, after the apply, as a
+// WAL record (the request message itself, serialized through the
+// transport codec). The syncer goroutine group-commits: one fdatasync
+// covers every record appended since the last, and only then do the
+// acks parked behind them leave. Acks therefore never leave for state
+// that could not survive a kill -9; if the log fails, the server stops
+// instead of acknowledging non-durable state.
 //
-// Replay applies the logged requests through the same apply functions
-// the live path uses. All three are idempotent, so re-replaying a
-// suffix (after a crash mid-compaction) converges:
+// Replay applies the logged requests through the same per-key apply
+// helpers the live path uses. All three are idempotent, so
+// re-replaying a suffix (after a crash mid-compaction) converges:
 //   - applyWrite stores a pair unless a different pair holds the slot;
 //     re-applying the same pair and quorum sets is a no-op.
-//   - MW writes apply only when the logged tag exceeds the register
+//   - applyMW applies only when the logged tag exceeds the register
 //     tag; a replayed older-or-equal tag is a no-op.
-//   - CAS applies only when the register holds exactly the expected
-//     tag; after the first apply the register has moved past it.
+//   - applyCAS applies only when the register holds exactly the
+//     expected tag; after the first apply the register has moved past
+//     it.
 
 // DurableOptions configure NewDurableServer.
 type DurableOptions struct {
@@ -98,8 +99,7 @@ func (s *Server) installSnapshot(b []byte) error {
 }
 
 // replayRecord re-applies one logged mutation. It runs before Start,
-// so no other goroutine touches the shards; locks are still taken to
-// keep the accessor invariants simple.
+// so no other goroutine touches the shards.
 func (s *Server) replayRecord(b []byte) error {
 	m, err := transport.DecodeMessage(b)
 	if err != nil {
@@ -107,24 +107,15 @@ func (s *Server) replayRecord(b []byte) error {
 	}
 	switch req := m.(type) {
 	case WriteReq:
-		sh := &s.shards[shardOf(req.Key)]
-		sh.mu.Lock()
-		applyWrite(sh.reg(req.Key), req)
-		sh.mu.Unlock()
+		s.applyWrite(req)
 	case MWWriteReq:
-		sh := &s.shards[shardOf(req.Key)]
-		sh.mu.Lock()
 		// The logged record carries the writer signature, so replay
 		// restores the pair's provenance along with the pair — a
 		// restarted authenticated server can countersign read acks for
 		// state it recovered from disk.
-		applyMW(sh.reg(req.Key), req.Tag, req.Val, req.Sig)
-		sh.mu.Unlock()
+		s.applyMW(req)
 	case KVCASReq:
-		sh := &s.shards[shardOf(req.Key)]
-		sh.mu.Lock()
-		applyCAS(sh.reg(req.Key), req.Expect, req.Tag, req.Val, req.Sig)
-		sh.mu.Unlock()
+		s.applyCAS(req)
 	default:
 		return fmt.Errorf("storage: unknown wal record type %T", m)
 	}
@@ -141,8 +132,8 @@ func (s *Server) WALStats() (stats wal.Stats, ok bool) {
 	return s.wal.Stats(), true
 }
 
-// logMutation buffers one applied mutation as a WAL record. Called
-// from phase 2 (the owning goroutine), under the shard lock — it only
+// logMutation buffers one applied mutation as a WAL record. Called by
+// the handlers on the server goroutine, after the apply — it only
 // appends to the in-memory pending buffer; the covering fdatasync
 // happens on the syncer goroutine in syncWAL.
 func (s *Server) logMutation(req transport.Message) {
@@ -150,8 +141,8 @@ func (s *Server) logMutation(req transport.Message) {
 	if err != nil {
 		// Unreachable for registered types; latch so syncWAL stops the
 		// server rather than acking an unlogged mutation. burstLogged
-		// still counts the loss, so the burst takes the group-commit
-		// path and the latch is seen before any ack leaves.
+		// still counts the loss, so the burst's acks park and the latch
+		// is seen before any of them leaves.
 		s.walEncodeFail.Store(true)
 		s.burstLogged++
 		return

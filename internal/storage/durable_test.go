@@ -183,6 +183,58 @@ func TestDurableRedeliveryAfterRecovery(t *testing.T) {
 	}
 }
 
+// TestDurableAckHorizon pins the durable server's reply rules on one
+// burst that logs a record and then reads: the MWMR read ack leaves at
+// once, flagged unsynced, while the write ack and the SWMR read ack
+// (which may expose the unsynced write) wait for the burst's group
+// commit and then leave in arrival order. Once that commit is done, a
+// read-only burst answers synced.
+func TestDurableAckHorizon(t *testing.T) {
+	net := transport.NewNetwork(2)
+	defer net.Close()
+	srv, err := NewDurableServer(net.Port(0), Hooks{}, t.TempDir(), DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.wal.Close()
+	received := func() []transport.Message {
+		var got []transport.Message
+		for {
+			select {
+			case env := <-net.Port(1).Inbox():
+				got = append(got, env.Payload)
+			default:
+				return got
+			}
+		}
+	}
+
+	tag := Tag{TS: 1, Writer: 1}
+	if !srv.handleBurst(burstOf(
+		MWWriteReq{Seq: 1, Key: "k", Tag: tag, Val: "v"},
+		MWReadReq{Seq: 2, Key: "k"},
+		ReadReq{ReadNo: 3, Round: 1},
+	)) {
+		t.Fatal("burst failed")
+	}
+	want := []transport.Message{
+		MWReadAck{Seq: 2, Tag: tag, Val: "v", Synced: false},
+		MWWriteAck{Seq: 1},
+		ReadAck{ReadNo: 3, Round: 1},
+	}
+	if got := received(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("acks = %#v\nwant %#v", got, want)
+	}
+
+	if !srv.handleBurst(burstOf(MWReadReq{Seq: 4, Key: "k"})) {
+		t.Fatal("read burst failed")
+	}
+	want = []transport.Message{MWReadAck{Seq: 4, Tag: tag, Val: "v", Synced: true}}
+	if got := received(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("acks after the commit = %#v\nwant %#v", got, want)
+	}
+}
+
 // TestDurableCompactionRoundTrip forces rotation + compaction through
 // the burst path and checks recovery comes from snapshot + suffix.
 func TestDurableCompactionRoundTrip(t *testing.T) {

@@ -3,6 +3,8 @@ package storage_test
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,36 +177,83 @@ func TestCASCountsOneVerdictPerServer(t *testing.T) {
 // reordered by key, so one hot key cannot starve a cold key's request
 // (it is answered in its arrival position). The test floods one server
 // with a full burst of hot-key reads around a single cold-key read and
-// asserts the acks come back in exactly the arrival order.
+// asserts the acks come back in exactly the arrival order. The second
+// case interleaves SWMR writes and reads so that every hook fires, and
+// each hook calls back into its own server: hooks run inline, outside
+// the state locks, so this must neither deadlock nor reorder.
 func TestBurstKeyFairness(t *testing.T) {
-	net := transport.NewNetwork(2)
-	defer net.Close()
-	srv := storage.NewServer(net.Port(0), storage.Hooks{})
-	srv.Start()
-	defer srv.Stop()
+	for _, tc := range []struct {
+		name      string
+		reentrant bool
+	}{{"zero-hooks", false}, {"reentrant-hooks", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewNetwork(2)
+			defer net.Close()
+			var srv *storage.Server
+			var drops, forges, replays atomic.Int32
+			var hooks storage.Hooks
+			if tc.reentrant {
+				hooks = storage.Hooks{
+					DropWrite: func(core.ProcessID, storage.WriteReq) bool {
+						srv.StateSnapshot()
+						drops.Add(1)
+						return false
+					},
+					ForgeHistory: func() storage.History {
+						forges.Add(1)
+						return srv.HistorySnapshot()
+					},
+					ReplayMWRead: func(core.ProcessID) bool {
+						srv.StateSnapshot()
+						replays.Add(1)
+						return false
+					},
+				}
+			}
+			srv = storage.NewServer(net.Port(0), hooks)
+			srv.Start()
 
-	client := net.Port(1)
-	const total = 64
-	const coldAt = 40
-	for seq := int64(1); seq <= total; seq++ {
-		key := "hot"
-		if seq == coldAt {
-			key = "cold"
-		}
-		client.Send(0, storage.MWReadReq{Seq: seq, Key: key})
-	}
-	var want int64 = 1
-	for env := range client.Inbox() {
-		ack, ok := env.Payload.(storage.MWReadAck)
-		if !ok {
-			continue
-		}
-		if ack.Seq != want {
-			t.Fatalf("ack %d arrived out of arrival order (want %d): hot-key traffic reordered the cold key", ack.Seq, want)
-		}
-		want++
-		if want > total {
-			break
-		}
+			client := net.Port(1)
+			const total = 64
+			const coldAt = 40
+			var writes, reads int32
+			var want []int64 // MWMR read seqs in arrival order
+			for seq := int64(1); seq <= total; seq++ {
+				switch {
+				case tc.reentrant && seq%8 == 3:
+					client.Send(0, storage.WriteReq{TS: seq, Val: "v", Round: 1})
+					writes++
+				case tc.reentrant && seq%8 == 6:
+					client.Send(0, storage.ReadReq{ReadNo: seq, Round: 1})
+					reads++
+				case seq == coldAt:
+					client.Send(0, storage.MWReadReq{Seq: seq, Key: "cold"})
+					want = append(want, seq)
+				default:
+					client.Send(0, storage.MWReadReq{Seq: seq, Key: "hot"})
+					want = append(want, seq)
+				}
+			}
+			var got []int64
+			for n := 0; n < total; n++ {
+				var env transport.Envelope
+				select {
+				case env = <-client.Inbox():
+				case <-time.After(10 * time.Second):
+					t.Fatalf("only %d of %d replies arrived: the server deadlocked", n, total)
+				}
+				if ack, ok := env.Payload.(storage.MWReadAck); ok {
+					got = append(got, ack.Seq)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("MWMR read acks arrived in order %v, want arrival order %v: hot-key traffic reordered the cold key", got, want)
+			}
+			if tc.reentrant && (drops.Load() != writes || forges.Load() != reads || replays.Load() != int32(len(want))) {
+				t.Fatalf("hooks fired %d/%d/%d times, want %d/%d/%d (DropWrite/ForgeHistory/ReplayMWRead)",
+					drops.Load(), forges.Load(), replays.Load(), writes, reads, len(want))
+			}
+			srv.Stop() // not deferred: a deadlocked server would never stop
+		})
 	}
 }

@@ -107,8 +107,7 @@ func TestMWMRReadWriteback(t *testing.T) {
 	planted := storage.Tag{TS: 99, Writer: 63}
 	c.Net.Port(rqs.N()+2).Send(0, storage.MWWriteReq{Seq: 1, Tag: planted, Val: "planted"})
 	waitFor(t, func() bool {
-		tag, _ := c.Servers[0].MWSnapshot()
-		return tag == planted
+		return c.Servers[0].StateSnapshot()[""].MWTag == planted
 	})
 
 	// A read whose responding quorum happens to exclude server 0 may

@@ -15,9 +15,9 @@ import (
 // Hooks let the fault-injection layer turn a server Byzantine. All hooks
 // are optional; a zero Hooks value is an honest server. Hooks run on the
 // server's goroutine, outside the server's state locks (a hook may call
-// back into accessors like HistorySnapshot). Hooks apply to every key of
-// the keyspace; the chaos scenarios that use them address the legacy
-// key-"" register.
+// back into accessors like HistorySnapshot or StateSnapshot). Hooks
+// apply to every key of the keyspace; the chaos matrix runs its forging
+// cells on the swmr, mwmr and multi-key kv workloads.
 type Hooks struct {
 	// ForgeHistory, if non-nil, replaces the history sent in read acks
 	// (state forging, as the Byzantine servers of the Theorem 3 proof do
@@ -26,9 +26,6 @@ type Hooks struct {
 	// DropWrite, if non-nil and returning true, silently ignores a write
 	// request ("forgetting" rounds, as in execution ex4 of Figure 4).
 	DropWrite func(from core.ProcessID, req WriteReq) bool
-	// DropRead, if non-nil and returning true, silently ignores a read
-	// request.
-	DropRead func(from core.ProcessID, req ReadReq) bool
 	// ForgeMWRead, if non-nil, replaces the 〈tag, value〉 this server
 	// reports in MWMR read acks — the Byzantine stale/forged-tag mode:
 	// returning an old tag makes the server deny completed writes,
@@ -53,10 +50,9 @@ type Hooks struct {
 }
 
 // serverBurst bounds how many inbox envelopes the server drains per
-// wakeup. One burst takes each touched shard's lock once per key-run
-// and batches same-destination acks into one transport submission,
-// which is what amortizes per-message locking when many clients hit
-// one server. The bound keeps a flooded server from starving Stop.
+// wakeup. A durable server hands each burst's WAL records to group
+// commit together, so one fdatasync covers the whole burst. The bound
+// keeps a flooded server from starving Stop.
 //
 // Fairness across keys: a burst is served strictly in inbox arrival
 // order (FIFO), never grouped or reordered by key, so a hot key cannot
@@ -68,12 +64,13 @@ const serverBurst = 64
 // kvShardCount is the fixed number of shards of a server's keyspace.
 // Requests for keys on different shards contend only on the shard
 // mutex, never a global one; 16 shards keep per-shard maps small
-// without measurable lookup overhead.
+// without measurable lookup overhead, and bound how long a compaction
+// StateSnapshot holds any one lock.
 const kvShardCount = 16
 
 // regState is the full per-key register state: the SWMR history of
 // Figure 6 plus the tag-ordered MWMR register. States are created
-// lazily on first touch; History stays nil until the first SWMR write
+// lazily on first apply; History stays nil until the first SWMR write
 // (nil-safe: History.Slot and Clone treat nil as empty).
 type regState struct {
 	history History
@@ -112,11 +109,6 @@ func (sh *kvShard) reg(key string) *regState {
 	return r
 }
 
-// peek returns the shard's state for key without creating it — the
-// staleness pre-check on writes must not let unverified requests
-// populate the register map. Callers hold sh.mu.
-func (sh *kvShard) peek(key string) *regState { return sh.regs[key] }
-
 // shardOf maps a key to its shard (FNV-1a; deterministic so tests can
 // construct same-shard and cross-shard key sets).
 func shardOf(key string) int {
@@ -132,40 +124,18 @@ func shardOf(key string) int {
 	return int(h % kvShardCount)
 }
 
-// mwState is a precomputed forged MWMR reply (phase 1 of handleBurst).
-type mwState struct {
-	tag Tag
-	val string
-}
-
-// ackBucket accumulates one burst's replies to a single destination at
-// a single hop depth, flushed through Port.SendBatch.
-type ackBucket struct {
-	to   core.ProcessID
-	hop  int
-	msgs []transport.Message
-}
-
-// syncBatch is one group-commit round's acks, parked until the
-// syncer's next fdatasync covers the round's WAL records.
-type syncBatch struct {
-	acks []ackBucket
-	n    int
-}
-
 // Server is one storage server. It hosts a keyspace of registers over
 // a single port: per key, the SWMR history of Figure 6 and the
 // tag-ordered MWMR register (mwmr.go), behind a sharded map with
-// per-shard mutexes, created lazily on first touch. The key-less
+// per-shard mutexes, created lazily on first apply. The key-less
 // protocol clients (Writer/Reader, MWWriter/MWReader) address key "".
 // Run processes its inbox until the port's inbox closes; Stop aborts
 // earlier.
 //
 // The inbox is drained in bursts (up to serverBurst envelopes per
-// wakeup): the burst executes in arrival order holding one shard lock
-// at a time (consecutive same-shard requests — all of them, for
-// single-key workloads — share one acquisition) and its acks are
-// grouped per destination into batched sends.
+// wakeup) and each burst is served in arrival order, one handler per
+// request kind, each holding its key's shard lock only around the
+// apply.
 type Server struct {
 	id    core.ProcessID
 	port  transport.Port
@@ -188,44 +158,29 @@ type Server struct {
 
 	shards [kvShardCount]kvShard
 
-	// acks is the per-burst reply accumulator; buckets and their msgs
-	// slices are reused across bursts (the transports do not retain
-	// the payload slice past the SendBatch call). Only the server
-	// goroutine touches it. roAcks accumulates the burst's MWMR read
-	// acks, which flush at the end of the burst without waiting for
-	// any group commit in flight: they never claim durability (the
-	// Synced bit says exactly what survives a crash), so holding them
-	// behind an fsync would only add latency.
-	acks     []ackBucket
-	acksUsed int
-	roAcks   []ackBucket
-	roUsed   int
-
 	// Durability (nil for a volatile server — see durable.go). The wal
-	// receives one record per applied mutation during phase 2. Group
-	// commit is leader-style: at most one fdatasync is ever in flight,
-	// and while it runs the server loop keeps draining its inbox,
-	// accumulating every new burst's records and mutation acks into ONE
-	// held batch (s.acks/burstLogged). When the syncer signals the
-	// round complete, the held batch is handed over as the next round.
-	// One disk flush therefore covers everything that arrived during
-	// the previous flush — the classic group-commit pipeline — instead
-	// of each small burst paying its own round. The invariant is an ack
-	// horizon: no ack leaves while any record appended before it is
+	// receives one record per applied mutation. Group commit is
+	// leader-style: at most one fdatasync is ever in flight, and while
+	// it runs the server loop keeps draining its inbox, appending every
+	// new burst's records and parking its gated replies in acks. When
+	// the syncer signals the round complete, what accumulated is handed
+	// over as the next round, so one disk flush covers everything that
+	// arrived during the previous one. The invariant is an ack horizon:
+	// no gated reply leaves while any record appended before it is
 	// still un-synced, so acks never expose state a kill -9 could
-	// erase. Bursts that touch a fully synced log (every burst of a
-	// pure-read workload) flush inline.
+	// erase. On a fully synced log (every burst of a pure-read
+	// workload) replies leave at once.
 	wal           *wal.Log
 	walBuf        []byte // encode scratch (server goroutine only)
 	snapBuf       []byte // compaction encode scratch (syncer only)
 	walEncodeFail atomic.Bool
-	maxSegments   int  // compaction trigger
-	burstLogged   int  // records appended, not yet handed to the syncer
-	syncBusy      bool // a commit round is in flight (run loop only)
-	syncCh        chan syncBatch
-	syncIdleCh    chan struct{}    // syncer → run loop: round complete
-	syncFree      chan []ackBucket // recycled ack-bucket slices
-	walDead       chan struct{}    // closed by the syncer on WAL failure
+	maxSegments   int                  // compaction trigger
+	acks          []transport.Envelope // replies parked for the next round (run loop only)
+	burstLogged   int                  // records appended, not yet handed to the syncer
+	syncBusy      bool                 // a commit round is in flight (run loop only)
+	syncCh        chan []transport.Envelope
+	syncIdleCh    chan struct{} // syncer → run loop: round complete
+	walDead       chan struct{} // closed by the syncer on WAL failure
 	syncerDone    chan struct{}
 
 	stopOnce sync.Once
@@ -332,19 +287,17 @@ func (s *Server) SetState(st ServerState) {
 		sh.mu.Unlock()
 	}
 	for key, snap := range st {
-		sh := &s.shards[shardOf(key)]
-		sh.mu.Lock()
+		sh := s.lock(key)
 		sh.regs[key] = &regState{history: snap.History.Clone(), mwTag: snap.MWTag, mwVal: snap.MWVal, mwSig: bytes.Clone(snap.MWSig)}
 		sh.mu.Unlock()
 	}
 }
 
 // HistorySnapshot returns a deep copy of the server's current history
-// for the legacy key-"" register, for assertions and Byzantine state
-// capture. Legacy: keyspace-wide capture is StateSnapshot.
+// for the key-"" register, for assertions and Byzantine state capture.
+// Keyspace-wide capture is StateSnapshot.
 func (s *Server) HistorySnapshot() History {
-	sh := &s.shards[shardOf("")]
-	sh.mu.Lock()
+	sh := s.lock("")
 	defer sh.mu.Unlock()
 	if reg := sh.regs[""]; reg != nil {
 		return reg.history.Clone()
@@ -352,50 +305,11 @@ func (s *Server) HistorySnapshot() History {
 	return make(History)
 }
 
-// MWSnapshot returns the current tag and value of the legacy key-""
-// MWMR register, for assertions on server state. Legacy: keyspace-wide
-// capture is StateSnapshot.
-func (s *Server) MWSnapshot() (Tag, string) {
-	sh := &s.shards[shardOf("")]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if reg := sh.regs[""]; reg != nil {
-		return reg.mwTag, reg.mwVal
-	}
-	return Tag{}, NoValue
-}
-
-// SetHistory overwrites the legacy key-"" register's history (used by
-// fault injection to forge state transitions that a Byzantine process
-// may perform). Legacy: keyspace-wide restore is SetState.
-func (s *Server) SetHistory(h History) {
-	sh := &s.shards[shardOf("")]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	reg := sh.reg("")
-	reg.history = h.Clone()
-	reg.histShared = false
-}
-
-// SetMW overwrites the legacy key-"" MWMR register state (used with
-// MWSnapshot to carry state across a scripted crash/restart, and by
-// fault injection). Legacy: keyspace-wide restore is SetState.
-func (s *Server) SetMW(tag Tag, val string) {
-	sh := &s.shards[shardOf("")]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	reg := sh.reg("")
-	// Forged state has no provenance; any previously stored writer
-	// signature no longer matches the pair.
-	reg.mwTag, reg.mwVal, reg.mwSig = tag, val, nil
-}
-
 func (s *Server) run() {
 	defer close(s.done)
 	if s.wal != nil {
-		s.syncCh = make(chan syncBatch, 1)
+		s.syncCh = make(chan []transport.Envelope, 1)
 		s.syncIdleCh = make(chan struct{}, 1)
-		s.syncFree = make(chan []ackBucket, 2)
 		s.walDead = make(chan struct{})
 		s.syncerDone = make(chan struct{})
 		go s.syncer()
@@ -414,21 +328,16 @@ func (s *Server) run() {
 			// The commit round completed and its acks are out. Hand
 			// over whatever accumulated while it ran as the next round.
 			s.syncBusy = false
-			if s.burstLogged > 0 || s.acksUsed > 0 {
-				s.burstLogged = 0
-				if !s.enqueueSync() {
-					return
-				}
-				s.syncBusy = true
+			if !s.commit() {
+				return
 			}
 		case env, ok := <-s.port.Inbox():
 			if !ok {
 				return
 			}
 			burst = append(burst[:0], env)
-			// Opportunistically drain what else is already queued, so a
-			// contended server pays one lock round and one ack batch per
-			// burst instead of per message.
+			// Opportunistically drain what else is already queued, so
+			// one group-commit hand-over covers the whole burst.
 		fill:
 			for len(burst) < serverBurst {
 				select {
@@ -450,253 +359,170 @@ func (s *Server) run() {
 	}
 }
 
-// handleBurst executes one drained burst: hooks run first (unlocked —
-// they may call back into the server), then every surviving request is
-// applied in arrival order holding one shard lock at a time (runs of
-// same-shard requests share one acquisition), and finally the
-// accumulated acks flush as per-destination batches — inline on a
-// volatile server, or via the syncer's group commit on a durable one
-// whose log has un-synced records. It reports false when the WAL
-// failed: the acks are dropped (they would acknowledge non-durable
-// state) and the caller stops the loop.
+// handleBurst serves one drained burst in arrival order, one handler
+// per request kind, releasing each envelope once its handler has
+// cloned what the keyspace keeps. Then it hands whatever the burst
+// logged to group commit. It reports false when the WAL failed: the
+// parked acks are dropped (they would acknowledge non-durable state)
+// and the caller stops the loop.
 func (s *Server) handleBurst(burst []transport.Envelope) bool {
-	// Phase 1: fault-injection hooks, outside the locks. Dropped
-	// requests are nilled out; forged read acks are precomputed, one
-	// hook call per surviving read, exactly as unbatched serving did.
-	var forged []History
-	var forgedMW []mwState
-	var replay []bool
-	hasForge := s.hooks.ForgeHistory != nil
-	hasMWForge := s.hooks.ForgeMWRead != nil
-	hasReplay := s.hooks.ReplayMWRead != nil
-	for i := range burst {
-		switch req := burst[i].Payload.(type) {
-		case WriteReq:
-			if s.hooks.DropWrite != nil && s.hooks.DropWrite(burst[i].From, req) {
-				burst[i].Payload = nil
-			}
-		case ReadReq:
-			if s.hooks.DropRead != nil && s.hooks.DropRead(burst[i].From, req) {
-				burst[i].Payload = nil
-			} else if hasForge {
-				if forged == nil {
-					forged = make([]History, len(burst))
-				}
-				forged[i] = s.hooks.ForgeHistory()
-			}
-		case MWReadReq:
-			if hasMWForge {
-				if forgedMW == nil {
-					forgedMW = make([]mwState, len(burst))
-				}
-				tag, val := s.hooks.ForgeMWRead(burst[i].From)
-				forgedMW[i] = mwState{tag: tag, val: val}
-			}
-			if hasReplay {
-				if replay == nil {
-					replay = make([]bool, len(burst))
-				}
-				replay[i] = s.hooks.ReplayMWRead(burst[i].From)
-			}
-		}
-	}
-
-	// Phase 2: apply the burst in arrival order. The currently-locked
-	// shard is cached across iterations: a single-key (or single-shard)
-	// burst — every key-less legacy workload — still pays exactly one
-	// lock acquisition, while mixed-key bursts re-lock only at shard
-	// boundaries, preserving FIFO fairness across keys.
-	locked := -1
-	lock := func(key string) *kvShard {
-		si := shardOf(key)
-		if si != locked {
-			if locked >= 0 {
-				s.shards[locked].mu.Unlock()
-			}
-			s.shards[si].mu.Lock()
-			locked = si
-		}
-		return &s.shards[si]
-	}
 	for i := range burst {
 		env := &burst[i]
 		switch req := env.Payload.(type) {
 		case WriteReq:
-			if env.Aliased() {
-				req.Val = strings.Clone(req.Val)
-			}
-			if applyWrite(lock(req.Key).reg(req.Key), req) && s.wal != nil {
+			s.handleWrite(env, req)
+		case ReadReq:
+			s.handleRead(env, req)
+		case MWWriteReq:
+			s.handleMWWrite(env, req)
+		case MWReadReq:
+			s.handleMWRead(env, req)
+		case KVCASReq:
+			s.handleCAS(env, req)
+		}
+		env.Release()
+	}
+	return s.commit()
+}
+
+// handleWrite serves a SWMR write or reader writeback (Figure 6, lines
+// 2–7): store the pair, log it if the row changed, acknowledge.
+func (s *Server) handleWrite(env *transport.Envelope, req WriteReq) {
+	if s.hooks.DropWrite != nil && s.hooks.DropWrite(env.From, req) {
+		return
+	}
+	if env.Aliased() {
+		req.Val = strings.Clone(req.Val)
+	}
+	if s.applyWrite(req) && s.wal != nil {
+		s.logMutation(req)
+	}
+	s.reply(env, WriteAck{TS: req.TS, Round: req.Round})
+}
+
+// handleRead serves a SWMR read (Figure 6): reply with the key's
+// entire history, shared copy-on-write with the register.
+func (s *Server) handleRead(env *transport.Envelope, req ReadReq) {
+	var h History
+	if s.hooks.ForgeHistory != nil {
+		h = s.hooks.ForgeHistory()
+	} else {
+		h = s.history(req.Key)
+	}
+	s.reply(env, ReadAck{ReadNo: req.ReadNo, Round: req.Round, History: h})
+}
+
+// handleMWWrite serves an MWMR write: the register adopts a newer tag.
+func (s *Server) handleMWWrite(env *transport.Envelope, req MWWriteReq) {
+	// Verify only writes that would actually apply. A superseded write
+	// mutates nothing whatever its signature says, so acking it
+	// unverified admits nothing into the register — and under write
+	// contention most concurrent writes ARE superseded on arrival (of k
+	// racing tags a server applies only the running maxima, ~ln k of
+	// them), which keeps the signed write path near the unsigned one's
+	// cost.
+	if cur, _, _ := s.mw(req.Key); cur.Less(req.Tag) {
+		if !s.admit(env, req.Key, req.Tag, &req.Val, &req.Sig) {
+			return
+		}
+		if s.applyMW(req) && s.wal != nil {
+			s.logMutation(req)
+		}
+	}
+	s.reply(env, MWWriteAck{Seq: req.Seq})
+}
+
+// handleMWRead serves an MWMR read: reply with the key's 〈tag, value〉,
+// the writer signature that came with it, and whether the state is
+// already durable; countersigned on an authenticated deployment.
+func (s *Server) handleMWRead(env *transport.Envelope, req MWReadReq) {
+	if s.hooks.ForgeMWRead != nil {
+		// A Byzantine server may lie about Synced like it lies about
+		// the pair; class-3 masking covers both. The forged ack carries
+		// no signatures: the hook models a compromised server process,
+		// which holds neither the writers' keys nor a will to
+		// countersign honestly — verifying clients discard it.
+		tag, val := s.hooks.ForgeMWRead(env.From)
+		s.reply(env, MWReadAck{Seq: req.Seq, Tag: tag, Val: val, Synced: true})
+		return
+	}
+	if s.hooks.ReplayMWRead != nil && s.hooks.ReplayMWRead(env.From) && s.serveReplay(env, req) {
+		return
+	}
+	tag, val, sig := s.mw(req.Key)
+	ack := MWReadAck{Seq: req.Seq, Tag: tag, Synced: s.walSynced()}
+	if req.TagOnly {
+		// A writer's tag query: no value, no signatures (see
+		// MWReadReq.TagOnly — a lie here only inflates the writer's
+		// next timestamp).
+		s.reply(env, ack)
+		return
+	}
+	ack.Val, ack.WSig = val, sig
+	if s.signer != nil {
+		s.authBuf = ackBodyD(s.authBuf[:0], s.id, req.Seq, req.Key, ack.Tag, s.dmemo.of(ack.Val), ack.Synced)
+		ack.SSig = s.signAck(s.authBuf)
+	}
+	if s.hooks.ReplayMWRead != nil {
+		s.captureAck(req.Key, ack)
+	}
+	s.reply(env, ack)
+}
+
+// handleCAS serves a conditional write: install 〈Tag, Val〉 iff the
+// register still holds exactly the expected tag. Tags never revisit a
+// value (they are monotone and Expect < Tag), so at most one
+// same-Expect CAS can observe Applied=true here — the
+// quorum-intersection argument for at-most-one CAS winner per version
+// rests on this (see kv.go). Strict equality also rejects a client
+// re-CASing an expect it already won (its retry proposes the same tag
+// but the register moved).
+func (s *Server) handleCAS(env *transport.Envelope, req KVCASReq) {
+	ack := KVCASAck{Seq: req.Seq}
+	ack.Tag, ack.Val, _ = s.mw(req.Key)
+	if ack.Tag == req.Expect {
+		// As for MWWriteReq: only a CAS that would install its pair
+		// needs its signature checked — a mismatched Expect no-ops.
+		if !s.admit(env, req.Key, req.Tag, &req.Val, &req.Sig) {
+			return
+		}
+		if ack.Applied = s.applyCAS(req); ack.Applied {
+			if s.wal != nil {
 				s.logMutation(req)
 			}
-			s.ack(env.From, env.Hop+1, WriteAck{TS: req.TS, Round: req.Round})
-		case ReadReq:
-			var h History
-			if hasForge {
-				h = forged[i]
-			} else {
-				// Share the live map as an immutable snapshot; the
-				// next write copies before mutating.
-				reg := lock(req.Key).reg(req.Key)
-				reg.histShared = true
-				h = reg.history
-			}
-			s.ack(env.From, env.Hop+1, ReadAck{ReadNo: req.ReadNo, Round: req.Round, History: h})
-		case MWWriteReq:
-			sh := lock(req.Key)
-			cur := Tag{}
-			if reg := sh.peek(req.Key); reg != nil {
-				cur = reg.mwTag
-			}
-			if cur.Less(req.Tag) {
-				// Verify only writes that would actually apply. A
-				// superseded write mutates nothing whatever its signature
-				// says, so acking it unverified admits nothing into the
-				// register — and under write contention most concurrent
-				// writes ARE superseded on arrival (of k racing tags a
-				// server applies only the running maxima, ~ln k of them),
-				// which keeps the signed write path near the unsigned
-				// one's cost.
-				if !s.verifyWrite(req.Key, req.Tag, req.Val, req.Sig) {
-					// A write whose claimed writer did not sign it:
-					// silently drop (no apply, no ack). Honest writers are
-					// unaffected — their quorum completes at the servers
-					// that verified.
-					s.authRejects.Add(1)
-					continue
-				}
-				if env.Aliased() {
-					req.Val = strings.Clone(req.Val)
-					req.Sig = bytes.Clone(req.Sig)
-				}
-				if applyMW(sh.reg(req.Key), req.Tag, req.Val, req.Sig) && s.wal != nil {
-					s.logMutation(req)
-				}
-			}
-			s.ack(env.From, env.Hop+1, MWWriteAck{Seq: req.Seq})
-		case MWReadReq:
-			if hasMWForge {
-				// A Byzantine server may lie about Synced like it lies
-				// about the pair; class-3 masking covers both. The forged
-				// ack deliberately carries no signatures: the hook models
-				// a compromised server process, which holds neither the
-				// writers' keys (to sign the fabricated pair) nor a will
-				// to countersign honestly — verifying clients discard it.
-				s.ackNow(env.From, env.Hop+1, MWReadAck{Seq: req.Seq, Tag: forgedMW[i].tag, Val: forgedMW[i].val, Synced: true})
-			} else if hasReplay && replay[i] && s.serveReplay(env, req) {
-				// Served a captured stale ack with only Seq rewritten.
-			} else if req.TagOnly {
-				// A writer's tag query: no value, no signatures (see
-				// MWReadReq.TagOnly — a lie here only inflates the
-				// writer's next timestamp).
-				reg := lock(req.Key).reg(req.Key)
-				s.ackNow(env.From, env.Hop+1, MWReadAck{Seq: req.Seq, Tag: reg.mwTag, Synced: s.walSynced()})
-			} else {
-				reg := lock(req.Key).reg(req.Key)
-				ack := MWReadAck{Seq: req.Seq, Tag: reg.mwTag, Val: reg.mwVal, Synced: s.walSynced(), WSig: reg.mwSig}
-				if s.signer != nil {
-					s.authBuf = ackBodyD(s.authBuf[:0], s.id, req.Seq, req.Key, ack.Tag, s.dmemo.of(ack.Val), ack.Synced)
-					ack.SSig = s.signAck(s.authBuf)
-				}
-				if hasReplay {
-					s.captureAck(req.Key, ack)
-				}
-				s.ackNow(env.From, env.Hop+1, ack)
-			}
-		case KVCASReq:
-			// Conditional apply: install 〈Tag, Val〉 iff the register
-			// still holds exactly the expected tag. Tags never revisit
-			// a value (they are monotone and Expect < Tag), so at most
-			// one same-Expect CAS can observe Applied=true here — the
-			// quorum-intersection argument for at-most-one CAS winner
-			// per version rests on this (see kv.go). Strict equality
-			// also rejects a client re-CASing an expect it already won
-			// (its retry proposes the same tag but the register moved).
-			sh := lock(req.Key)
-			reg := sh.peek(req.Key)
-			cur := Tag{}
-			if reg != nil {
-				cur = reg.mwTag
-			}
-			applied := false
-			if cur == req.Expect {
-				// As for MWWriteReq: only a CAS that would install its
-				// pair needs its signature checked — a mismatched Expect
-				// no-ops regardless.
-				if !s.verifyWrite(req.Key, req.Tag, req.Val, req.Sig) {
-					s.authRejects.Add(1)
-					continue
-				}
-				if env.Aliased() {
-					req.Val = strings.Clone(req.Val)
-					req.Sig = bytes.Clone(req.Sig)
-				}
-				reg = sh.reg(req.Key)
-				applied = applyCAS(reg, req.Expect, req.Tag, req.Val, req.Sig)
-				if applied && s.wal != nil {
-					s.logMutation(req)
-				}
-			}
-			ack := KVCASAck{Seq: req.Seq, Applied: applied}
-			if reg != nil {
-				ack.Tag, ack.Val = reg.mwTag, reg.mwVal
-			}
-			s.ack(env.From, env.Hop+1, ack)
+			ack.Tag, ack.Val = req.Tag, req.Val
 		}
 	}
-	if locked >= 0 {
-		s.shards[locked].mu.Unlock()
+	s.reply(env, ack)
+}
+
+// reply answers env. It leaves at once when every record appended so
+// far is durable (always, on a volatile server), and so does an MWMR
+// read ack, whose Synced bit says exactly what survives a crash. Any
+// other reply parks until the next group commit's fdatasync. A read
+// ack overtaking parked acks is safe: clients match replies by
+// sequence number.
+func (s *Server) reply(env *transport.Envelope, msg transport.Message) {
+	if _, ro := msg.(MWReadAck); ro || s.walSynced() {
+		s.port.SendHop(env.From, msg, env.Hop+1)
+		return
 	}
+	s.acks = append(s.acks, transport.Envelope{To: env.From, Hop: env.Hop + 1, Payload: msg})
+}
 
-	// Everything the keyspace (or the WAL buffer) retains from this
-	// burst has been cloned or encoded above, so the envelopes' receive
-	// arenas can recycle now — acks parked for a group commit carry only
-	// server-owned state.
-	for i := range burst {
-		burst[i].Release()
+// admit screens a write that would apply: it verifies the writer
+// signature and clones the value and signature out of the envelope's
+// receive arena. A write whose claimed writer did not sign it is
+// counted and dropped — no apply, no ack. Honest writers are
+// unaffected: their quorum completes at the servers that verified.
+func (s *Server) admit(env *transport.Envelope, key string, tag Tag, val *string, sig *[]byte) bool {
+	if !s.verifyWrite(key, tag, *val, *sig) {
+		s.authRejects.Add(1)
+		return false
 	}
-
-	// Read acks leave immediately, ahead of any group commit in
-	// flight: what they expose is qualified by Synced, so no fsync has
-	// to cover them. Reordering ahead of parked mutation acks is safe —
-	// every client matches replies by sequence number.
-	s.flushBuckets(s.roAcks, s.roUsed)
-	s.roUsed = 0
-
-	// Group commit: if this burst logged records, or a commit round is
-	// in flight (so the keyspace may expose state whose records are
-	// not yet durable), the burst's acks park until a covering
-	// fdatasync. With a round already running they simply stay
-	// accumulated in s.acks — the idle signal hands them over as one
-	// batch, which is where the amortization comes from. Otherwise —
-	// a volatile server, or any burst on a fully synced log — the acks
-	// flush inline below. When the run loop (and so the syncer) is not
-	// running — tests drive handleBurst directly — the commit happens
-	// synchronously instead.
-	if s.wal != nil && (s.burstLogged > 0 || s.syncBusy) {
-		if s.syncCh != nil {
-			if s.syncBusy {
-				return true // held for the next round
-			}
-			s.burstLogged = 0
-			if !s.enqueueSync() {
-				return false
-			}
-			s.syncBusy = true
-			return true
-		}
-		s.burstLogged = 0
-		if !s.syncWAL() {
-			for i := 0; i < s.acksUsed; i++ {
-				s.acks[i].msgs = s.acks[i].msgs[:0]
-			}
-			s.acksUsed = 0
-			return false
-		}
+	if env.Aliased() {
+		*val, *sig = strings.Clone(*val), bytes.Clone(*sig)
 	}
-
-	// Phase 3: flush acks, one batched send per (destination, hop).
-	s.flushBuckets(s.acks, s.acksUsed)
-	s.acksUsed = 0
 	return true
 }
 
@@ -736,105 +562,72 @@ func (s *Server) serveReplay(env *transport.Envelope, req MWReadReq) bool {
 		return false
 	}
 	cap.Seq = req.Seq
-	s.ackNow(env.From, env.Hop+1, cap)
+	s.reply(env, cap)
 	return true
-}
-
-// flushBuckets sends the first n accumulated buckets and resets their
-// message slices for reuse.
-func (s *Server) flushBuckets(buckets []ackBucket, n int) {
-	for i := 0; i < n; i++ {
-		b := &buckets[i]
-		if len(b.msgs) == 1 {
-			s.port.SendHop(b.to, b.msgs[0], b.hop)
-		} else {
-			s.port.SendBatch(b.to, b.msgs, b.hop)
-		}
-		b.msgs = b.msgs[:0]
-	}
-}
-
-// addAck appends one reply to a bucket accumulator, grouping by
-// destination and hop depth, reusing bucket capacity across bursts.
-func addAck(buckets []ackBucket, used *int, to core.ProcessID, hop int, msg transport.Message) []ackBucket {
-	for i := 0; i < *used; i++ {
-		if buckets[i].to == to && buckets[i].hop == hop {
-			buckets[i].msgs = append(buckets[i].msgs, msg)
-			return buckets
-		}
-	}
-	if *used < len(buckets) {
-		b := &buckets[*used]
-		b.to, b.hop = to, hop
-		b.msgs = append(b.msgs[:0], msg)
-	} else {
-		buckets = append(buckets, ackBucket{to: to, hop: hop, msgs: []transport.Message{msg}})
-	}
-	*used++
-	return buckets
-}
-
-// ack queues one reply on the burst's group-commit-gated flush: it
-// leaves only once every record appended before it is durable.
-func (s *Server) ack(to core.ProcessID, hop int, msg transport.Message) {
-	s.acks = addAck(s.acks, &s.acksUsed, to, hop, msg)
-}
-
-// ackNow queues one reply on the burst's immediate flush (read acks,
-// which carry their own durability qualifier).
-func (s *Server) ackNow(to core.ProcessID, hop int, msg transport.Message) {
-	s.roAcks = addAck(s.roAcks, &s.roUsed, to, hop, msg)
 }
 
 // walSynced reports whether every record appended to the WAL is
 // already covered by an fdatasync — trivially true on a volatile
-// server. Exactly when this holds, the keyspace state a read ack
-// exposes is guaranteed to survive a kill -9.
+// server. Exactly when this holds, the keyspace state a reply exposes
+// is guaranteed to survive a kill -9, and no reply is parked.
 func (s *Server) walSynced() bool {
 	return s.wal == nil || (s.burstLogged == 0 && !s.syncBusy)
 }
 
-// enqueueSync hands the accumulated acks to the syncer as one commit
-// round and swaps in a recycled (or nil) ack buffer. Only called with
-// no round in flight, so the send never blocks on a busy syncer. It
-// reports false when the WAL has already failed — the server must
-// stop (dropping the acks, which would acknowledge non-durable state).
-func (s *Server) enqueueSync() bool {
-	batch := syncBatch{acks: s.acks, n: s.acksUsed}
-	var fresh []ackBucket
-	select {
-	case fresh = <-s.syncFree:
-	default:
+// commit hands the records logged and the acks parked since the last
+// round to the syncer as the next commit round, unless a round is in
+// flight (its completion calls commit again). When the run loop (and
+// so the syncer) is not running — tests drive handleBurst directly —
+// the round runs inline. It reports false when the WAL has failed: the
+// server must stop, dropping the acks.
+func (s *Server) commit() bool {
+	if s.syncBusy || (s.burstLogged == 0 && len(s.acks) == 0) {
+		return true
 	}
-	s.acks, s.acksUsed = fresh, 0
+	acks := s.acks
+	// The syncer owns the handed-over slice; size the next round's like it.
+	s.acks, s.burstLogged = make([]transport.Envelope, 0, len(acks)), 0
+	if s.syncCh == nil {
+		return s.flush(acks)
+	}
 	select {
-	case s.syncCh <- batch:
+	case s.syncCh <- acks:
+		s.syncBusy = true
 		return true
 	case <-s.walDead:
 		return false
 	}
 }
 
+// flush makes every record appended so far durable, then sends the
+// acks parked behind them. On a WAL failure it drops the acks and
+// reports false.
+func (s *Server) flush(acks []transport.Envelope) bool {
+	if !s.syncWAL() {
+		return false
+	}
+	for _, a := range acks {
+		s.port.SendHop(a.To, a.Payload, a.Hop)
+	}
+	return true
+}
+
 // syncer is the durable server's group-commit goroutine: one commit
 // round at a time — wal.Sync (one fdatasync covering every record
-// appended so far, including any that landed after the round's acks
-// were handed over), then flush the round's acks, then signal the run
-// loop so it hands over the batch that accumulated meanwhile. While
-// the fdatasync blocks, the server loop keeps serving — that overlap
-// is what lets one disk flush amortize over many bursts. On a WAL
-// failure it drops the round's acks and closes walDead, which stops
-// the server loop: an ack must never acknowledge state the log cannot
-// guarantee.
+// appended so far, including any that landed after the round was
+// handed over), then send the round's acks, then signal the run loop
+// so it hands over what accumulated meanwhile. While the fdatasync
+// blocks, the server loop keeps serving — that overlap is what lets one
+// disk flush amortize over many bursts. On a WAL failure it closes
+// walDead, which stops the server loop: an ack must never acknowledge
+// state the log cannot guarantee.
 func (s *Server) syncer() {
 	defer close(s.syncerDone)
-	for batch := range s.syncCh {
-		if !s.syncWAL() {
+	for acks := range s.syncCh {
+		if !s.flush(acks) {
 			close(s.walDead)
-			for range s.syncCh { // unblock a producer mid-send
-			}
 			return
 		}
-		s.flushBatch(&batch)
 		select {
 		case s.syncIdleCh <- struct{}{}:
 		default:
@@ -842,29 +635,54 @@ func (s *Server) syncer() {
 	}
 }
 
-// flushBatch sends one round's acks (post-fsync) and recycles the
-// bucket slice for the server loop.
-func (s *Server) flushBatch(b *syncBatch) {
-	s.flushBuckets(b.acks, b.n)
-	select {
-	case s.syncFree <- b.acks:
-	default:
+// lock returns key's shard with its mutex held.
+func (s *Server) lock(key string) *kvShard {
+	sh := &s.shards[shardOf(key)]
+	sh.mu.Lock()
+	return sh
+}
+
+// history returns key's SWMR history for a read ack (nil if never
+// written). The map is marked shared, so the next write copies it
+// before mutating and the ack keeps an immutable snapshot.
+func (s *Server) history(key string) History {
+	sh := s.lock(key)
+	defer sh.mu.Unlock()
+	reg := sh.regs[key]
+	if reg == nil {
+		return nil
 	}
+	reg.histShared = true
+	return reg.history
+}
+
+// mw returns key's MWMR register: 〈tag, value〉 and the writer
+// signature that came with it (the zero tag and ⊥ if never written).
+func (s *Server) mw(key string) (Tag, string, []byte) {
+	sh := s.lock(key)
+	defer sh.mu.Unlock()
+	if reg := sh.regs[key]; reg != nil {
+		return reg.mwTag, reg.mwVal, reg.mwSig
+	}
+	return Tag{}, NoValue, nil
 }
 
 // applyWrite implements lines 2-7 of Figure 6 against one key's
 // register: for every round m ≤ rnd, store the pair unless a
 // *different* pair already occupies the slot, and merge the class-2
-// quorum ids into the final round's slot. Callers hold the register's
-// shard mutex; if the current history map is shared with outstanding
-// read acks it is copied first (the acks keep the old, now-immutable
-// snapshot). It reports whether the row changed (the WAL logs exactly
-// those requests); re-applying the same request changes nothing, which
-// is what makes log replay and redelivery idempotent.
-func applyWrite(reg *regState, req WriteReq) bool {
+// quorum ids into the final round's slot. If the current history map
+// is shared with outstanding read acks it is copied first (the acks
+// keep the old, now-immutable snapshot). It reports whether the row
+// changed (the WAL logs exactly those requests); re-applying the same
+// request changes nothing, which is what makes log replay and
+// redelivery idempotent. req.Val must be server-owned.
+func (s *Server) applyWrite(req WriteReq) bool {
 	if req.Round < 1 || req.Round > 3 {
 		return false
 	}
+	sh := s.lock(req.Key)
+	defer sh.mu.Unlock()
+	reg := sh.reg(req.Key)
 	pair := Pair{TS: req.TS, Val: req.Val}
 	row := reg.history[req.TS] // a copy: the live row moves only below
 	changed := false
@@ -898,11 +716,14 @@ func applyWrite(reg *regState, req WriteReq) bool {
 // only if tag strictly exceeds the current one. Reports whether the
 // state changed. Monotonicity makes replay idempotent: a logged tag
 // replayed onto a register that already adopted it (or moved past it)
-// is a no-op. Callers hold the shard mutex. sig must be an immutable
-// slice the register may retain (nil when auth is off).
-func applyMW(reg *regState, tag Tag, val string, sig []byte) bool {
-	if reg.mwTag.Less(tag) {
-		reg.mwTag, reg.mwVal, reg.mwSig = tag, val, sig
+// is a no-op. req.Val and req.Sig must be server-owned (sig is nil
+// when auth is off).
+func (s *Server) applyMW(req MWWriteReq) bool {
+	sh := s.lock(req.Key)
+	defer sh.mu.Unlock()
+	reg := sh.reg(req.Key)
+	if reg.mwTag.Less(req.Tag) {
+		reg.mwTag, reg.mwVal, reg.mwSig = req.Tag, req.Val, req.Sig
 		return true
 	}
 	return false
@@ -912,10 +733,12 @@ func applyMW(reg *regState, tag Tag, val string, sig []byte) bool {
 // the register still holds exactly expect. Reports whether it applied.
 // Tags never revisit a value, so a replayed CAS whose effect is
 // already in the register finds mwTag == tag ≠ expect and no-ops.
-// Callers hold the shard mutex.
-func applyCAS(reg *regState, expect, tag Tag, val string, sig []byte) bool {
-	if reg.mwTag == expect {
-		reg.mwTag, reg.mwVal, reg.mwSig = tag, val, sig
+func (s *Server) applyCAS(req KVCASReq) bool {
+	sh := s.lock(req.Key)
+	defer sh.mu.Unlock()
+	reg := sh.reg(req.Key)
+	if reg.mwTag == req.Expect {
+		reg.mwTag, reg.mwVal, reg.mwSig = req.Tag, req.Val, req.Sig
 		return true
 	}
 	return false
