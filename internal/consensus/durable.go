@@ -168,12 +168,11 @@ type deferPort struct {
 }
 
 type deferredSend struct {
-	to       core.ProcessID
-	dst      core.Set
-	hop      int
-	payload  transport.Message
-	payloads []transport.Message
-	kind     uint8 // 0 Send, 1 SendHop, 2 SendBatch, 3 Broadcast
+	to      core.ProcessID
+	dst     core.Set
+	hop     int
+	payload transport.Message
+	kind    uint8 // 0 Send, 1 SendHop, 2 Broadcast
 }
 
 func (p *deferPort) ID() core.ProcessID               { return p.inner.ID() }
@@ -188,13 +187,13 @@ func (p *deferPort) SendHop(to core.ProcessID, payload transport.Message, hop in
 }
 
 func (p *deferPort) SendBatch(to core.ProcessID, payloads []transport.Message, hop int) {
-	// Callers may reuse the slice after SendBatch returns; copy.
-	cp := append([]transport.Message(nil), payloads...)
-	p.queue = append(p.queue, deferredSend{kind: 2, to: to, payloads: cp, hop: hop})
+	for _, pl := range payloads {
+		p.SendHop(to, pl, hop)
+	}
 }
 
 func (p *deferPort) Broadcast(dst core.Set, payload transport.Message, hop int) {
-	p.queue = append(p.queue, deferredSend{kind: 3, dst: dst, payload: payload, hop: hop})
+	p.queue = append(p.queue, deferredSend{kind: 2, dst: dst, payload: payload, hop: hop})
 }
 
 func (p *deferPort) flush() {
@@ -206,8 +205,6 @@ func (p *deferPort) flush() {
 		case 1:
 			p.inner.SendHop(s.to, s.payload, s.hop)
 		case 2:
-			p.inner.SendBatch(s.to, s.payloads, s.hop)
-		case 3:
 			p.inner.Broadcast(s.dst, s.payload, s.hop)
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 )
 
 // This file is the incremental quorum engine: a precomputed QuorumIndex
@@ -98,12 +97,6 @@ type QuorumIndex struct {
 	// Postings data, non-nil only in modePostings.
 	sizes    []int32   // sizes[i] = |quorums[i]|
 	postings [][]int32 // postings[p] = indices of quorums containing p
-
-	// pool recycles trackers across operations (GetTracker/PutTracker),
-	// so deployments multiplexing many objects over one quorum system —
-	// the keyed KV service — keep the tracker population proportional
-	// to concurrent operations, not to the key working set.
-	pool sync.Pool
 }
 
 // usePostings is the hybrid engine's density rule: postings pay off
@@ -252,27 +245,6 @@ func (idx *QuorumIndex) NewTracker() *QuorumTracker {
 	}
 	t.Reset()
 	return t
-}
-
-// GetTracker returns a pooled tracker, Reset and ready for a fresh
-// operation. Pair with PutTracker when the operation completes. The
-// pool keeps live trackers proportional to in-flight operations: a
-// million-key KV working set borrows per operation instead of holding
-// one tracker per key.
-func (idx *QuorumIndex) GetTracker() *QuorumTracker {
-	if t, ok := idx.pool.Get().(*QuorumTracker); ok {
-		t.Reset()
-		return t
-	}
-	return idx.NewTracker()
-}
-
-// PutTracker returns a tracker obtained from GetTracker to the pool.
-// The caller must not use t afterwards.
-func (idx *QuorumIndex) PutTracker(t *QuorumTracker) {
-	if t != nil && t.idx == idx {
-		idx.pool.Put(t)
-	}
 }
 
 // trackerSentinel marks "no satisfied quorum of this class yet".

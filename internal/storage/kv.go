@@ -351,18 +351,19 @@ func (kv *KVClient) CASCtx(ctx context.Context, key string, expect Version, val 
 
 // casPhase broadcasts the conditional apply and collects acks until a
 // class-3 quorum fully applied (success), success has become
-// impossible (failure), or every server responded. The applied-set
-// containment check runs on a pooled tracker — KV operations borrow
-// and return trackers instead of allocating one per key per op.
+// impossible (failure), or every server responded. The applied set is
+// counted on the client's second reused tracker (c.applied).
 func (c *mwClient) casPhase(key string, expect, tag Tag, val string, done <-chan struct{}) CASResult {
 	c.seq++
 	drainPort(c.port)
 	transport.Broadcast(c.port, c.rqs.Universe(),
 		KVCASReq{Seq: c.seq, Key: key, Expect: expect, Tag: tag, Val: val, Sig: c.signTag(key, tag, val)})
 
-	idx := c.rqs.Index()
-	applied := idx.GetTracker()
-	defer idx.PutTracker(applied)
+	if c.applied == nil {
+		c.applied = c.rqs.NewTracker()
+	}
+	applied := c.applied
+	applied.Reset()
 	c.tr.Reset()
 	rejected := core.EmptySet
 	curTag, curVal := expect, NoValue

@@ -153,7 +153,7 @@ type MWResult struct {
 }
 
 // mwClient is the phase machinery shared by MWWriter and MWReader: a
-// client port, a reused quorum tracker, and the per-operation sequence
+// client port, reused quorum trackers, and the per-operation sequence
 // counter. Like the SWMR clients, an mwClient runs one operation at a
 // time; concurrency comes from deploying many clients. There is no
 // timeout knob: the phases are pure quorum waits (the protocol is
@@ -163,6 +163,9 @@ type mwClient struct {
 	port transport.Port
 	seq  int64
 	tr   *core.QuorumTracker
+	// applied tracks the servers that applied the current CAS; built on
+	// the client's first CAS, reset by each later one.
+	applied *core.QuorumTracker
 
 	// Read-phase scratch, reset per phase: the maximum tag seen and
 	// the set of servers that reported it as synced (durably held, so

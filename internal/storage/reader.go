@@ -241,43 +241,12 @@ func (r *Reader) queryRound(st *readState, rnd int, done <-chan struct{}) {
 	}
 }
 
-// writeback implements lines 60-62: send wr〈ts, val, sets, round〉 to all
-// servers and wait for a quorum of acks; with withTimer it additionally
-// waits for the 2Δ timer (the line 43-45 dance), again cut short if the
-// whole universe acks. It returns the servers that acked, and whether
-// the wait was aborted by the done channel firing.
+// writeback implements lines 60-62: the writer's round (writeRound)
+// with the selected pair, on the reader's own tracker and timer; with
+// withTimer it also waits for the 2Δ timer (the line 43-45 dance).
 func (r *Reader) writeback(round int, c Pair, sets []core.Set, withTimer bool, done <-chan struct{}) (core.Set, bool) {
 	req := WriteReq{TS: c.TS, Val: c.Val, Sets: sets, Round: round}
-	transport.Broadcast(r.port, r.rqs.Universe(), req)
-
-	r.trWB.Reset()
-	timer := resetTimer(&r.timer, r.timeout)
-	timerDone := !withTimer
-	quorumOK := false
-
-	for {
-		if quorumOK && (timerDone || r.trWB.Complete()) {
-			return r.trWB.Responded(), false
-		}
-		env, ok, timedOut, aborted := recvOrTimer(r.port, timer, done)
-		if aborted {
-			return r.trWB.Responded(), true
-		}
-		if timedOut {
-			timerDone = true
-			continue
-		}
-		if !ok {
-			return r.trWB.Responded(), false
-		}
-		ack, isAck := env.Payload.(WriteAck)
-		env.Release()
-		if isAck && ack.TS == c.TS && ack.Round == round {
-			if r.trWB.Add(env.From) && !quorumOK {
-				_, quorumOK = r.trWB.Contained(core.Class3)
-			}
-		}
-	}
+	return writeRound(r.port, r.rqs.Universe(), r.trWB, resetTimer(&r.timer, r.timeout), req, withTimer, done)
 }
 
 func (r *Reader) drainStale() {

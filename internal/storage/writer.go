@@ -101,35 +101,40 @@ func (w *Writer) WriteCtx(ctx context.Context, v string) (WriteResult, error) {
 	return WriteResult{TS: w.ts, Rounds: 3}, nil
 }
 
-// round sends wr〈ts, v, sets, rnd〉 to all servers and waits for acks from
-// some quorum, plus (rounds 1-2) the expiration of the 2Δ timer. The
-// timer wait is cut short once every server has acked: nothing further
-// can arrive, so waiting longer cannot change any verdict. It returns
-// the set of servers that acked this round (also held by w.tr), and
-// whether the wait was aborted by the done channel firing.
+// round is one round of Figure 5: wr〈ts, v, sets, rnd〉 to all servers.
+// It returns the servers that acked (also held by w.tr) and whether
+// the wait was aborted by the done channel firing.
 func (w *Writer) round(rnd int, v string, sets []core.Set, withTimer bool, done <-chan struct{}) (core.Set, bool) {
 	req := WriteReq{TS: w.ts, Val: v, Sets: sets, Round: rnd}
-	transport.Broadcast(w.port, w.rqs.Universe(), req)
+	return writeRound(w.port, w.rqs.Universe(), w.tr, resetTimer(&w.timer, w.timeout), req, withTimer, done)
+}
 
-	w.tr.Reset()
-	timer := resetTimer(&w.timer, w.timeout)
+// writeRound is the Figure 5 write round, shared by the writer and the
+// reader's writeback (Figure 7, lines 60-62): broadcast req to the
+// universe and count WriteAck〈req.TS, req.Round〉 on tr until some
+// class-3 quorum acked and, withTimer, the 2Δ timer fired. The timer
+// wait is cut short once every server has acked: nothing further can
+// arrive, so waiting longer cannot change any verdict. It returns the
+// servers that acked and whether the done channel aborted the wait.
+func writeRound(port transport.Port, universe core.Set, tr *core.QuorumTracker, timer *time.Timer, req WriteReq, withTimer bool, done <-chan struct{}) (core.Set, bool) {
+	transport.Broadcast(port, universe, req)
+	tr.Reset()
 	timerDone := !withTimer
 	quorumOK := false
-
 	for {
-		if quorumOK && (timerDone || w.tr.Complete()) {
-			return w.tr.Responded(), false
+		if quorumOK && (timerDone || tr.Complete()) {
+			return tr.Responded(), false
 		}
-		env, ok, timedOut, aborted := recvOrTimer(w.port, timer, done)
+		env, ok, timedOut, aborted := recvOrTimer(port, timer, done)
 		if aborted {
-			return w.tr.Responded(), true
+			return tr.Responded(), true
 		}
 		if timedOut {
 			timerDone = true
 			continue
 		}
 		if !ok {
-			return w.tr.Responded(), false
+			return tr.Responded(), false
 		}
 		// Re-check quorum containment only when the ack changed the
 		// tracker state; duplicates and stale messages are free. The
@@ -137,9 +142,9 @@ func (w *Writer) round(rnd int, v string, sets []core.Set, withTimer bool, done 
 		// the receive arena can recycle before the tracker runs.
 		ack, isAck := env.Payload.(WriteAck)
 		env.Release()
-		if isAck && ack.TS == w.ts && ack.Round == rnd {
-			if w.tr.Add(env.From) && !quorumOK {
-				_, quorumOK = w.tr.Contained(core.Class3)
+		if isAck && ack.TS == req.TS && ack.Round == req.Round {
+			if tr.Add(env.From) && !quorumOK {
+				_, quorumOK = tr.Contained(core.Class3)
 			}
 		}
 	}

@@ -30,14 +30,13 @@ import (
 // kernel TCP keepalives (keepAlivePeriod) back this up for long-idle
 // conns.
 //
-// One writer goroutine per session owns the conn lifecycle and
-// coalesces all pending frames into a single buffered write per
-// wakeup; a per-conn reader feeds cumulative acks back. Isolated sends
-// take an inline fast path instead (one write from the sender's
-// goroutine); back-to-back sends are routed through the writer so they
-// coalesce. Only the writer trims the queue, which is what makes
-// returning acked frame buffers to the pool safe while a
-// retransmission may still be in flight.
+// Senders only enqueue frames and wake the session's writer goroutine
+// (runConn), the one piece of code that writes to the socket: it owns
+// the conn lifecycle, coalesces every pending frame into a single
+// buffered write per wakeup, stamps the piggybacked acks and trims the
+// queue. A per-conn reader feeds cumulative acks back. Because the
+// writer is also the only trimmer, returning acked frame buffers to
+// the pool can never race a write still reading them.
 //
 // # Retransmission and ack invariants
 //
@@ -90,10 +89,6 @@ const (
 	dialTimeout       = 2 * time.Second
 	dialBackoffMin    = 5 * time.Millisecond
 	dialBackoffMax    = 500 * time.Millisecond
-	// inlineGapNS separates isolated sends (inline write, lowest
-	// latency) from sprints (previous send < gap ago — skip the inline
-	// syscall and let the writer goroutine batch frames).
-	inlineGapNS = 5000
 	// sendStallTimeout bounds how long a full retransmission queue may
 	// block a sender. A live peer acks within milliseconds, so hitting
 	// this means the peer is gone for good (crash-stop): the send is
@@ -153,21 +148,18 @@ type peerLink struct {
 	// stable for the host's lifetime.
 	rcvSt *rcvState
 
-	mu         sync.Mutex
-	space      chan struct{} // closed+replaced when the queue drains or the host closes
-	queue      []sendFrame   // queue[head:] = unacked frames, ascending seq
-	head       int           // trimmed prefix length (acked, not yet compacted)
-	nextSeq    uint64        // seq assigned to the next enqueued frame
-	acked      uint64        // highest cumulative ack from the peer
-	maxSent    uint64        // highest seq ever written to any conn
-	sentIdx    int           // queue index of the first frame not yet written on the current conn
-	conn       net.Conn      // current conn; Close()d by host shutdown to unblock I/O
-	bw         *bufio.Writer // current conn's writer, published after the hello
-	writing    bool          // someone is writing to bw outside mu
-	readerErr  error         // set by the current conn's ack reader
-	closed     bool          // host shutting down: stop blocking senders
-	lastSendNS int64         // when the previous send ran (sprint detection)
-	pings      int           // consecutive unanswered keepalive probes on the current conn
+	mu        sync.Mutex
+	space     chan struct{} // closed+replaced when a trim frees a full queue or the host closes
+	queue     []sendFrame   // queue[head:] = unacked frames, ascending seq
+	head      int           // trimmed prefix length (acked, not yet compacted)
+	nextSeq   uint64        // seq assigned to the next enqueued frame
+	acked     uint64        // highest cumulative ack from the peer
+	maxSent   uint64        // highest seq ever written to any conn
+	sentIdx   int           // queue index of the first frame not yet written on the current conn
+	conn      net.Conn      // current conn; Close()d by host shutdown to unblock I/O
+	readerErr error         // set by the current conn's ack reader
+	closed    bool          // host shutting down: stop blocking senders
+	pings     int           // consecutive unanswered keepalive probes on the current conn
 
 	notify chan struct{} // buffered(1): new frames or ack progress
 }
@@ -189,7 +181,9 @@ func newPeerLink(h *TCPHost, addr string, rcvSt *rcvState) *peerLink {
 }
 
 // broadcastSpace wakes every sender blocked on a full queue; callers
-// hold l.mu.
+// hold l.mu. Senders wait only while the queue is full, so only a trim
+// that frees a full queue and shutdown call it — replacing the channel
+// on every trim would cost an allocation per trim that nobody waits on.
 func (l *peerLink) broadcastSpace() {
 	close(l.space)
 	l.space = make(chan struct{})
@@ -252,165 +246,66 @@ func (l *peerLink) encodeDataTagged(from, to core.ProcessID, hop int, tagged []b
 
 // stampAcks patches the piggyback slots of a dataAck frame with the
 // current (nonce, delivered) snapshot of the peer's reverse stream.
-// Callers own the frame (inline writer or the writer goroutine with
-// `writing` set), so patching in place is race-free; retransmissions
-// are re-stamped and therefore always carry a current ack.
+// Only the session's writer goroutine stamps, and once a frame is
+// queued nothing else touches its bytes until the writer itself trims
+// it, so patching in place is race-free; retransmissions are
+// re-stamped and therefore always carry a current ack.
 func stampAcks(buf []byte, nonce, ack uint64) {
 	binary.LittleEndian.PutUint64(buf[dataAckNonceOff:], nonce)
 	binary.LittleEndian.PutUint64(buf[dataAckOff:], ack)
 }
 
-// send encodes env as a data frame and enqueues it. A full
-// retransmission queue blocks the sender until the peer acks — the
-// same backpressure a full in-memory inbox applies; channels are
-// reliable in the model (§3.1), never lossy — but only up to
-// sendStallTimeout: a peer that is gone for good must not wedge the
-// sending protocol goroutine, so the send is then dropped and counted.
-// It also reports false for unencodable payloads and host shutdown.
+// send encodes env as a data frame and enqueues it, reporting false
+// for unencodable payloads, host shutdown, and a peer gone past the
+// stall bound (see enqueue).
 func (l *peerLink) send(env *Envelope) bool {
 	buf := l.encodeData(env)
-	if buf == nil {
-		return false
-	}
-	return l.enqueue1(buf)
+	return buf != nil && l.enqueue(buf) == 1
 }
 
-// enqueue1 appends one encoded frame to the retransmission queue,
-// blocking on a full queue up to sendStallTimeout, and either writes
-// it inline or wakes the writer goroutine. It owns buf: on failure the
-// buffer is returned to the pool.
-func (l *peerLink) enqueue1(buf []byte) bool {
-	now := time.Now().UnixNano()
-	l.mu.Lock()
-	if l.unacked() >= maxUnacked && !l.closed {
-		deadline := time.Now().Add(sendStallTimeout)
-		for l.unacked() >= maxUnacked && !l.closed {
-			space := l.space
-			l.mu.Unlock()
-			remain := time.Until(deadline)
-			if remain <= 0 {
-				putFrameBuf(buf)
-				return false // peer presumed crashed; counted as a drop
-			}
-			timer := time.NewTimer(remain)
-			select {
-			case <-space:
-			case <-timer.C:
-			case <-l.h.done:
-			}
-			timer.Stop()
-			l.mu.Lock()
-		}
-	}
-	if l.closed {
-		l.mu.Unlock()
-		putFrameBuf(buf)
-		return false
-	}
-	sprint := now-l.lastSendNS < inlineGapNS
-	l.lastSendNS = now
-	seq := l.nextSeq
-	l.nextSeq++
-	binary.LittleEndian.PutUint64(buf[dataSeqOff:], seq)
-	l.queue = append(l.queue, sendFrame{seq: seq, buf: buf})
-	// Fast path for isolated sends: the conn is up, everything earlier
-	// is on the wire, nobody else is mid-write, and this is not a
-	// sprint — write the frame from the sender's own goroutine,
-	// skipping the writer-goroutine hop. The frame stays queued until
-	// acked, so a failure here is just an early redial. Sprints skip
-	// this so consecutive frames coalesce into one buffered write.
-	if bw := l.bw; bw != nil && !sprint && !l.writing && l.readerErr == nil && l.sentIdx == len(l.queue)-1 {
-		l.writing = true
-		l.sentIdx = len(l.queue)
-		l.maxSent = seq
-		l.mu.Unlock()
-		conveyed := uint64(0)
-		if buf[4] == frameDataAck {
-			var nonce uint64
-			nonce, conveyed = l.rcvSt.ackSnapshot()
-			stampAcks(buf, nonce, conveyed)
-			if nonce == 0 {
-				conveyed = 0
-			}
-		}
-		_, err := bw.Write(buf)
-		if err == nil {
-			err = bw.Flush()
-		}
-		if err == nil && conveyed > 0 {
-			l.rcvSt.noteConveyed(conveyed)
-			l.h.counters.acksPiggybacked.Add(1)
-		}
-		l.mu.Lock()
-		l.writing = false
-		if err != nil && l.bw == bw && l.readerErr == nil {
-			l.readerErr = err
-		}
-		// Wake the writer only when it has work: an error to redial
-		// on, frames enqueued during our write, or the queue's
-		// empty→non-empty transition (it must arm the retransmit
-		// timer). Steady traffic trims in bulk on ack wakes instead of
-		// paying a writer wakeup per message.
-		mustWake := err != nil || l.sentIdx < len(l.queue) || l.queue[l.head].seq == seq
-		l.mu.Unlock()
-		if mustWake {
-			l.wake()
-		}
-		return true
-	}
-	l.mu.Unlock()
-	l.wake()
-	return true
-}
-
-// enqueueFrames appends a burst of encoded frames under one lock
-// acquisition, assigning contiguous seqs (FIFO within the batch), and
-// wakes the writer once so the burst coalesces into a single buffered
-// write. A full queue blocks mid-batch with the same stall bound as
-// enqueue1, reset whenever the batch makes progress. It owns the
-// frames: unaccepted ones are returned to the pool. Returns how many
-// frames were accepted.
-func (l *peerLink) enqueueFrames(frames [][]byte) int {
+// enqueue appends encoded frames to the retransmission queue under one
+// lock acquisition, assigning contiguous seqs (FIFO within the call),
+// and wakes the writer goroutine, which coalesces whatever is queued
+// into one buffered write. A full queue blocks the sender until the
+// peer acks — the same backpressure a full in-memory inbox applies;
+// channels are reliable in the model (§3.1), never lossy — but only up
+// to sendStallTimeout, reset whenever the call makes progress: a peer
+// that is gone for good must not wedge the sending protocol goroutine,
+// so the rest of the frames are then dropped. It owns the frames:
+// unaccepted ones go back to the pool. Returns how many were accepted.
+func (l *peerLink) enqueue(frames ...[]byte) int {
 	accepted := 0
+	var deadline time.Time
 	l.mu.Lock()
-	for accepted < len(frames) {
-		if l.closed {
-			break
-		}
-		if l.unacked() >= maxUnacked {
-			stalled := false
-			deadline := time.Now().Add(sendStallTimeout)
-			for l.unacked() >= maxUnacked && !l.closed {
-				space := l.space
-				l.mu.Unlock()
-				remain := time.Until(deadline)
-				if remain <= 0 {
-					stalled = true
-					l.mu.Lock()
-					break
-				}
-				timer := time.NewTimer(remain)
-				select {
-				case <-space:
-				case <-timer.C:
-				case <-l.h.done:
-				}
-				timer.Stop()
-				l.mu.Lock()
-			}
-			if stalled {
-				break
-			}
+	for accepted < len(frames) && !l.closed {
+		if l.unacked() < maxUnacked {
+			buf := frames[accepted]
+			seq := l.nextSeq
+			l.nextSeq++
+			binary.LittleEndian.PutUint64(buf[dataSeqOff:], seq)
+			l.queue = append(l.queue, sendFrame{seq: seq, buf: buf})
+			accepted++
+			deadline = time.Time{}
 			continue
 		}
-		buf := frames[accepted]
-		seq := l.nextSeq
-		l.nextSeq++
-		binary.LittleEndian.PutUint64(buf[dataSeqOff:], seq)
-		l.queue = append(l.queue, sendFrame{seq: seq, buf: buf})
-		accepted++
+		if deadline.IsZero() {
+			deadline = time.Now().Add(sendStallTimeout)
+		}
+		remain := time.Until(deadline)
+		if remain <= 0 {
+			break // peer presumed crashed; counted as a drop
+		}
+		space := l.space
+		l.mu.Unlock()
+		timer := time.NewTimer(remain)
+		select {
+		case <-space:
+		case <-timer.C:
+		case <-l.h.done:
+		}
+		timer.Stop()
+		l.mu.Lock()
 	}
-	l.lastSendNS = time.Now().UnixNano() // a later isolated send is a sprint
 	l.mu.Unlock()
 	for _, buf := range frames[accepted:] {
 		putFrameBuf(buf)
@@ -458,7 +353,6 @@ func (l *peerLink) run() {
 		_ = conn.Close()
 		l.mu.Lock()
 		l.conn = nil
-		l.bw = nil // unpublish before the next conn resets sentIdx
 		l.readerErr = nil
 		l.mu.Unlock()
 		// Acks piggybacked onto this conn may have died with it; let
@@ -549,9 +443,6 @@ func (l *peerLink) runConn(conn net.Conn) {
 	}
 	l.h.wg.Add(1)
 	go l.readAcks(conn)
-	l.mu.Lock()
-	l.bw = bw // publish for the inline send fast path
-	l.mu.Unlock()
 
 	// One reusable timer serves every wait in the loop below (writer
 	// waits are strictly sequential); allocating a fresh timer per wait
@@ -571,26 +462,11 @@ func (l *peerLink) runConn(conn net.Conn) {
 	var batch []sendFrame
 	for {
 		l.mu.Lock()
-		if l.writing {
-			// An inline sender owns the socket right now; it wakes us
-			// when it is done. Wait with the retransmit timeout rather
-			// than bare — an inline write into a silently-dead socket
-			// can succeed without waking us, and unacked frames must
-			// still hit the ack-silence check below eventually.
-			l.mu.Unlock()
-			rearm(retransmitTimeout)
-			select {
-			case <-l.notify:
-			case <-wait.C:
-			case <-l.h.done:
-				return
-			}
-			continue
-		}
 		// Trim acked frames by advancing the head index (O(popped));
 		// the prefix is compacted away once it grows. The writer is
-		// the only trimmer, so the buffers it returns here can no
-		// longer be referenced by a concurrent write.
+		// the only trimmer and the only writer, so the buffers it
+		// returns here are no longer referenced by any write.
+		full := l.unacked() >= maxUnacked
 		popped := 0
 		for l.head+popped < len(l.queue) && l.queue[l.head+popped].seq <= l.acked {
 			putFrameBuf(l.queue[l.head+popped].buf)
@@ -610,7 +486,9 @@ func (l *peerLink) runConn(conn net.Conn) {
 				l.sentIdx -= l.head
 				l.head = 0
 			}
-			l.broadcastSpace() // senders blocked on a full queue
+			if full {
+				l.broadcastSpace() // senders blocked on the full queue
+			}
 		}
 		if l.readerErr != nil {
 			l.mu.Unlock()
@@ -684,7 +562,6 @@ func (l *peerLink) runConn(conn net.Conn) {
 			l.maxSent = last
 		}
 		l.sentIdx = len(l.queue)
-		l.writing = true
 		l.mu.Unlock()
 		if resent > 0 {
 			l.h.counters.resent.Add(uint64(resent))
@@ -713,21 +590,18 @@ func (l *peerLink) runConn(conn net.Conn) {
 			l.rcvSt.noteConveyed(ack)
 			l.h.counters.acksPiggybacked.Add(piggybacked)
 		}
-		l.mu.Lock()
-		l.writing = false
-		l.mu.Unlock()
 		if err != nil {
 			return
 		}
 	}
 }
 
-// sendPing writes one keepalive probe on an idle conn, claiming the
-// writer slot so it cannot interleave with an inline sender's frame.
-// Reports false when the conn should be abandoned.
+// sendPing writes one keepalive probe on an idle conn; runConn calls
+// it from the writer goroutine. Reports false when the conn should be
+// abandoned.
 func (l *peerLink) sendPing(bw *bufio.Writer) bool {
 	l.mu.Lock()
-	if l.writing || l.readerErr != nil || l.unacked() > 0 {
+	if l.readerErr != nil || l.unacked() > 0 {
 		// New traffic or a dead conn beat the probe; the main loop
 		// handles either.
 		ok := l.readerErr == nil
@@ -735,16 +609,8 @@ func (l *peerLink) sendPing(bw *bufio.Writer) bool {
 		return ok
 	}
 	l.pings++
-	l.writing = true
 	l.mu.Unlock()
-	err := writeEmptyFrame(bw, framePing)
-	l.mu.Lock()
-	l.writing = false
-	if err != nil && l.readerErr == nil {
-		l.readerErr = err
-	}
-	l.mu.Unlock()
-	if err != nil {
+	if writeEmptyFrame(bw, framePing) != nil {
 		return false
 	}
 	l.h.counters.pings.Add(1)

@@ -527,13 +527,12 @@ func (n *TCPNode) SendHop(to core.ProcessID, payload Message, hop int) {
 	n.h.sendHop(n.id, to, payload, hop)
 }
 
-// SendBatch dispatches a burst of payloads to one logical destination
-// as a single queue append on the shared session: the burst is encoded
-// up front, appended under one session lock with contiguous seqs, and
-// coalesced by the writer goroutine into one framed write on the wire.
-// A colocated destination receives the burst under one inbox lock.
+// SendBatch is one SendHop per payload (see Port); the session's
+// writer coalesces whatever is queued into one buffered write.
 func (n *TCPNode) SendBatch(to core.ProcessID, payloads []Message, hop int) {
-	n.h.sendBatch(n.id, to, payloads, hop)
+	for _, pl := range payloads {
+		n.h.sendHop(n.id, to, pl, hop)
+	}
 }
 
 // Broadcast fans payload out to every member of dst, encoding the
@@ -605,93 +604,6 @@ func (h *TCPHost) sendDirect(from, to core.ProcessID, payload Message, hop int) 
 	h.counters.sent.Add(1)
 }
 
-func (h *TCPHost) sendBatch(from, to core.ProcessID, payloads []Message, hop int) {
-	if len(payloads) == 0 {
-		return
-	}
-	// An installed injector must decide every envelope individually, so
-	// the burst degrades to per-envelope sends (same rule as the
-	// in-memory network's batchable check).
-	if p := h.inj.Load(); p != nil {
-		inj := *p
-		for _, pl := range payloads {
-			if h.injectOne(inj, from, to, pl, hop) {
-				h.sendDirect(from, to, pl, hop)
-			}
-		}
-		return
-	}
-	if ln := h.localNode(to); ln != nil {
-		// One inbox-lock acquisition for the whole burst, mirroring the
-		// in-memory shard path. Close takes closedMu first, so the
-		// closed flag cannot flip mid-burst: check it once.
-		delivered, dropped := 0, 0
-		ln.closedMu.Lock()
-		if ln.closed {
-			dropped = len(payloads)
-		} else {
-			for _, pl := range payloads {
-				env := Envelope{From: from, To: to, Hop: hop, Payload: pl}
-				select {
-				case ln.inbox <- env:
-					ln.noteDelivered()
-					delivered++
-					continue
-				case <-h.done:
-					dropped++
-					continue
-				default:
-				}
-				// Full inbox: same bounded, once-per-window stall as
-				// every other delivery path.
-				if !ln.stalledRecently() && ln.awaitInbox(env, h.done) == deliverOK {
-					delivered++
-				} else {
-					dropped++
-				}
-			}
-		}
-		ln.closedMu.Unlock()
-		if delivered > 0 {
-			h.counters.sent.Add(uint64(delivered))
-			h.counters.delivered.Add(uint64(delivered))
-		}
-		if dropped > 0 {
-			h.counters.drops.Add(uint64(dropped))
-		}
-		return
-	}
-	if len(payloads) == 1 {
-		h.sendHop(from, to, payloads[0], hop)
-		return
-	}
-	l := h.linkTo(to)
-	if l == nil {
-		h.counters.drops.Add(uint64(len(payloads)))
-		return
-	}
-	frames := getFrameSlice()
-	dropped := 0
-	env := Envelope{From: from, To: to, Hop: hop}
-	for _, pl := range payloads {
-		env.Payload = pl
-		if buf := l.encodeData(&env); buf != nil {
-			frames = append(frames, buf)
-		} else {
-			dropped++
-		}
-	}
-	accepted := l.enqueueFrames(frames)
-	dropped += len(frames) - accepted
-	putFrameSlice(frames)
-	if accepted > 0 {
-		h.counters.sent.Add(uint64(accepted))
-	}
-	if dropped > 0 {
-		h.counters.drops.Add(uint64(dropped))
-	}
-}
-
 func (h *TCPHost) broadcast(from core.ProcessID, dst core.Set, payload Message, hop int) {
 	if dst == 0 {
 		return
@@ -711,9 +623,7 @@ func (h *TCPHost) broadcast(from core.ProcessID, dst core.Set, payload Message, 
 	// Local destinations take the in-process path; remote destinations
 	// sharing a session coalesce: the tagged payload body is encoded
 	// exactly once, and each contiguous run of destinations on the same
-	// session becomes one queue append handed to the writer goroutine
-	// (see flushRun for why even single-frame runs skip the inline
-	// write).
+	// session becomes one queue append handed to the writer goroutine.
 	var tagged []byte
 	var runFrames [][]byte // lazily a pooled getFrameSlice
 	var cur *peerLink
@@ -723,13 +633,7 @@ func (h *TCPHost) broadcast(from core.ProcessID, dst core.Set, payload Message, 
 		if cur == nil || len(runFrames) == 0 {
 			return
 		}
-		// Even a single-frame run goes through the writer goroutine
-		// (enqueueFrames) rather than the inline-write path: a
-		// broadcast is never an isolated send — its sibling frames and
-		// the replies they trigger are microseconds away — and routing
-		// it through the writer lets concurrent clients' frames to the
-		// same process coalesce into one syscall.
-		accepted := cur.enqueueFrames(runFrames)
+		accepted := cur.enqueue(runFrames...)
 		sent += accepted
 		dropped += len(runFrames) - accepted
 		runFrames = runFrames[:0]
@@ -1005,7 +909,7 @@ func frameBuffered(br *bufio.Reader) bool {
 // deliver data frames in seq order, acking cumulatively. Each read
 // wakeup decodes a burst of buffered frames and delivers the whole
 // burst under ONE dedup-lock acquisition (mirroring the send side's
-// one-lock-per-burst queue append); piggybacked acks are applied once
+// one write per writer wakeup); piggybacked acks are applied once
 // per burst. Standalone acks are coalesced off the latency path: one
 // ack per ackEvery frames under load, or one after an ackDelay quiet
 // window — both far inside the sender's retransmitTimeout — and

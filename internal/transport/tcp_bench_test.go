@@ -23,7 +23,7 @@ func benchPayload() storage.WriteReq {
 	}
 }
 
-func benchTCPPair(b *testing.B) (*transport.TCPNode, *transport.TCPNode) {
+func benchTCPPair(b testing.TB) (*transport.TCPNode, *transport.TCPNode) {
 	b.Helper()
 	transport.Register(storage.WriteReq{})
 	addrs := map[core.ProcessID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}

@@ -99,11 +99,9 @@ type Port interface {
 	// SendHop dispatches a payload with an explicit hop depth.
 	SendHop(to core.ProcessID, payload Message, hop int)
 	// SendBatch dispatches a burst of payloads to one destination, all
-	// with the same hop depth, preserving order. Semantically it equals
-	// len(payloads) SendHop calls; transports amortize per-message
-	// overhead across the burst (the in-memory network takes its accept
-	// gate and the destination's shard lock once, the TCP transport
-	// coalesces the burst into one framed write).
+	// with the same hop depth, preserving order. It is len(payloads)
+	// SendHop calls, which is how both transports implement it; port
+	// wrappers (benchmark/trace.go) still forward it.
 	SendBatch(to core.ProcessID, payloads []Message, hop int)
 	// Broadcast dispatches payload to every process in dst with the
 	// given hop depth. Semantically it equals one SendHop per member;
@@ -386,54 +384,13 @@ func (net *Network) dispatch(env Envelope) {
 	net.sendMu.RUnlock()
 }
 
-// batchable reports whether the routing snapshot lets a whole burst
-// take the batched fast path: plain delivery only. Filters and
-// injectors must see envelopes one at a time, delays schedule per
-// envelope, and crashes need the per-envelope from/to check, so any of
-// those falls back to dispatch.
+// batchable reports whether the routing snapshot lets a broadcast take
+// the batched fast path: plain delivery only. Filters and injectors
+// must see envelopes one at a time, delays schedule per envelope, and
+// crashes need the per-envelope from/to check, so any of those falls
+// back to dispatch.
 func batchable(cfg *netConfig) bool {
 	return cfg.filter == nil && cfg.inj == nil && cfg.delay <= 0 && cfg.linkDly == nil && cfg.crashed == 0
-}
-
-// dispatchBatch routes a same-destination burst: one accept-gate
-// acquisition and one shard-lock acquisition for the whole burst. With
-// scripting state installed (filter, delays, crashes) it degrades to
-// per-envelope dispatch, preserving exact single-send semantics.
-func (net *Network) dispatchBatch(from, to core.ProcessID, payloads []Message, hop int) {
-	if to < 0 || to >= net.n || len(payloads) == 0 {
-		return
-	}
-	net.sendMu.RLock()
-	if net.closed.Load() {
-		net.sendMu.RUnlock()
-		return
-	}
-	cfg := net.cfg.Load()
-	if !batchable(cfg) {
-		net.sendMu.RUnlock()
-		for _, pl := range payloads {
-			net.dispatch(Envelope{From: from, To: to, Hop: hop, Payload: pl})
-		}
-		return
-	}
-	// Register the whole burst with inflight before releasing the
-	// accept gate, exactly as dispatch does per message.
-	net.inflight.Add(len(payloads))
-	net.sendMu.RUnlock()
-	s := &net.shards[to]
-	retained := len(payloads) // inflight refs this call still owns
-	s.mu.Lock()
-	if !s.closed {
-		for _, pl := range payloads {
-			if net.put(s, Envelope{From: from, To: to, Hop: hop, Payload: pl}) {
-				retained--
-			}
-		}
-	}
-	s.mu.Unlock()
-	if retained > 0 {
-		net.inflight.Add(-retained)
-	}
 }
 
 // dispatchBroadcast routes one payload to every member of dst under a
@@ -667,7 +624,9 @@ func (p *memPort) SendHop(to core.ProcessID, payload Message, hop int) {
 }
 
 func (p *memPort) SendBatch(to core.ProcessID, payloads []Message, hop int) {
-	p.net.dispatchBatch(p.id, to, payloads, hop)
+	for _, pl := range payloads {
+		p.SendHop(to, pl, hop)
+	}
 }
 
 func (p *memPort) Broadcast(dst core.Set, payload Message, hop int) {
