@@ -120,14 +120,14 @@ func NewAcceptor(rqs *core.RQS, topo Topology, port transport.Port, ring *Keyrin
 // inline-driven acceptor).
 func (a *Acceptor) SetHooks(h Hooks) { a.hooks = h }
 
-// sendUpdates emits one update message to the update targets at the
-// given hop depth: the batched broadcast on an honest acceptor, or a
-// per-destination fan-out through the Byzantine hooks so the message
-// can be forged or withheld differently per peer.
-func (a *Acceptor) sendUpdates(m UpdateMsg, hop int) {
+// sendUpdates emits one update message to the update targets: the
+// batched broadcast on an honest acceptor, or a per-destination fan-out
+// through the Byzantine hooks so the message can be forged or withheld
+// differently per peer.
+func (a *Acceptor) sendUpdates(m UpdateMsg) {
 	targets := a.updTargets()
 	if a.hooks.ForgeUpdate == nil && a.hooks.DropUpdate == nil {
-		transport.BroadcastHop(a.port, targets, m, hop)
+		transport.Broadcast(a.port, targets, m)
 		return
 	}
 	for _, to := range targets.Members() {
@@ -138,7 +138,7 @@ func (a *Acceptor) sendUpdates(m UpdateMsg, hop int) {
 		if a.hooks.ForgeUpdate != nil {
 			mm = a.hooks.ForgeUpdate(to, mm)
 		}
-		a.port.SendHop(to, mm, hop)
+		a.port.Send(to, mm)
 	}
 }
 
@@ -276,7 +276,7 @@ func (a *Acceptor) onPrepare(env transport.Envelope, m PrepareMsg) {
 	// Line 33: echo update1.
 	u := UpdateMsg{Step: 1, V: m.V, View: a.view}
 	a.markSent(1, vwKey{m.V, a.view})
-	a.sendUpdates(u, env.Hop+1)
+	a.sendUpdates(u)
 	// The "upon received update_step from some quorum" guards of line 34
 	// are standing rules: update messages that raced ahead of this
 	// prepare may already satisfy them.
@@ -289,13 +289,13 @@ func (a *Acceptor) onUpdate(env transport.Envelope, m UpdateMsg) {
 	if !a.topo.Acceptors.Contains(env.From) {
 		return
 	}
-	if d, ok := a.dec.record(env.From, m, env.Hop); ok && !a.hasDecided {
-		a.decide(d.v)
+	if a.dec.record(env.From, m) && !a.hasDecided {
+		a.decide(m.V)
 	}
 	switch m.Step {
 	case 1:
 	case 2:
-		rec(&a.upd2From, vwKey{m.V, m.View}, a.rqs.Index()).add(env.From, env.Hop)
+		rec(&a.upd2From, vwKey{m.V, m.View}, a.rqs.Index()).add(env.From)
 	default:
 		return
 	}
@@ -324,7 +324,7 @@ func (a *Acceptor) evalTriggers(step int, v Value, view int) {
 			a.applyUpdate(0, v, view, q)
 			next := UpdateMsg{Step: 2, V: v, View: view, Q: q}
 			a.markSent(2, k)
-			a.sendUpdates(next, r.maxHopOver(q)+1)
+			a.sendUpdates(next)
 		}
 	case 2:
 		r, ok := a.upd2From[k]
@@ -335,7 +335,7 @@ func (a *Acceptor) evalTriggers(step int, v Value, view int) {
 			a.applyUpdate(1, v, view, q)
 			next := UpdateMsg{Step: 3, V: v, View: view, Q: q}
 			a.markSent(3, k)
-			a.sendUpdates(next, r.maxHopOver(q)+1)
+			a.sendUpdates(next)
 		}
 	}
 }

@@ -19,13 +19,8 @@ func threshold8(t *testing.T) *core.RQS {
 	return r
 }
 
-// hopDelay is the uniform link delay of the latency tests. It makes a
-// run synchronous, so a message's arrival order follows its hop depth;
-// on an instant network a descheduled acceptor can hold back the last
-// update1 of the class-1 quorum until a deeper decision rule has fired.
-const hopDelay = 10 * time.Millisecond
-
-func waitAll(t *testing.T, c *sim.ConsensusCluster, want consensus.Value, wantHops int) {
+// waitAll waits for every learner of a wall-clock cluster to learn want.
+func waitAll(t *testing.T, c *sim.ConsensusCluster, want consensus.Value) {
 	t.Helper()
 	for i, l := range c.Learners {
 		res, ok := l.Wait(5 * time.Second)
@@ -35,21 +30,34 @@ func waitAll(t *testing.T, c *sim.ConsensusCluster, want consensus.Value, wantHo
 		if res.V != want {
 			t.Fatalf("learner %d learned %q, want %q", i, res.V, want)
 		}
-		if wantHops > 0 && res.Hops != wantHops {
-			t.Errorf("learner %d learned in %d message delays, want %d", i, res.Hops, wantHops)
-		}
 	}
 }
 
-func TestBestCaseTwoDelaysClass1(t *testing.T) {
-	c, err := sim.NewConsensusCluster(core.Example7RQS(), sim.ConsensusOptions{})
-	if err != nil {
-		t.Fatal(err)
+// lockstepFast runs one initial-view instance under sim.Lockstep with
+// the given acceptors crashed, for in-round delivery orders seeded 1-20,
+// and requires every learner to learn x through the rule of step m in
+// m+1 message delays (Definition 4). It returns the last run's
+// acceptors.
+func lockstepFast(t *testing.T, rqs *core.RQS, crash core.Set, m int) []*consensus.Acceptor {
+	t.Helper()
+	var acceptors []*consensus.Acceptor
+	for seed := int64(1); seed <= 20; seed++ {
+		learns, as, err := sim.LockstepConsensus(rqs, 3, &sim.Lockstep{Crashed: crash, Seed: seed}, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range learns {
+			if l.V != "x" || l.Step != m || l.Delays != m+1 {
+				t.Fatalf("seed %d learner %d: %+v, want x by step %d in %d delays", seed, i, l, m, m+1)
+			}
+		}
+		acceptors = as
 	}
-	defer c.Stop()
-	c.Net.SetDelay(hopDelay)
-	c.Proposers[0].Propose("v")
-	waitAll(t, c, "v", 2)
+	return acceptors
+}
+
+func TestBestCaseTwoDelaysClass1(t *testing.T) {
+	lockstepFast(t, core.Example7RQS(), core.EmptySet, 1)
 }
 
 func TestBestCaseLatenciesByClass(t *testing.T) {
@@ -57,43 +65,45 @@ func TestBestCaseLatenciesByClass(t *testing.T) {
 	// message delays when a class-m quorum of correct acceptors is
 	// available.
 	tests := []struct {
-		name     string
-		crash    core.Set
-		wantHops int
+		name  string
+		crash core.Set
+		class int
 	}{
-		{"class1 all alive", core.EmptySet, 2},
-		{"class2 two crashed", core.NewSet(6, 7), 3},
-		{"class3 three crashed", core.NewSet(5, 6, 7), 4},
+		{"class1 all alive", core.EmptySet, 1},
+		{"class2 two crashed", core.NewSet(6, 7), 2},
+		{"class3 three crashed", core.NewSet(5, 6, 7), 3},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			c, err := sim.NewConsensusCluster(threshold8(t), sim.ConsensusOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Stop()
-			c.Net.SetDelay(hopDelay)
-			c.CrashAcceptors(tt.crash)
-			c.Proposers[0].Propose("x")
-			waitAll(t, c, "x", tt.wantHops)
+			lockstepFast(t, threshold8(t), tt.crash, tt.class)
 		})
 	}
 }
 
 func TestAcceptorsAlsoDecide(t *testing.T) {
-	c, err := sim.NewConsensusCluster(core.Example7RQS(), sim.ConsensusOptions{})
-	if err != nil {
-		t.Fatal(err)
+	for i, a := range lockstepFast(t, core.Example7RQS(), core.EmptySet, 1) {
+		if v, ok := a.Decided(); !ok || v != "x" {
+			t.Errorf("acceptor %d decided (%q, %v), want (x, true)", i, v, ok)
+		}
 	}
-	c.Proposers[0].Propose("v")
-	waitAll(t, c, "v", 0)
-	// Learners race slightly ahead of acceptors on the same update
-	// stream; let the acceptors drain their inboxes before stopping.
-	time.Sleep(200 * time.Millisecond)
-	c.Stop()
-	for i, a := range c.Acceptors {
-		if v, ok := a.Decided(); !ok || v != "v" {
-			t.Errorf("acceptor %d decided (%q, %v), want (v, true)", i, v, ok)
+}
+
+func TestLockstepLearnerWithoutUpdatesLearnsFromDecisions(t *testing.T) {
+	// Every update to the last learner is dropped: it learns from the
+	// acceptors' decisions (step 0), one delay after they decide in 2.
+	rqs := core.Example7RQS()
+	late := rqs.N() + 3
+	drop := func(env transport.Envelope) bool {
+		_, isUpd := env.Payload.(consensus.UpdateMsg)
+		return isUpd && env.To == late
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		learns, _, err := sim.LockstepConsensus(rqs, 3, &sim.Lockstep{Drop: drop, Seed: seed}, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := learns[2]; got.V != "x" || got.Step != 0 || got.Delays != 3 {
+			t.Fatalf("seed %d: late learner %+v, want x from decisions in 3 delays", seed, got)
 		}
 	}
 }
@@ -154,7 +164,7 @@ func TestViewChangeAfterInitialLeaderMute(t *testing.T) {
 	})
 	c.Proposers[0].Propose("lost")
 	c.Proposers[1].Propose("backup")
-	waitAll(t, c, "backup", 0)
+	waitAll(t, c, "backup")
 }
 
 func TestLateLearnerCatchesUpViaDecisionPull(t *testing.T) {
@@ -185,21 +195,14 @@ func TestLateLearnerCatchesUpViaDecisionPull(t *testing.T) {
 		if res.V != "v" {
 			t.Fatalf("learner %d learned %q", i, res.V)
 		}
-		if i == 2 && res.Hops != -1 {
-			t.Errorf("late learner should learn via decisions (hops -1), got %d", res.Hops)
+		if i == 2 && res.Step != 0 {
+			t.Errorf("late learner should learn via decisions (step 0), got step %d", res.Step)
 		}
 	}
 }
 
 func TestSequentialProposalAfterCrash(t *testing.T) {
-	// Crash two acceptors before proposing: class-2 path, still one
+	// Crash one acceptor before proposing: class-2 path, still one
 	// view, all learners agree.
-	c, err := sim.NewConsensusCluster(core.Example7RQS(), sim.ConsensusOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	c.CrashAcceptors(core.NewSet(5)) // s6: leaves Q2 = {s1..s5} correct
-	c.Proposers[0].Propose("v")
-	waitAll(t, c, "v", 3)
+	lockstepFast(t, core.Example7RQS(), core.NewSet(5), 2) // s6: leaves Q2 = {s1..s5} correct
 }

@@ -1,10 +1,6 @@
 package consensus
 
-import (
-	"math/bits"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Topology names the three process roles of the framework (Section 4.1):
 // acceptors form the RQS universe; proposers and learners are disjoint
@@ -23,9 +19,9 @@ func (t Topology) Leader(view int) core.ProcessID {
 // decider tracks received update messages and fires the decision rules of
 // lines 51-53 (Figure 10), shared by acceptors and learners:
 //
-//	update1〈v, view, *〉 from a class-1 quorum → decide v (2 delays)
-//	update2〈v, view, Q2〉 from exactly Q2 ∈ QC2 → decide v (3 delays)
-//	update3〈v, view, *〉 from any quorum       → decide v (4 delays)
+//	update1〈v, view, *〉 from a class-1 quorum → decide v (step 1, 2 delays)
+//	update2〈v, view, Q2〉 from exactly Q2 ∈ QC2 → decide v (step 2, 3 delays)
+//	update3〈v, view, *〉 from any quorum       → decide v (step 3, 4 delays)
 //
 // Quorum containment is tracked incrementally per (value, view) key, so
 // each received update costs O(quorums-containing-sender) instead of a
@@ -35,7 +31,7 @@ func (t Topology) Leader(view int) core.ProcessID {
 type decider struct {
 	rqs *core.RQS
 	idx *core.QuorumIndex
-	// senders[step][key] records who sent which update and at what hop.
+	// upd<step>[key] records who sent which update.
 	upd1 map[vwKey]*senderRec
 	upd2 map[vwqKey]*senderRec
 	upd3 map[vwKey]*senderRec
@@ -52,14 +48,13 @@ type vwqKey struct {
 	q core.Set
 }
 
-// senderRec records who sent one particular update message, and the
-// lowest hop each sender's copy arrived at. Tracker-backed records
-// (upd1/upd3) also feed the senders to a quorum tracker; upd2 only
-// needs an O(1) subset test against the named quorum, so it has none.
+// senderRec records who sent one particular update message.
+// Tracker-backed records (upd1/upd3) also feed the senders to a quorum
+// tracker; upd2 only needs an O(1) subset test against the named
+// quorum, so it has none.
 type senderRec struct {
 	tr   *core.QuorumTracker // nil when containment isn't needed (upd2)
 	seen core.Set
-	hops [core.MaxProcesses]int // hops[id] is meaningful iff seen ∋ id
 }
 
 func newDecider(rqs *core.RQS) decider {
@@ -68,26 +63,11 @@ func newDecider(rqs *core.RQS) decider {
 
 // add records from's copy. from must lie in [0, core.MaxProcesses):
 // every caller has checked it against the acceptor set.
-func (r *senderRec) add(from core.ProcessID, hop int) {
+func (r *senderRec) add(from core.ProcessID) {
 	if r.tr != nil {
 		r.tr.Add(from)
 	}
-	if !r.seen.Contains(from) || hop < r.hops[from] {
-		r.hops[from] = hop
-	}
 	r.seen = r.seen.Add(from)
-}
-
-// maxHopOver returns the largest hop among members of q: the message
-// delay at which the triggering quorum completed.
-func (r *senderRec) maxHopOver(q core.Set) int {
-	hop := 0
-	for v := uint64(q & r.seen); v != 0; v &= v - 1 {
-		if h := r.hops[bits.TrailingZeros64(v)]; h > hop {
-			hop = h
-		}
-	}
-	return hop
 }
 
 // rec returns the record for k in *m, creating the map and a record
@@ -107,45 +87,36 @@ func rec[K comparable](m *map[K]*senderRec, k K, idx *core.QuorumIndex) *senderR
 	return r
 }
 
-// decision is a fired decision with its message-delay depth.
-type decision struct {
-	v    Value
-	hops int
-}
-
 // record notes an update message from an acceptor and reports whether
-// its record now satisfies that step's decision rule. Messages from
-// processes outside the acceptor set are ignored. Callers record every
-// update, so only the record the message lands in can newly satisfy a
-// rule; the others were checked when they last changed.
-func (d *decider) record(from core.ProcessID, m UpdateMsg, hop int) (decision, bool) {
+// its record now satisfies the decision rule of step m.Step. Messages
+// from processes outside the acceptor set are ignored. Callers record
+// every update, so only the record the message lands in can newly
+// satisfy a rule; the others were checked when they last changed.
+func (d *decider) record(from core.ProcessID, m UpdateMsg) bool {
 	if !d.rqs.Universe().Contains(from) {
-		return decision{}, false
+		return false
 	}
 	switch m.Step {
 	case 1:
 		// Line 51: same update1 from a class-1 quorum.
 		r := rec(&d.upd1, vwKey{m.V, m.View}, d.idx)
-		r.add(from, hop)
-		if q, ok := r.tr.Contained(core.Class1); ok {
-			return decision{v: m.V, hops: r.maxHopOver(q)}, true
-		}
+		r.add(from)
+		_, ok := r.tr.Contained(core.Class1)
+		return ok
 	case 2:
 		// Line 52: same update2〈v, view, Q2〉 from exactly the class-2
 		// quorum Q2 named in the message — an O(1) subset test, so the
 		// record needs no tracker.
 		r := rec(&d.upd2, vwqKey{m.V, m.View, m.Q}, nil)
-		r.add(from, hop)
-		if cls, listed := d.idx.ClassOf(m.Q); listed && cls <= core.Class2 && m.Q.SubsetOf(r.seen) {
-			return decision{v: m.V, hops: r.maxHopOver(m.Q)}, true
-		}
+		r.add(from)
+		cls, listed := d.idx.ClassOf(m.Q)
+		return listed && cls <= core.Class2 && m.Q.SubsetOf(r.seen)
 	case 3:
 		// Line 53: same update3 from any quorum.
 		r := rec(&d.upd3, vwKey{m.V, m.View}, d.idx)
-		r.add(from, hop)
-		if q, ok := r.tr.Contained(core.Class3); ok {
-			return decision{v: m.V, hops: r.maxHopOver(q)}, true
-		}
+		r.add(from)
+		_, ok := r.tr.Contained(core.Class3)
+		return ok
 	}
-	return decision{}, false
+	return false
 }

@@ -161,59 +161,46 @@ func (a *Acceptor) persistAndFlush() {
 
 // deferPort queues outgoing traffic until the handler's state change
 // is durable. Inbox and ID pass through; sends replay in order on
-// flush.
+// flush, each as a broadcast to its destination set.
 type deferPort struct {
 	inner transport.Port
 	queue []deferredSend
 }
 
 type deferredSend struct {
-	to      core.ProcessID
 	dst     core.Set
-	hop     int
 	payload transport.Message
-	kind    uint8 // 0 Send, 1 SendHop, 2 Broadcast
 }
 
 func (p *deferPort) ID() core.ProcessID               { return p.inner.ID() }
 func (p *deferPort) Inbox() <-chan transport.Envelope { return p.inner.Inbox() }
 
 func (p *deferPort) Send(to core.ProcessID, payload transport.Message) {
-	p.queue = append(p.queue, deferredSend{kind: 0, to: to, payload: payload})
+	p.Broadcast(core.Set(0).Add(to), payload, 0)
 }
 
-func (p *deferPort) SendHop(to core.ProcessID, payload transport.Message, hop int) {
-	p.queue = append(p.queue, deferredSend{kind: 1, to: to, payload: payload, hop: hop})
+func (p *deferPort) SendHop(to core.ProcessID, payload transport.Message, _ int) {
+	p.Send(to, payload)
 }
 
-func (p *deferPort) SendBatch(to core.ProcessID, payloads []transport.Message, hop int) {
+func (p *deferPort) SendBatch(to core.ProcessID, payloads []transport.Message, _ int) {
 	for _, pl := range payloads {
-		p.SendHop(to, pl, hop)
+		p.Send(to, pl)
 	}
 }
 
-func (p *deferPort) Broadcast(dst core.Set, payload transport.Message, hop int) {
-	p.queue = append(p.queue, deferredSend{kind: 2, dst: dst, payload: payload, hop: hop})
+func (p *deferPort) Broadcast(dst core.Set, payload transport.Message, _ int) {
+	p.queue = append(p.queue, deferredSend{dst: dst, payload: payload})
 }
 
 func (p *deferPort) flush() {
-	for i := range p.queue {
-		s := &p.queue[i]
-		switch s.kind {
-		case 0:
-			p.inner.Send(s.to, s.payload)
-		case 1:
-			p.inner.SendHop(s.to, s.payload, s.hop)
-		case 2:
-			p.inner.Broadcast(s.dst, s.payload, s.hop)
-		}
+	for _, s := range p.queue {
+		transport.Broadcast(p.inner, s.dst, s.payload)
 	}
 	p.drop()
 }
 
 func (p *deferPort) drop() {
-	for i := range p.queue {
-		p.queue[i] = deferredSend{}
-	}
+	clear(p.queue)
 	p.queue = p.queue[:0]
 }

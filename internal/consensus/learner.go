@@ -8,13 +8,14 @@ import (
 	"repro/internal/transport"
 )
 
-// Learn is a learned value together with the number of message delays it
-// took from the proposal (2/3/4 in best-case executions). Hops is -1 when
-// the value arrived through decision-pull gossip rather than the update
-// stream.
+// Learn is a learned value together with the decision rule that fired:
+// Step is the update step of lines 51-53 (1, 2 or 3; step m is the
+// (m+1)-delay path of a class-m quorum), or 0 when the value arrived as
+// decision gossip rather than through the update stream. How many
+// message delays learning took is the driver's to count (sim.Lockstep).
 type Learn struct {
 	V    Value
-	Hops int
+	Step int
 }
 
 // Learner learns the decided value (Figure 10 right column and Figure 15
@@ -93,11 +94,10 @@ func (l *Learner) HandleEnvelope(env transport.Envelope) (Learn, bool) {
 	var res Learn
 	switch m := env.Payload.(type) {
 	case UpdateMsg:
-		d, ok := l.dec.record(env.From, m, env.Hop)
-		if !ok {
+		if !l.dec.record(env.From, m) {
 			return Learn{}, false
 		}
-		res = Learn{V: d.v, Hops: d.hops}
+		res = Learn{V: m.V, Step: m.Step}
 	case DecisionMsg:
 		if l.decisionFrom == nil {
 			l.decisionFrom = make(map[Value]core.Set)
@@ -106,7 +106,7 @@ func (l *Learner) HandleEnvelope(env transport.Envelope) (Learn, bool) {
 		if !core.IsBasic(l.decisionFrom[m.V], l.rqs.Adversary()) {
 			return Learn{}, false
 		}
-		res = Learn{V: m.V, Hops: -1}
+		res = Learn{V: m.V}
 	default:
 		return Learn{}, false
 	}

@@ -82,7 +82,7 @@ func (p *Proposer) Propose(v Value) {
 // Proposer.
 func ProposeInitial(port transport.Port, topo Topology, v Value) {
 	transport.Broadcast(port, topo.Acceptors, SyncMsg{})
-	transport.BroadcastHop(port, topo.Acceptors, PrepareMsg{V: v, View: InitView}, 1)
+	transport.Broadcast(port, topo.Acceptors, PrepareMsg{V: v, View: InitView})
 }
 
 func (p *Proposer) run() {
@@ -191,8 +191,8 @@ func (p *Proposer) onNewViewAck(m NewViewAck) {
 			continue
 		}
 		p.collecting = false
-		transport.BroadcastHop(p.port, p.topo.Acceptors,
-			PrepareMsg{V: res.V, View: p.view, VProof: vProof, Q: q}, 1)
+		transport.Broadcast(p.port, p.topo.Acceptors,
+			PrepareMsg{V: res.V, View: p.view, VProof: vProof, Q: q})
 		return
 	}
 }

@@ -85,16 +85,11 @@ func runABD(n int, crash core.Set, timeout time.Duration) (writeRounds, readRoun
 	return wres.Rounds, rres.Rounds
 }
 
-// e7HopDelay is the uniform link delay of E7's RQS runs. It makes the
-// runs synchronous, so a message's arrival order follows its hop depth.
-// On an instant network a descheduled acceptor can hold back the last
-// update1 of the class-1 quorum until a deeper rule has fired, and the
-// learner then reports that rule's depth.
-const e7HopDelay = 10 * time.Millisecond
-
 // E7ConsensusLatency measures learning latency in message delays per
 // surviving class (Definition 4: (m,QCm)-fast means m+1 delays) against
-// the PBFT-style baseline, which always takes 4.
+// the PBFT-style baseline, which always takes 4. Both columns are
+// counted by sim.Lockstep, so the table does not depend on the
+// scheduler: the same code gives the same bytes on every run.
 func E7ConsensusLatency() *Table {
 	tbl := &Table{
 		ID:      "E7",
@@ -110,43 +105,32 @@ func E7ConsensusLatency() *Table {
 		{"class 3 (5 alive)", core.NewSet(5, 6, 7)},
 	}
 	for _, tc := range cases {
-		c, err := sim.NewConsensusCluster(threeClassRQS(), sim.ConsensusOptions{Learners: 1})
+		learns, _, err := sim.LockstepConsensus(threeClassRQS(), 1, &sim.Lockstep{Crashed: tc.crash, Seed: 1}, "v")
 		if err != nil {
 			panic(err)
 		}
-		c.Net.SetDelay(e7HopDelay)
-		c.CrashAcceptors(tc.crash)
-		c.Proposers[0].Propose("v")
-		res, ok := c.Learners[0].Wait(10 * time.Second)
-		c.Stop()
-		hops := -1
-		if ok {
-			hops = res.Hops
-		}
 
 		// PBFT baseline: n=7 tolerates 2 crashes; cap the crash set.
-		pb := pbft.NewCluster(7, 1)
-		crashed := 0
+		var pbCrash core.Set
 		for _, id := range tc.crash.Members() {
-			if crashed >= 2 {
-				break
-			}
-			if id < 7 {
-				pb.Net.Crash(id)
-				crashed++
+			if id < 7 && pbCrash.Count() < 2 {
+				pbCrash = pbCrash.Add(id)
 			}
 		}
+		ls := &sim.Lockstep{Crashed: pbCrash, Seed: 1}
+		pb := pbft.NewCluster(7, 1, ls.Port)
 		pb.Propose("v")
-		pres, pok := pb.Learners[0].Wait(10 * time.Second)
-		pb.Stop()
-		phops := -1
-		if pok {
-			phops = pres.Hops
-		}
-		tbl.AddRow(tc.label, tc.crash, hops, phops)
+		pbDelays := 0
+		ls.Run(func(env transport.Envelope) {
+			if _, ok := pb.Deliver(env); ok {
+				pbDelays = ls.Round()
+			}
+		})
+		tbl.AddRow(tc.label, tc.crash, learns[0].Delays, pbDelays)
 	}
 	tbl.Notes = append(tbl.Notes,
-		"shape matches §4: RQS learns in 2/3/4 delays by class; the no-fast-path baseline is pinned at 4")
+		"shape matches §4: RQS learns in 2/3/4 delays by class; the no-fast-path baseline is pinned at 4",
+		"delays are lockstep rounds (sim.Lockstep); 0 would mean the learner never learned")
 	return tbl
 }
 

@@ -113,6 +113,12 @@ func TestE7LatencyShape(t *testing.T) {
 	}
 }
 
+func TestE7Deterministic(t *testing.T) {
+	if a, b := E7ConsensusLatency().Format(), E7ConsensusLatency().Format(); a != b {
+		t.Errorf("E7 differs between runs:\n%s\n%s", a, b)
+	}
+}
+
 func TestE8Theorem6Shape(t *testing.T) {
 	_, outcomes := E8Theorem6()
 	broken, valid := outcomes[0], outcomes[1]

@@ -5,14 +5,15 @@
 // four message delays (pre-prepare → prepare → commit → learner), no
 // matter how many acceptors are correct.
 //
-// It runs over the same transport and the same n = 3t+1 threshold quorum
+// It uses the same Port interface and the same n = 3t+1 threshold quorum
 // logic classic PBFT assumes, which is exactly the PBFTStyleRQS
-// instantiation of Example 6 without its class-1 fast path.
+// instantiation of Example 6 without its class-1 fast path. Acceptors
+// and learners are synchronous HandleEnvelope actors with no goroutine
+// of their own; a driver such as sim.Lockstep delivers to them through
+// Cluster.Deliver and counts the delays.
 package pbft
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/transport"
 )
@@ -49,195 +50,110 @@ func (t Topology) Quorum() int {
 
 // Acceptor is a baseline acceptor.
 type Acceptor struct {
-	id        core.ProcessID
 	topo      Topology
 	port      transport.Port
 	prepared  map[Value]core.Set
 	committed map[Value]core.Set
+	sentPrep  bool
 	sentCmt   bool
 	replied   bool
-	stop      chan struct{}
-	done      chan struct{}
 }
 
-// NewAcceptor builds an acceptor.
+// NewAcceptor builds an acceptor that sends through port.
 func NewAcceptor(topo Topology, port transport.Port) *Acceptor {
 	return &Acceptor{
-		id:        port.ID(),
 		topo:      topo,
 		port:      port,
 		prepared:  make(map[Value]core.Set),
 		committed: make(map[Value]core.Set),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
 }
 
-// Start launches the acceptor loop.
-func (a *Acceptor) Start() { go a.run() }
-
-// Stop terminates the loop.
-func (a *Acceptor) Stop() {
-	select {
-	case <-a.stop:
-	default:
-		close(a.stop)
-	}
-	<-a.done
-}
-
-func (a *Acceptor) run() {
-	defer close(a.done)
-	sentPrep := false
-	for {
-		select {
-		case <-a.stop:
+// HandleEnvelope processes one incoming envelope synchronously.
+func (a *Acceptor) HandleEnvelope(env transport.Envelope) {
+	switch m := env.Payload.(type) {
+	case PrePrepare:
+		if env.From != a.topo.Leader || a.sentPrep {
 			return
-		case env, ok := <-a.port.Inbox():
-			if !ok {
-				return
-			}
-			switch m := env.Payload.(type) {
-			case PrePrepare:
-				if env.From != a.topo.Leader || sentPrep {
-					continue
-				}
-				sentPrep = true
-				transport.BroadcastHop(a.port, a.topo.Acceptors, Prepare{V: m.V}, env.Hop+1)
-			case Prepare:
-				if !a.topo.Acceptors.Contains(env.From) || a.sentCmt {
-					continue
-				}
-				a.prepared[m.V] = a.prepared[m.V].Add(env.From)
-				if a.prepared[m.V].Count() >= a.topo.Quorum() {
-					a.sentCmt = true
-					transport.BroadcastHop(a.port, a.topo.Acceptors, Commit{V: m.V}, env.Hop+1)
-				}
-			case Commit:
-				if !a.topo.Acceptors.Contains(env.From) || a.replied {
-					continue
-				}
-				a.committed[m.V] = a.committed[m.V].Add(env.From)
-				if a.committed[m.V].Count() >= a.topo.Quorum() {
-					a.replied = true
-					transport.BroadcastHop(a.port, a.topo.Learners, Reply{V: m.V}, env.Hop+1)
-				}
-			}
+		}
+		a.sentPrep = true
+		transport.Broadcast(a.port, a.topo.Acceptors, Prepare{V: m.V})
+	case Prepare:
+		if !a.topo.Acceptors.Contains(env.From) || a.sentCmt {
+			return
+		}
+		a.prepared[m.V] = a.prepared[m.V].Add(env.From)
+		if a.prepared[m.V].Count() >= a.topo.Quorum() {
+			a.sentCmt = true
+			transport.Broadcast(a.port, a.topo.Acceptors, Commit{V: m.V})
+		}
+	case Commit:
+		if !a.topo.Acceptors.Contains(env.From) || a.replied {
+			return
+		}
+		a.committed[m.V] = a.committed[m.V].Add(env.From)
+		if a.committed[m.V].Count() >= a.topo.Quorum() {
+			a.replied = true
+			transport.Broadcast(a.port, a.topo.Learners, Reply{V: m.V})
 		}
 	}
 }
 
-// Learn is a learned value with its message-delay depth.
-type Learn struct {
-	V    Value
-	Hops int
-}
-
-// Learner learns after a commit quorum.
+// Learner learns after t+1 matching replies, which guarantee one comes
+// from a correct acceptor.
 type Learner struct {
 	topo    Topology
-	port    transport.Port
-	learned chan Learn
-	stop    chan struct{}
-	done    chan struct{}
+	replies map[Value]core.Set
+	learned bool
 }
 
 // NewLearner builds a learner.
-func NewLearner(topo Topology, port transport.Port) *Learner {
-	return &Learner{
-		topo:    topo,
-		port:    port,
-		learned: make(chan Learn, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
+func NewLearner(topo Topology) *Learner {
+	return &Learner{topo: topo, replies: make(map[Value]core.Set)}
 }
 
-// Start launches the learner loop.
-func (l *Learner) Start() { go l.run() }
-
-// Stop terminates the loop.
-func (l *Learner) Stop() {
-	select {
-	case <-l.stop:
-	default:
-		close(l.stop)
+// HandleEnvelope processes one incoming envelope synchronously and
+// reports the learned value the first time the learner learns.
+func (l *Learner) HandleEnvelope(env transport.Envelope) (Value, bool) {
+	m, isReply := env.Payload.(Reply)
+	if !isReply || !l.topo.Acceptors.Contains(env.From) || l.learned {
+		return "", false
 	}
-	<-l.done
+	l.replies[m.V] = l.replies[m.V].Add(env.From)
+	if l.replies[m.V].Count() < (l.topo.Acceptors.Count()-1)/3+1 {
+		return "", false
+	}
+	l.learned = true
+	return m.V, true
 }
 
-// Wait blocks for the learned value.
-func (l *Learner) Wait(timeout time.Duration) (Learn, bool) {
-	select {
-	case v := <-l.learned:
-		return v, true
-	case <-time.After(timeout):
-		return Learn{}, false
-	}
-}
-
-func (l *Learner) run() {
-	defer close(l.done)
-	replies := make(map[Value]core.Set)
-	hops := make(map[Value]int)
-	learned := false
-	// t+1 matching replies guarantee one comes from a correct acceptor.
-	need := (l.topo.Acceptors.Count()-1)/3 + 1
-	for {
-		select {
-		case <-l.stop:
-			return
-		case env, ok := <-l.port.Inbox():
-			if !ok {
-				return
-			}
-			m, isReply := env.Payload.(Reply)
-			if !isReply || !l.topo.Acceptors.Contains(env.From) || learned {
-				continue
-			}
-			replies[m.V] = replies[m.V].Add(env.From)
-			if env.Hop > hops[m.V] {
-				hops[m.V] = env.Hop
-			}
-			if replies[m.V].Count() >= need {
-				learned = true
-				l.learned <- Learn{V: m.V, Hops: hops[m.V]}
-			}
-		}
-	}
-}
-
-// Propose runs the leader's side: broadcast the pre-prepare at hop 1.
+// Propose runs the leader's side: broadcast the pre-prepare.
 func Propose(topo Topology, port transport.Port, v Value) {
-	transport.BroadcastHop(port, topo.Acceptors, PrePrepare{V: v}, 1)
+	transport.Broadcast(port, topo.Acceptors, PrePrepare{V: v})
 }
 
-// Cluster bundles a running baseline deployment.
+// Cluster bundles a baseline deployment: n acceptors on IDs 0..n-1, the
+// leader on n, then the learners.
 type Cluster struct {
 	Topo      Topology
-	Net       *transport.Network
 	Acceptors []*Acceptor
 	Learners  []*Learner
 	leader    transport.Port
 }
 
-// NewCluster starts n acceptors, one leader and nLearners learners.
-func NewCluster(n, nLearners int) *Cluster {
+// NewCluster builds n acceptors, one leader and nLearners learners,
+// each sending through port(id).
+func NewCluster(n, nLearners int, port func(core.ProcessID) transport.Port) *Cluster {
 	topo := Topology{Acceptors: core.FullSet(n), Leader: n}
 	for i := 0; i < nLearners; i++ {
 		topo.Learners = topo.Learners.Add(n + 1 + i)
 	}
-	net := transport.NewNetwork(n + 1 + nLearners)
-	c := &Cluster{Topo: topo, Net: net, leader: net.Port(n)}
+	c := &Cluster{Topo: topo, leader: port(n)}
 	for i := 0; i < n; i++ {
-		a := NewAcceptor(topo, net.Port(i))
-		a.Start()
-		c.Acceptors = append(c.Acceptors, a)
+		c.Acceptors = append(c.Acceptors, NewAcceptor(topo, port(i)))
 	}
-	for _, id := range topo.Learners.Members() {
-		l := NewLearner(topo, net.Port(id))
-		l.Start()
-		c.Learners = append(c.Learners, l)
+	for i := 0; i < nLearners; i++ {
+		c.Learners = append(c.Learners, NewLearner(topo))
 	}
 	return c
 }
@@ -245,13 +161,14 @@ func NewCluster(n, nLearners int) *Cluster {
 // Propose has the leader propose v.
 func (c *Cluster) Propose(v Value) { Propose(c.Topo, c.leader, v) }
 
-// Stop shuts the cluster down.
-func (c *Cluster) Stop() {
-	c.Net.Close()
-	for _, a := range c.Acceptors {
-		a.Stop()
+// Deliver hands env to the actor it is addressed to and reports the
+// value a learner learned, if env made one learn.
+func (c *Cluster) Deliver(env transport.Envelope) (Value, bool) {
+	switch n := len(c.Acceptors); {
+	case env.To >= 0 && env.To < n:
+		c.Acceptors[env.To].HandleEnvelope(env)
+	case env.To > n && env.To <= n+len(c.Learners):
+		return c.Learners[env.To-n-1].HandleEnvelope(env)
 	}
-	for _, l := range c.Learners {
-		l.Stop()
-	}
+	return "", false
 }

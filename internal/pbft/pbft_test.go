@@ -2,41 +2,52 @@ package pbft
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/transport"
 )
+
+// learned is one learner's outcome under the lockstep driver.
+type learned struct {
+	v      Value
+	delays int // the round it learned in; 0 if it never learned
+}
+
+// run delivers everything c's actors send under ls and returns what each
+// learner learned, and in which round.
+func run(ls *sim.Lockstep, c *Cluster) []learned {
+	out := make([]learned, len(c.Learners))
+	ls.Run(func(env transport.Envelope) {
+		if v, ok := c.Deliver(env); ok {
+			out[env.To-c.Topo.Leader-1] = learned{v, ls.Round()}
+		}
+	})
+	return out
+}
 
 func TestBaselineAlwaysFourDelays(t *testing.T) {
 	for _, n := range []int{4, 7} {
-		c := NewCluster(n, 2)
-		c.Propose("v")
-		for i, l := range c.Learners {
-			res, ok := l.Wait(5 * time.Second)
-			if !ok {
-				t.Fatalf("n=%d learner %d did not learn", n, i)
-			}
-			if res.V != "v" || res.Hops != 4 {
-				t.Errorf("n=%d learner %d: %+v, want v at 4 delays", n, i, res)
+		for seed := int64(1); seed <= 20; seed++ {
+			ls := &sim.Lockstep{Seed: seed}
+			c := NewCluster(n, 2, ls.Port)
+			c.Propose("v")
+			for i, got := range run(ls, c) {
+				if got != (learned{"v", 4}) {
+					t.Errorf("n=%d seed=%d learner %d: %+v, want v at 4 delays", n, seed, i, got)
+				}
 			}
 		}
-		c.Stop()
 	}
 }
 
 func TestBaselineToleratesCrashes(t *testing.T) {
 	// n = 3t+1 = 7 tolerates t = 2 crashed acceptors, still 4 delays.
-	c := NewCluster(7, 1)
-	defer c.Stop()
-	c.Net.Crash(5)
-	c.Net.Crash(6)
+	ls := &sim.Lockstep{Crashed: core.NewSet(5, 6), Seed: 1}
+	c := NewCluster(7, 1, ls.Port)
 	c.Propose("v")
-	res, ok := c.Learners[0].Wait(5 * time.Second)
-	if !ok {
-		t.Fatal("did not learn with t crashes")
-	}
-	if res.V != "v" || res.Hops != 4 {
-		t.Errorf("learned %+v, want v at 4 delays", res)
+	if got := run(ls, c)[0]; got != (learned{"v", 4}) {
+		t.Errorf("learned %+v, want v at 4 delays", got)
 	}
 }
 
@@ -51,16 +62,16 @@ func TestBaselineQuorum(t *testing.T) {
 }
 
 func TestBaselineIgnoresForeignLeader(t *testing.T) {
-	c := NewCluster(4, 1)
-	defer c.Stop()
+	ls := &sim.Lockstep{Seed: 1}
+	c := NewCluster(4, 1, ls.Port)
 	// A non-leader process sends a pre-prepare: acceptors must ignore it.
-	imposter := c.Net.Port(c.Topo.Learners.Min())
-	Propose(Topology{Acceptors: c.Topo.Acceptors, Leader: imposter.ID()}, imposter, "evil")
-	if res, ok := c.Learners[0].Wait(100 * time.Millisecond); ok {
-		t.Fatalf("learned %+v from an imposter", res)
+	imposter := c.Topo.Learners.Min()
+	Propose(Topology{Acceptors: c.Topo.Acceptors, Leader: imposter}, ls.Port(imposter), "evil")
+	if got := run(ls, c)[0]; got.delays != 0 {
+		t.Fatalf("learned %+v from an imposter", got)
 	}
 	c.Propose("good")
-	if res, ok := c.Learners[0].Wait(5 * time.Second); !ok || res.V != "good" {
-		t.Fatalf("got %+v, want good", res)
+	if got := run(ls, c)[0]; got.v != "good" {
+		t.Fatalf("got %+v, want good", got)
 	}
 }

@@ -54,16 +54,16 @@ func TestPipelinedEnvelopesPerDecision(t *testing.T) {
 
 // received is one slot message as a host's demultiplexer sees it.
 type received struct {
-	slot, hop int
-	payload   transport.Message
+	slot    int
+	payload transport.Message
 }
 
-// TestBurstOrderAndHops drives one host's outbox through slot ports,
-// as slot instances do, and unpacks what each destination receives:
-// every flush is one envelope per destination, each destination sees
-// its messages in send order within and across flushes, and every
-// unpacked envelope carries the hop its sender gave the message.
-func TestBurstOrderAndHops(t *testing.T) {
+// TestBurstOrder drives one host's outbox through slot ports, as slot
+// instances do, and unpacks what each destination receives: every
+// flush is one envelope per destination, each destination sees its
+// messages in send order within and across flushes, and a lone message
+// travels bare.
+func TestBurstOrder(t *testing.T) {
 	net := transport.NewNetwork(3)
 	defer net.Close()
 	out := outbox{port: net.Port(0)}
@@ -72,35 +72,35 @@ func TestBurstOrderAndHops(t *testing.T) {
 
 	// Flush 1: several slots to one destination set.
 	for slot := 0; slot < 4; slot++ {
-		port(slot).Broadcast(both, consensus.UpdateMsg{Step: 1, V: "v"}, slot+1)
+		transport.Broadcast(port(slot), both, consensus.UpdateMsg{Step: 1, V: "v"})
 	}
 	out.flush()
 	// Flush 2: mixed destinations, as a Byzantine acceptor's
 	// per-destination sends or a decision-pull reply produce.
-	port(4).SendHop(1, consensus.UpdateMsg{Step: 2, V: "to-1"}, 7)
-	port(5).Broadcast(both, consensus.DecisionMsg{V: "v"}, 0)
-	port(6).SendHop(2, consensus.UpdateMsg{Step: 2, V: "to-2"}, 9)
+	port(4).Send(1, consensus.UpdateMsg{Step: 2, V: "to-1"})
+	transport.Broadcast(port(5), both, consensus.DecisionMsg{V: "v"})
+	port(6).Send(2, consensus.UpdateMsg{Step: 2, V: "to-2"})
 	out.flush()
 	// Flush 3: a lone message travels bare.
-	port(7).SendHop(2, consensus.UpdateMsg{Step: 3, V: "v"}, 3)
+	port(7).Send(2, consensus.UpdateMsg{Step: 3, V: "v"})
 	out.flush()
 
 	flush1 := []received{
-		{0, 1, consensus.UpdateMsg{Step: 1, V: "v"}},
-		{1, 2, consensus.UpdateMsg{Step: 1, V: "v"}},
-		{2, 3, consensus.UpdateMsg{Step: 1, V: "v"}},
-		{3, 4, consensus.UpdateMsg{Step: 1, V: "v"}},
+		{0, consensus.UpdateMsg{Step: 1, V: "v"}},
+		{1, consensus.UpdateMsg{Step: 1, V: "v"}},
+		{2, consensus.UpdateMsg{Step: 1, V: "v"}},
+		{3, consensus.UpdateMsg{Step: 1, V: "v"}},
 	}
 	want := map[core.ProcessID][][]received{
 		1: {flush1, {
-			{4, 7, consensus.UpdateMsg{Step: 2, V: "to-1"}},
-			{5, 0, consensus.DecisionMsg{V: "v"}},
+			{4, consensus.UpdateMsg{Step: 2, V: "to-1"}},
+			{5, consensus.DecisionMsg{V: "v"}},
 		}},
 		2: {flush1, {
-			{5, 0, consensus.DecisionMsg{V: "v"}},
-			{6, 9, consensus.UpdateMsg{Step: 2, V: "to-2"}},
+			{5, consensus.DecisionMsg{V: "v"}},
+			{6, consensus.UpdateMsg{Step: 2, V: "to-2"}},
 		}, {
-			{7, 3, consensus.UpdateMsg{Step: 3, V: "v"}},
+			{7, consensus.UpdateMsg{Step: 3, V: "v"}},
 		}},
 	}
 	for to, envs := range want {
@@ -111,7 +111,7 @@ func TestBurstOrderAndHops(t *testing.T) {
 			}
 			var got []received
 			eachSlotMsg(env, func(slot int, env transport.Envelope) {
-				got = append(got, received{slot, env.Hop, env.Payload})
+				got = append(got, received{slot, env.Payload})
 			})
 			if !reflect.DeepEqual(got, wantMsgs) {
 				t.Errorf("to %d, envelope %d: unpacked %v, want %v", to, i, got, wantMsgs)
@@ -135,10 +135,10 @@ func TestDecisionPullForUnknownSlotCreatesNoAcceptor(t *testing.T) {
 	rqs := core.Example7RQS()
 	out := outbox{port: d.net.Port(rqs.N() + 1)} // the log host's address
 	for slot := 100; slot < 105; slot++ {        // one batch per acceptor
-		(&slotPort{out: &out, slot: slot}).Broadcast(rqs.Universe(), consensus.DecisionPullMsg{}, 0)
+		transport.Broadcast(&slotPort{out: &out, slot: slot}, rqs.Universe(), consensus.DecisionPullMsg{})
 	}
 	out.flush()
-	(&slotPort{out: &out, slot: 200}).Broadcast(rqs.Universe(), consensus.DecisionPullMsg{}, 0)
+	transport.Broadcast(&slotPort{out: &out, slot: 200}, rqs.Universe(), consensus.DecisionPullMsg{})
 	out.flush() // a bare pull
 	d.stop()    // every replica has drained its inbox: its map is ours to read
 	for i, r := range d.replicas {

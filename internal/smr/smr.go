@@ -42,12 +42,9 @@ import (
 	"repro/internal/transport"
 )
 
-// SlotMsg wraps a consensus message with its log-slot index and the hop
-// depth its sender gave it, which the receiver restores when it unpacks
-// the message (the envelope may be a SlotBatch with a hop of its own).
+// SlotMsg wraps a consensus message with its log-slot index.
 type SlotMsg struct {
 	Slot    int
-	Hop     int
 	Payload transport.Message
 }
 
@@ -113,23 +110,23 @@ func (o *outbox) flush() {
 // travels bare, so an isolated send pays no wrapper.
 func (o *outbox) send(dst core.Set, msgs []SlotMsg) {
 	if len(msgs) == 1 {
-		o.port.Broadcast(dst, msgs[0], msgs[0].Hop)
+		transport.Broadcast(o.port, dst, msgs[0])
 		return
 	}
-	o.port.Broadcast(dst, SlotBatch{Msgs: append([]SlotMsg(nil), msgs...)}, 0)
+	transport.Broadcast(o.port, dst, SlotBatch{Msgs: append([]SlotMsg(nil), msgs...)})
 }
 
 // eachSlotMsg calls deliver for every slot message env carries, in send
-// order, with the message's own hop restored on the envelope.
+// order, with the message's payload on the envelope.
 func eachSlotMsg(env transport.Envelope, deliver func(slot int, env transport.Envelope)) {
 	switch m := env.Payload.(type) {
 	case SlotMsg:
-		env.Hop, env.Payload = m.Hop, m.Payload
+		env.Payload = m.Payload
 		deliver(m.Slot, env)
 	case SlotBatch:
 		for i := range m.Msgs {
 			sm := &m.Msgs[i]
-			env.Hop, env.Payload = sm.Hop, sm.Payload
+			env.Payload = sm.Payload
 			deliver(sm.Slot, env)
 		}
 	}
@@ -166,21 +163,21 @@ var _ transport.Port = (*slotPort)(nil)
 func (p *slotPort) ID() core.ProcessID { return p.out.port.ID() }
 
 func (p *slotPort) Send(to core.ProcessID, payload transport.Message) {
-	p.SendHop(to, payload, 0)
+	p.Broadcast(core.Set(0).Add(to), payload, 0)
 }
 
-func (p *slotPort) SendHop(to core.ProcessID, payload transport.Message, hop int) {
-	p.Broadcast(core.Set(0).Add(to), payload, hop)
+func (p *slotPort) SendHop(to core.ProcessID, payload transport.Message, _ int) {
+	p.Send(to, payload)
 }
 
-func (p *slotPort) SendBatch(to core.ProcessID, payloads []transport.Message, hop int) {
+func (p *slotPort) SendBatch(to core.ProcessID, payloads []transport.Message, _ int) {
 	for _, pl := range payloads {
-		p.SendHop(to, pl, hop)
+		p.Send(to, pl)
 	}
 }
 
-func (p *slotPort) Broadcast(dst core.Set, payload transport.Message, hop int) {
-	p.out.add(dst, SlotMsg{Slot: p.slot, Hop: hop, Payload: payload})
+func (p *slotPort) Broadcast(dst core.Set, payload transport.Message, _ int) {
+	p.out.add(dst, SlotMsg{Slot: p.slot, Payload: payload})
 }
 
 func (p *slotPort) Inbox() <-chan transport.Envelope { return nil }

@@ -2,11 +2,9 @@
 // model (Sections 3.1 and 4.1): point-to-point channels between processes,
 // with controllable synchrony.
 //
-// The in-memory Network supports per-link delays, message drops, holds and
-// releases, and process crashes. Holds and releases are what let the test
-// suite and the lower-bound experiments replay the paper's proof schedules
-// (Figures 8 and 16) deterministically. A TCP transport with the same Port
-// interface backs the demo binaries.
+// The in-memory Network supports per-link delays, message drops (a
+// filter, or a seeded fault injector), and process crashes and restarts.
+// A TCP transport with the same Port interface backs the demo binaries.
 //
 // The data plane is built for contention: routing state (delays, crashes,
 // filter) lives in an immutable snapshot read without locking, delivery
@@ -29,9 +27,10 @@ import (
 // Message is a protocol payload. Protocol packages define concrete types.
 type Message any
 
-// Envelope carries a payload between two processes. Hop is the logical
-// message-delay depth used to measure consensus latency exactly: a message
-// sent in reaction to an envelope with hop h carries hop h+1.
+// Envelope carries a payload between two processes. Hop is a logical
+// depth the sender may stamp (the storage server marks a reply as one
+// deeper than its request); the protocols do not count delays with it —
+// sim.Lockstep counts them as rounds.
 type Envelope struct {
 	From    core.ProcessID
 	To      core.ProcessID
@@ -69,7 +68,6 @@ type Verdict int
 const (
 	Deliver Verdict = iota // deliver normally
 	Drop                   // silently discard (lossy channels, §4.1)
-	Hold                   // park until released (asynchrony scripting)
 )
 
 // Filter inspects an envelope before delivery.
@@ -122,8 +120,7 @@ const inboxCap = 4096
 type netConfig struct {
 	filter  Filter
 	inj     Injector
-	delay   time.Duration
-	linkDly []time.Duration // flat n×n, -1 = no override; nil when unused
+	linkDly []time.Duration // flat n×n; nil when no link is delayed
 	crashed core.Set
 }
 
@@ -162,10 +159,9 @@ type Network struct {
 	// contend with each other on it.
 	sendMu sync.RWMutex
 
-	// mu guards configuration writes and the held list; it is never
-	// taken on the delivery fast path.
-	mu   sync.Mutex
-	held []Envelope
+	// mu serializes configuration writes; it is never taken on the
+	// delivery fast path.
+	mu sync.Mutex
 
 	// filterMu serializes filter invocations, preserving the old
 	// guarantee that a stateful filter closure never runs concurrently.
@@ -225,12 +221,8 @@ func (net *Network) SetInjector(inj Injector) {
 	net.updateCfg(func(c *netConfig) { c.inj = inj })
 }
 
-// SetDelay sets the uniform link delay; per-link delays take precedence.
-func (net *Network) SetDelay(d time.Duration) {
-	net.updateCfg(func(c *netConfig) { c.delay = d })
-}
-
-// SetLinkDelay overrides the delay of the from→to link.
+// SetLinkDelay sets the delay of the from→to link; 0 restores instant
+// delivery.
 func (net *Network) SetLinkDelay(from, to core.ProcessID, d time.Duration) {
 	if from < 0 || from >= net.n || to < 0 || to >= net.n {
 		return
@@ -238,9 +230,6 @@ func (net *Network) SetLinkDelay(from, to core.ProcessID, d time.Duration) {
 	net.updateCfg(func(c *netConfig) {
 		if c.linkDly == nil {
 			c.linkDly = make([]time.Duration, net.n*net.n)
-			for i := range c.linkDly {
-				c.linkDly[i] = -1
-			}
 		}
 		c.linkDly[from*net.n+to] = d
 	})
@@ -263,34 +252,6 @@ func (net *Network) Restart(id core.ProcessID) {
 // Crashed returns the set of crashed processes.
 func (net *Network) Crashed() core.Set {
 	return net.cfg.Load().crashed
-}
-
-// ReleaseHeld re-injects every held envelope matching the predicate
-// (nil matches all). Released envelopes are re-filtered, so a filter that
-// still says Hold will park them again.
-func (net *Network) ReleaseHeld(match func(Envelope) bool) {
-	net.mu.Lock()
-	var release []Envelope
-	var keep []Envelope
-	for _, env := range net.held {
-		if match == nil || match(env) {
-			release = append(release, env)
-		} else {
-			keep = append(keep, env)
-		}
-	}
-	net.held = keep
-	net.mu.Unlock()
-	for _, env := range release {
-		net.dispatch(env)
-	}
-}
-
-// HeldCount returns the number of parked envelopes.
-func (net *Network) HeldCount() int {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	return len(net.held)
 }
 
 // Close shuts the network down: in-flight deliveries (including delayed
@@ -337,23 +298,14 @@ func (net *Network) dispatch(env Envelope) {
 		net.filterMu.Lock()
 		v := cfg.filter(env)
 		net.filterMu.Unlock()
-		switch v {
-		case Drop:
-			net.sendMu.RUnlock()
-			return
-		case Hold:
-			net.mu.Lock()
-			net.held = append(net.held, env)
-			net.mu.Unlock()
+		if v == Drop {
 			net.sendMu.RUnlock()
 			return
 		}
 	}
-	d := cfg.delay
+	var d time.Duration
 	if cfg.linkDly != nil && env.From >= 0 && env.From < net.n {
-		if ld := cfg.linkDly[env.From*net.n+env.To]; ld >= 0 {
-			d = ld
-		}
+		d = cfg.linkDly[env.From*net.n+env.To]
 	}
 	copies := 1
 	if cfg.inj != nil {
@@ -390,7 +342,7 @@ func (net *Network) dispatch(env Envelope) {
 // crashes need the per-envelope from/to check, so any of those falls
 // back to dispatch.
 func batchable(cfg *netConfig) bool {
-	return cfg.filter == nil && cfg.inj == nil && cfg.delay <= 0 && cfg.linkDly == nil && cfg.crashed == 0
+	return cfg.filter == nil && cfg.inj == nil && cfg.linkDly == nil && cfg.crashed == 0
 }
 
 // dispatchBroadcast routes one payload to every member of dst under a
@@ -641,10 +593,4 @@ func (p *memPort) Inbox() <-chan Envelope {
 // depth 0, through the transport's batched fan-out path.
 func Broadcast(p Port, dst core.Set, payload Message) {
 	p.Broadcast(dst, payload, 0)
-}
-
-// BroadcastHop sends payload with an explicit hop depth to each process
-// in dst, through the transport's batched fan-out path.
-func BroadcastHop(p Port, dst core.Set, payload Message, hop int) {
-	p.Broadcast(dst, payload, hop)
 }

@@ -287,7 +287,7 @@ type (
 	ConsensusOptions = sim.ConsensusOptions
 	// ElectionConfig tunes the view-change module (Figure 14).
 	ElectionConfig = consensus.ElectionConfig
-	// Learn is a learned value with its message-delay depth.
+	// Learn is a learned value with the decision rule that fired.
 	Learn = consensus.Learn
 )
 

@@ -26,8 +26,8 @@ func TestFacadeConsensusQuickstart(t *testing.T) {
 	defer c.Stop()
 	c.Proposers[0].Propose("x")
 	res, ok := c.Learners[0].Wait(5 * time.Second)
-	if !ok || res.V != "x" || res.Hops != 2 {
-		t.Errorf("learn = %+v %v, want x at 2 delays", res, ok)
+	if !ok || res.V != "x" {
+		t.Errorf("learn = %+v %v, want x", res, ok)
 	}
 }
 
