@@ -138,21 +138,21 @@ func BenchmarkE11ThroughputConsensusDecision(b *testing.B) {
 func BenchmarkE11ThroughputMWMRWrite(b *testing.B) {
 	c := NewStorage(Example7RQS(), StorageOptions{Timeout: 500 * time.Microsecond})
 	defer c.Stop()
-	w := c.MWWriter()
+	w := c.KVClient()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Write("v")
+		w.Put("", "v")
 	}
 }
 
 func BenchmarkE11ThroughputMWMRRead(b *testing.B) {
 	c := NewStorage(Example7RQS(), StorageOptions{Timeout: 500 * time.Microsecond})
 	defer c.Stop()
-	c.MWWriter().Write("v")
-	r := c.MWReader()
+	c.KVClient().Put("", "v")
+	r := c.KVClient()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Read()
+		r.Get("")
 	}
 }
 
@@ -188,8 +188,8 @@ func BenchmarkMWMRManyWriters(b *testing.B) {
 			cl := NewStorage(Example7RQS(), StorageOptions{Timeout: 500 * time.Microsecond, Clients: c})
 			defer cl.Stop()
 			sim.RunManyClients(b, c, func() func() error {
-				w := cl.MWWriter()
-				return func() error { w.Write("v"); return nil }
+				kv := cl.KVClient()
+				return func() error { _, err := kv.Put("", "v"); return err }
 			})
 		})
 	}

@@ -34,8 +34,8 @@ func memStorageLoad(r *core.RQS, c int, read bool) func(b *testing.B) {
 				rd := cl.Reader()
 				return func() error { rd.Read(); return nil }
 			}
-			w := cl.MWWriter()
-			return func() error { w.Write("v"); return nil }
+			kv := cl.KVClient()
+			return func() error { _, err := kv.Put("", "v"); return err }
 		})
 	}
 }
@@ -56,8 +56,8 @@ func memStorageAuthLoad(r *core.RQS, c int, mode auth.Mode) func(b *testing.B) {
 		})
 		defer cl.Stop()
 		sim.RunManyClients(b, c, func() func() error {
-			w := cl.MWWriter()
-			return func() error { w.Write("v"); return nil }
+			kv := cl.KVClient()
+			return func() error { _, err := kv.Put("", "v"); return err }
 		})
 	}
 }
@@ -81,8 +81,8 @@ func memStorageDurableLoad(r *core.RQS, c int, noSync bool) func(b *testing.B) {
 		})
 		defer cl.Stop()
 		sim.RunManyClients(b, c, func() func() error {
-			w := cl.MWWriter()
-			return func() error { w.Write("v"); return nil }
+			kv := cl.KVClient()
+			return func() error { _, err := kv.Put("", "v"); return err }
 		})
 	}
 }
@@ -167,8 +167,8 @@ func tcpStorageLoad(r *core.RQS, c int, read bool) func(b *testing.B) {
 				rd := cl.Reader()
 				return func() error { rd.Read(); return nil }
 			}
-			w := cl.MWWriter()
-			return func() error { w.Write("v"); return nil }
+			kv := cl.KVClient()
+			return func() error { _, err := kv.Put("", "v"); return err }
 		})
 	}
 }

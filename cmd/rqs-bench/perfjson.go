@@ -152,16 +152,15 @@ func perfSuiteSpecs() ([]benchSpec, error) {
 		return func(b *testing.B) {
 			c := sim.NewStorageCluster(r, sim.StorageOptions{Timeout: 500 * time.Microsecond})
 			defer c.Stop()
-			w := c.MWWriter()
-			w.Write("v")
-			rd := c.MWReader()
+			w, rd := c.KVClient(), c.KVClient()
+			w.Put("", "v")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if read {
-					rd.Read()
+					rd.Get("")
 				} else {
-					w.Write("v")
+					w.Put("", "v")
 				}
 			}
 		}

@@ -21,7 +21,8 @@
 //	rqs-demo -role mwmr-write -id 7 -value from-w7 &
 //	rqs-demo -role mwmr-read  -id 8
 //
-// A multi-writer write always uses two round-trips (read phase to
+// The mwmr roles are kv-put and kv-get on the register at key "". A
+// multi-writer write always uses two round-trips (read phase to
 // discover the maximum tag, then the write); an uncontended read
 // completes in one.
 //
@@ -127,6 +128,13 @@ func run(args []string) error {
 		return *id, nil
 	}
 
+	// The mwmr roles are kv-put and kv-get on the register at key "".
+	switch *role {
+	case "mwmr-write":
+		*role, *key = "kv-put", ""
+	case "mwmr-read":
+		*role, *key = "kv-get", ""
+	}
 	switch *role {
 	case "server":
 		if *id < 0 {
@@ -185,44 +193,6 @@ func run(args []string) error {
 			val = "⊥"
 		}
 		fmt.Printf("read %q (timestamp %d) in %d round(s)\n", val, res.TS, res.Rounds)
-		return nil
-
-	case "mwmr-write":
-		cid, err := clientID()
-		if err != nil {
-			return err
-		}
-		node, err := transport.NewTCPNode(cid, addrs)
-		if err != nil {
-			return err
-		}
-		defer node.Close()
-		// No timestamp resume dance: the write's read phase discovers
-		// the maximum tag, and the writer ID keeps tags unique.
-		w := storage.NewMWWriter(system, node)
-		res := w.Write(*value)
-		fmt.Printf("mwmr wrote %q with tag (ts=%d, writer=%d) in %d round(s)\n",
-			*value, res.Tag.TS, res.Tag.Writer, res.Rounds)
-		return nil
-
-	case "mwmr-read":
-		cid, err := clientID()
-		if err != nil {
-			return err
-		}
-		node, err := transport.NewTCPNode(cid, addrs)
-		if err != nil {
-			return err
-		}
-		defer node.Close()
-		r := storage.NewMWReader(system, node)
-		res := r.Read()
-		val := res.Val
-		if val == storage.NoValue {
-			val = "⊥"
-		}
-		fmt.Printf("mwmr read %q (tag ts=%d, writer=%d) in %d round(s)\n",
-			val, res.Tag.TS, res.Tag.Writer, res.Rounds)
 		return nil
 
 	case "kv-put", "kv-get", "kv-cas":

@@ -154,12 +154,15 @@ func TestMWMRWriteReadRoles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	res := storage.NewMWReader(system, node).Read()
-	if res.Tag.TS != 2 {
-		t.Fatalf("final tag = %+v, want ts 2 (two writes)", res.Tag)
+	val, ver, err := storage.NewKVClient([]storage.KVGroup{{System: system, Port: node}}).Get("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Val != "from-w6" && res.Val != "from-w7" {
-		t.Fatalf("final value = %q, want one of the two writes", res.Val)
+	if ver.TS != 2 {
+		t.Fatalf("final version = %+v, want ts 2 (two writes)", ver)
+	}
+	if val != "from-w6" && val != "from-w7" {
+		t.Fatalf("final value = %q, want one of the two writes", val)
 	}
 }
 

@@ -1,8 +1,7 @@
 package expt
 
 import (
-	"sync"
-	"sync/atomic"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -26,7 +25,9 @@ import (
 //	     — server s2 ∈ Q1 ∩ Q2 ∩ Q2' \ B34 (Property 3b's witness) is
 //	     what makes that possible.
 //
-// The recorded history is checked for atomicity.
+// The recorded history is checked for atomicity. The executions run
+// under sim.Lockstep, so rounds — and the history's real-time order —
+// are lockstep rounds, the same on every run.
 func E4Fig4() *Table {
 	tbl := &Table{
 		ID:      "E4",
@@ -39,15 +40,15 @@ func E4Fig4() *Table {
 		sSix  = 5 // s6
 	)
 	var (
-		c          *sim.StorageCluster
-		forgetting atomic.Bool
+		st         *sim.LockstepStorage
+		forgetting bool
 	)
 	// B12 = {s1, s2}: once activated, they report their real state with
 	// the round-2 writeback's quorum ids stripped.
 	forget := func(id core.ProcessID) storage.Hooks {
 		return storage.Hooks{ForgeHistory: func() storage.History {
-			h := c.Servers[id].HistorySnapshot()
-			if !forgetting.Load() {
+			h := st.Servers[id].HistorySnapshot()
+			if !forgetting {
 				return h
 			}
 			for ts, row := range h {
@@ -59,77 +60,51 @@ func E4Fig4() *Table {
 			return h
 		}}
 	}
-	c = sim.NewStorageCluster(core.Example7RQS(), sim.StorageOptions{
-		Timeout: 2 * time.Millisecond,
-		Clients: 3,
-		Hooks:   map[core.ProcessID]storage.Hooks{0: forget(0), 1: forget(1)},
-	})
-	defer c.Stop()
+	ls := &sim.Lockstep{Seed: 1}
+	st = sim.NewLockstepStorage(core.Example7RQS(), ls, map[core.ProcessID]storage.Hooks{0: forget(0), 1: forget(1)})
 	rec := histcheck.NewRecorder()
-	record := func(kind histcheck.Kind, client string, ts int64, inv time.Time) {
-		rec.Record(histcheck.Op{Kind: kind, Client: client, TS: ts, Inv: inv, Resp: time.Now()})
-	}
 
-	w := c.Writer()
-	r1 := c.Reader()
-	r2 := c.Reader()
+	w := st.Writer()
+	r1 := st.Reader(storage.ReaderOptions{})
+	r2 := st.Reader(storage.ReaderOptions{})
+	writerID, r1ID, r2ID := core.ProcessID(6), core.ProcessID(7), core.ProcessID(8)
 
 	// ex1: plain fast write.
-	inv := time.Now()
-	w1 := w.Write("one")
-	record(histcheck.Write, "w", w1.TS, inv)
+	op := st.Start(w, w.StartWrite("one"))
+	st.Run()
+	w1 := w.Result()
+	recordLockstep(rec, histcheck.Write, "w", w1.TS, op)
 	tbl.AddRow("ex1", "write(1)", w1.Rounds, "one", verdictRounds(w1.Rounds, 1))
 
 	// ex3: the next write stalls — s6 is cut off from everyone and the
-	// writer's rounds ≥ 2 are held, so write(2) reaches s1..s5 in round 1
-	// and never completes.
-	writerID := core.ProcessID(6)
-	r1ID := core.ProcessID(7)
-	c.Net.SetFilter(func(env transport.Envelope) transport.Verdict {
-		if env.From == sSix || env.To == sSix {
-			return transport.Drop
-		}
-		if env.From == writerID {
-			if req, isW := env.Payload.(storage.WriteReq); isW && req.Round >= 2 {
-				return transport.Drop
-			}
-		}
-		return transport.Deliver
-	})
-	invW := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w.Write("two") // stalls until the network closes
-	}()
-	record(histcheck.Write, "w", w1.TS+1, invW) // pending write; see E1 notes
-	time.Sleep(6 * time.Millisecond)
+	// writer's rounds ≥ 2 are dropped, so write(2) reaches s1..s5 in
+	// round 1 and never completes.
+	ls.Drop = func(env transport.Envelope) bool {
+		req, isW := env.Payload.(storage.WriteReq)
+		return env.From == sSix || env.To == sSix || env.From == writerID && isW && req.Round >= 2
+	}
+	op = st.Start(w, w.StartWrite("two"))
+	st.Run()
+	recordLockstep(rec, histcheck.Write, "w", w1.TS+1, op) // pending write; see E1 notes
 
-	inv = time.Now()
-	rd1 := r1.Read()
-	record(histcheck.Read, "r1", rd1.TS, inv)
+	op = st.Start(r1, r1.StartRead())
+	st.Run()
+	rd1 := r1.Result()
+	recordLockstep(rec, histcheck.Read, "r1", rd1.TS, op)
 	tbl.AddRow("ex3", "rd by r1 (Q2)", rd1.Rounds, render(rd1.Val), verdictRounds(rd1.Rounds, 2))
 
 	// ex4: s5 crashes, B12 forget rd's round 2, s6 becomes reachable
 	// again for r2; rd' talks to Q2'.
-	c.Net.Crash(sFive)
-	forgetting.Store(true)
-	c.Net.SetFilter(func(env transport.Envelope) transport.Verdict {
-		if env.From == sSix && env.To != 8 || env.To == sSix && env.From != 8 {
-			return transport.Drop
-		}
-		if env.From == writerID || env.To == writerID {
-			return transport.Drop
-		}
-		if env.From == r1ID || env.To == r1ID {
-			return transport.Drop
-		}
-		return transport.Deliver
-	})
-	inv = time.Now()
-	rd2 := r2.Read()
-	record(histcheck.Read, "r2", rd2.TS, inv)
+	ls.Crashed = core.NewSet(sFive)
+	forgetting = true
+	ls.Drop = func(env transport.Envelope) bool {
+		return env.From == sSix && env.To != r2ID || env.To == sSix && env.From != r2ID ||
+			env.From == writerID || env.To == writerID || env.From == r1ID || env.To == r1ID
+	}
+	op = st.Start(r2, r2.StartRead())
+	st.Run()
+	rd2 := r2.Result()
+	recordLockstep(rec, histcheck.Read, "r2", rd2.TS, op)
 	tbl.AddRow("ex4", "rd' by r2 (Q2')", rd2.Rounds, render(rd2.Val), verdictValue(rd2.Val, "two"))
 
 	verdict := "atomic"
@@ -139,10 +114,17 @@ func E4Fig4() *Table {
 	tbl.AddRow("all", "history check", "-", "-", verdict)
 	tbl.Notes = append(tbl.Notes,
 		"rd' succeeds because s2 (the P3b witness of Q1∩Q2∩Q2'∖B34) vouches for the value: Property 3 at work")
-
-	c.Net.Close() // unblock the stalled writer before Stop
-	wg.Wait()
 	return tbl
+}
+
+// recordLockstep records o in rec with its lockstep rounds as the
+// real-time instants; a pending operation never responds.
+func recordLockstep(rec *histcheck.Recorder, kind histcheck.Kind, client string, ts int64, o *sim.LockstepOp) {
+	resp := o.Resp
+	if !o.Done() {
+		resp = math.MaxInt32
+	}
+	rec.Record(histcheck.Op{Kind: kind, Client: client, TS: ts, Inv: time.Unix(0, int64(o.Inv)), Resp: time.Unix(0, int64(resp))})
 }
 
 func verdictRounds(got, want int) string {

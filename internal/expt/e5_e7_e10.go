@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/pbft"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
@@ -24,7 +25,8 @@ func threeClassRQS() *core.RQS {
 
 // E5StorageLatency measures storage rounds per surviving quorum class
 // (Theorem 9: the algorithm is (m,QCm)-fast) against the ABD baseline
-// (reads always two rounds) on the same crash patterns.
+// (reads always two rounds) on the same crash patterns. The RQS columns
+// are counted by sim.Lockstep, so they do not depend on the scheduler.
 func E5StorageLatency() *Table {
 	tbl := &Table{
 		ID:      "E5",
@@ -41,17 +43,17 @@ func E5StorageLatency() *Table {
 		{"class 3 (5 alive)", core.NewSet(5, 6, 7)},
 	}
 	for _, tc := range cases {
-		// RQS storage.
-		c := sim.NewStorageCluster(threeClassRQS(), sim.StorageOptions{Timeout: timeout})
-		c.CrashServers(tc.crash)
-		w, r := c.Writer(), c.Reader()
-		wres := w.Write("v")
-		rres := r.Read()
-		c.Stop()
+		// RQS storage, rounds counted by the lockstep driver.
+		st := sim.NewLockstepStorage(threeClassRQS(), &sim.Lockstep{Crashed: tc.crash, Seed: 1}, nil)
+		w, r := st.Writer(), st.Reader(storage.ReaderOptions{})
+		st.Start(w, w.StartWrite("v"))
+		st.Run()
+		st.Start(r, r.StartRead())
+		st.Run()
 
 		// ABD baseline on 8 servers (majority 5): survives ≤ 3 crashes.
 		bw, br := runABD(8, tc.crash, timeout)
-		tbl.AddRow(tc.label, tc.crash, wres.Rounds, rres.Rounds, bw, br)
+		tbl.AddRow(tc.label, tc.crash, w.Result().Rounds, r.Result().Rounds, bw, br)
 	}
 	tbl.Notes = append(tbl.Notes,
 		"shape matches §3: RQS degrades 1→2→3 rounds with the surviving class; ABD reads pay 2 rounds regardless",

@@ -1,10 +1,6 @@
 package expt
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/histcheck"
 	"repro/internal/sim"
@@ -84,111 +80,79 @@ func runTheorem3Schedule(rqs *core.RQS) E6Outcome {
 	round2Dst := q1.Intersect(q2)
 
 	var (
-		c       *sim.StorageCluster
-		forging atomic.Bool
+		st      *sim.LockstepStorage
+		forging bool
 	)
 	sigma0 := func(id core.ProcessID) storage.Hooks {
 		return storage.Hooks{ForgeHistory: func() storage.History {
-			if forging.Load() {
+			if forging {
 				return storage.History{}
 			}
-			return c.Servers[id].HistorySnapshot()
+			return st.Servers[id].HistorySnapshot()
 		}}
 	}
-	c = sim.NewStorageCluster(rqs, sim.StorageOptions{
-		Timeout: 2 * time.Millisecond,
-		Clients: 3,
-		Hooks:   map[core.ProcessID]storage.Hooks{2: sigma0(2), 3: sigma0(3)},
-	})
-	defer c.Stop()
+	ls := &sim.Lockstep{Seed: 1}
+	st = sim.NewLockstepStorage(rqs, ls, map[core.ProcessID]storage.Hooks{2: sigma0(2), 3: sigma0(3)})
+	w := st.Writer()
+	r1 := st.Reader(storage.ReaderOptions{})
+	r2 := st.Reader(storage.ReaderOptions{})
+	// talksTo confines client id to the servers in q.
+	talksTo := func(env transport.Envelope, id core.ProcessID, q core.Set) bool {
+		return env.From == id && q.Contains(env.To) || env.To == id && q.Contains(env.From)
+	}
+	rec := histcheck.NewRecorder()
 
 	// Phase 1: the write. Round 1 misses s6; round 2 reaches only
-	// Q1 ∩ Q2; the writer then crashes (everything later is dropped).
-	c.Net.SetFilter(func(env transport.Envelope) transport.Verdict {
-		if env.From == writerID || env.To == writerID {
-			if env.From == writerID {
-				req, isW := env.Payload.(storage.WriteReq)
-				switch {
-				case !isW:
-					return transport.Drop
-				case req.Round == 1 && env.To == sSix:
-					return transport.Drop
-				case req.Round == 2 && !round2Dst.Contains(env.To):
-					return transport.Drop
-				case req.Round >= 3:
-					return transport.Drop
-				}
-			}
+	// Q1 ∩ Q2; the writer then crashes (everything later is dropped),
+	// so the write stays pending.
+	ls.Drop = func(env transport.Envelope) bool {
+		if env.From != writerID {
+			return false
 		}
-		return transport.Deliver
-	})
-	rec := histcheck.NewRecorder()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	w := c.Writer()
-	go func() {
-		defer wg.Done()
-		w.Write("v1") // stalls in round 2 forever
-	}()
-	rec.Record(histcheck.Op{
-		Kind: histcheck.Write, Client: "w", TS: 1,
-		Inv: time.Now(), Resp: time.Now().Add(time.Hour),
-	})
-	time.Sleep(10 * time.Millisecond)
+		req, isW := env.Payload.(storage.WriteReq)
+		return !isW || req.Round == 1 && env.To == sSix ||
+			req.Round == 2 && !round2Dst.Contains(env.To) || req.Round >= 3
+	}
+	op := st.Start(w, w.StartWrite("v1"))
+	st.Run()
+	recordLockstep(rec, histcheck.Write, "w", 1, op)
 
 	// Phase 2: rd1 talks only to Q1.
-	c.Net.SetFilter(func(env transport.Envelope) transport.Verdict {
-		switch {
-		case env.From == r1ID && !q1.Contains(env.To),
-			env.To == r1ID && !q1.Contains(env.From):
-			return transport.Drop
-		case env.From == writerID || env.To == writerID:
-			return transport.Drop
-		}
-		return transport.Deliver
-	})
-	r1 := c.Reader()
-	inv := time.Now()
-	rd1 := r1.Read()
-	rec.Record(histcheck.Op{Kind: histcheck.Read, Client: "r1", TS: rd1.TS, Inv: inv, Resp: time.Now()})
+	ls.Drop = func(env transport.Envelope) bool {
+		return env.From == writerID || env.To == writerID ||
+			(env.From == r1ID || env.To == r1ID) && !talksTo(env, r1ID, q1)
+	}
+	op = st.Start(r1, r1.StartRead())
+	st.Run()
+	out := E6Outcome{Rd1: r1.Result()}
+	recordLockstep(rec, histcheck.Read, "r1", out.Rd1.TS, op)
 
 	// Phase 3: s5 crashes, {s3, s4} forge σ0.
-	c.Net.Crash(4)
-	forging.Store(true)
+	ls.Crashed = core.NewSet(4)
+	forging = true
 
-	// Phase 4: rd2 talks to Q2' (everything else for r2 is dropped).
-	c.Net.SetFilter(func(env transport.Envelope) transport.Verdict {
-		switch {
-		case env.From == r2ID && !q2p.Contains(env.To),
-			env.To == r2ID && !q2p.Contains(env.From):
-			return transport.Drop
-		case env.From == writerID || env.To == writerID,
-			env.From == r1ID || env.To == r1ID:
-			return transport.Drop
-		}
-		return transport.Deliver
-	})
-	r2 := c.Reader()
-	out := E6Outcome{Rd1: rd1}
-	type rdRes struct{ res storage.ReadResult }
-	ch := make(chan rdRes, 1)
-	inv = time.Now()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ch <- rdRes{r2.Read()}
-	}()
-	select {
-	case r := <-ch:
-		out.Rd2 = r.res
-		rec.Record(histcheck.Op{Kind: histcheck.Read, Client: "r2", TS: r.res.TS, Inv: inv, Resp: time.Now()})
-	case <-time.After(150 * time.Millisecond):
+	// Phase 4: rd2 talks to Q2' (everything else for r2 is dropped). It
+	// is blocked if it is still pending once the network is quiescent.
+	// Its query rounds after the second are dropped too: no write is in
+	// flight, so every later round would see exactly the histories the
+	// second saw, and a read that selected no candidate by then never
+	// will — it would otherwise query forever.
+	ls.Drop = func(env transport.Envelope) bool {
+		req, isR := env.Payload.(storage.ReadReq)
+		return env.From == writerID || env.To == writerID || env.From == r1ID || env.To == r1ID ||
+			(env.From == r2ID || env.To == r2ID) && !talksTo(env, r2ID, q2p) ||
+			isR && req.Round > 2
+	}
+	op = st.Start(r2, r2.StartRead())
+	st.Run()
+	if op.Done() {
+		out.Rd2 = r2.Result()
+		recordLockstep(rec, histcheck.Read, "r2", out.Rd2.TS, op)
+	} else {
 		out.Rd2Blocked = true
 	}
 	if v := rec.Check(); v != nil {
 		out.Violation = v.Reason
 	}
-	c.Net.Close() // unblock the stalled writer (and rd2, if blocked)
-	wg.Wait()
 	return out
 }

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 func TestE1GreedyViolatesSafeDoesNot(t *testing.T) {
@@ -61,6 +63,12 @@ func TestE4Fig4Executions(t *testing.T) {
 	}
 }
 
+func TestE4Deterministic(t *testing.T) {
+	if a, b := E4Fig4().Format(), E4Fig4().Format(); a != b {
+		t.Errorf("E4 differs between runs:\n%s\n%s", a, b)
+	}
+}
+
 func TestE5LatencyShape(t *testing.T) {
 	tbl := E5StorageLatency()
 	if len(tbl.Rows) != 3 {
@@ -95,8 +103,19 @@ func TestE6Theorem3Shape(t *testing.T) {
 	if valid.Rd1.Val != "v1" {
 		t.Errorf("valid rd1 = %+v, want v1", valid.Rd1)
 	}
-	if !valid.Rd2Blocked && valid.Rd2.Val != "v1" {
-		t.Errorf("valid rd2 = %+v, want v1 or blocked", valid.Rd2)
+	if broken.Rd2Blocked || broken.Rd2.Val != storage.NoValue {
+		t.Errorf("broken rd2 = %+v (blocked %v), want ⊥", broken.Rd2, broken.Rd2Blocked)
+	}
+	if !valid.Rd2Blocked {
+		t.Errorf("valid rd2 = %+v, want blocked", valid.Rd2)
+	}
+}
+
+func TestE6Deterministic(t *testing.T) {
+	a, _ := E6Theorem3()
+	b, _ := E6Theorem3()
+	if a.Format() != b.Format() {
+		t.Errorf("E6 differs between runs:\n%s\n%s", a.Format(), b.Format())
 	}
 }
 

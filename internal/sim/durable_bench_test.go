@@ -28,10 +28,10 @@ func BenchmarkDurableWriteC64(b *testing.B) {
 	var mu sync.Mutex
 	var lats []time.Duration
 	RunManyClients(b, 64, func() func() error {
-		w := cl.MWWriter()
+		kv := cl.KVClient()
 		return func() error {
 			t0 := time.Now()
-			w.Write("v")
+			kv.Put("", "v")
 			d := time.Since(t0)
 			mu.Lock()
 			lats = append(lats, d)

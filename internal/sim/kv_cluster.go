@@ -95,11 +95,7 @@ func newKVCluster(rqs *core.RQS, opts KVOptions, tcp bool) (*KVCluster, error) {
 func (c *KVCluster) Client() *storage.KVClient {
 	groups := make([]storage.KVGroup, len(c.Groups))
 	for g, sc := range c.Groups {
-		groups[g] = storage.KVGroup{System: sc.RQS, Port: sc.clientPort()}
-		if sc.auth != nil {
-			groups[g].Signer = mustSigner(sc.auth, groups[g].Port.ID())
-			groups[g].Verifier = sc.auth.Verifier()
-		}
+		groups[g] = sc.kvGroup()
 	}
 	return storage.NewKVClient(groups)
 }

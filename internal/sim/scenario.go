@@ -530,27 +530,30 @@ func runSWMRWorkload(d *StorageCluster, rec *histcheck.Recorder, opTimeout time.
 // Client creation order is fixed (writers on ports n, n+1; readers on
 // n+2, n+3) so scripted rules can address clients by process ID.
 func runMWMRWorkload(d *StorageCluster, rec *histcheck.Recorder, opTimeout time.Duration, authStats *storage.AuthStats) error {
-	writers := []*storage.MWWriter{d.MWWriter(), d.MWWriter()}
-	readers := []*storage.MWReader{d.MWReader(), d.MWReader()}
+	writers := []*storage.KVClient{d.KVClient(), d.KVClient()}
+	readers := []*storage.KVClient{d.KVClient(), d.KVClient()}
 	defer func() {
-		for _, w := range writers {
-			authStats.Add(w.AuthStats())
-		}
-		for _, r := range readers {
-			authStats.Add(r.AuthStats())
+		for _, c := range append(writers, readers...) {
+			authStats.Add(c.AuthStats())
 		}
 	}()
+	read := func(r *storage.KVClient) func(context.Context) (int64, error) {
+		return func(ctx context.Context) (int64, error) {
+			_, ver, err := r.GetCtx(ctx, "")
+			return ver.Packed(), err
+		}
+	}
 
 	errs := make(chan error, len(writers)+len(readers))
 	var wg sync.WaitGroup
 	for wi, w := range writers {
 		wg.Add(1)
-		go func(name string, w *storage.MWWriter) {
+		go func(name string, w *storage.KVClient) {
 			defer wg.Done()
 			for i := 0; i < mwmrOps; i++ {
 				err := record(rec, histcheck.Write, name, opTimeout, func(ctx context.Context) (int64, error) {
-					res, err := w.WriteCtx(ctx, fmt.Sprintf("%s-v%d", name, i))
-					return res.Tag.Packed(), err
+					ver, err := w.PutCtx(ctx, "", fmt.Sprintf("%s-v%d", name, i))
+					return ver.Packed(), err
 				})
 				if err != nil {
 					errs <- err
@@ -561,14 +564,10 @@ func runMWMRWorkload(d *StorageCluster, rec *histcheck.Recorder, opTimeout time.
 	}
 	for ri, r := range readers {
 		wg.Add(1)
-		go func(name string, r *storage.MWReader) {
+		go func(name string, r *storage.KVClient) {
 			defer wg.Done()
 			for i := 0; i < mwmrOps; i++ {
-				err := record(rec, histcheck.Read, name, opTimeout, func(ctx context.Context) (int64, error) {
-					res, err := r.ReadCtx(ctx)
-					return res.Tag.Packed(), err
-				})
-				if err != nil {
+				if err := record(rec, histcheck.Read, name, opTimeout, read(r)); err != nil {
 					errs <- err
 					return
 				}
@@ -582,11 +581,7 @@ func runMWMRWorkload(d *StorageCluster, rec *histcheck.Recorder, opTimeout time.
 	default:
 	}
 	for ri, r := range readers {
-		err := record(rec, histcheck.Read, fmt.Sprintf("settle%d", ri), opTimeout, func(ctx context.Context) (int64, error) {
-			res, err := r.ReadCtx(ctx)
-			return res.Tag.Packed(), err
-		})
-		if err != nil {
+		if err := record(rec, histcheck.Read, fmt.Sprintf("settle%d", ri), opTimeout, read(r)); err != nil {
 			return err
 		}
 	}

@@ -262,25 +262,23 @@ func (c *StorageCluster) Reader() *storage.Reader {
 	return storage.NewReader(c.RQS, c.clientPort(), c.Timeout)
 }
 
-// MWWriter returns a multi-writer client on a fresh client port; its
-// writer ID is the port's process ID, so every MWWriter from one
-// cluster tags its writes distinctly. On an authenticated cluster the
-// writer signs with the key provisioned for its port's identity.
-func (c *StorageCluster) MWWriter() *storage.MWWriter {
-	port := c.clientPort()
-	if c.auth != nil {
-		return storage.NewMWWriterAuth(c.RQS, port, mustSigner(c.auth, port.ID()), c.auth.Verifier())
-	}
-	return storage.NewMWWriter(c.RQS, port)
+// KVClient returns a single-group KV client on a fresh client port; its
+// writer ID is the port's process ID, so every client from one cluster
+// tags its writes distinctly. On an authenticated cluster it signs with
+// the key provisioned for its port's identity.
+func (c *StorageCluster) KVClient() *storage.KVClient {
+	return storage.NewKVClient([]storage.KVGroup{c.kvGroup()})
 }
 
-// MWReader returns a multi-reader client on a fresh client port.
-func (c *StorageCluster) MWReader() *storage.MWReader {
-	port := c.clientPort()
+// kvGroup is this cluster as one KV shard group, seen through a fresh
+// client port.
+func (c *StorageCluster) kvGroup() storage.KVGroup {
+	g := storage.KVGroup{System: c.RQS, Port: c.clientPort()}
 	if c.auth != nil {
-		return storage.NewMWReaderAuth(c.RQS, port, c.auth.Verifier())
+		g.Signer = mustSigner(c.auth, g.Port.ID())
+		g.Verifier = c.auth.Verifier()
 	}
-	return storage.NewMWReader(c.RQS, port)
+	return g
 }
 
 // ReaderOpts returns a reader with explicit options (regular semantics,

@@ -14,13 +14,10 @@ import (
 
 // ErrClosed reports that the client's transport port closed while an
 // operation was in flight: the operation did not complete and its
-// result carries no information. Unlike the legacy register clients
-// (which return a zero result with a nil error on shutdown, relying on
-// the caller owning the teardown), the Store interface is generic —
-// its users must be able to tell "key unwritten" / "write committed"
-// from "client shut down", so the KV methods surface the condition as
-// an error. The client stays safe to call; every later operation also
-// returns ErrClosed.
+// result carries no information. Callers must be able to tell "key
+// unwritten" / "write committed" from "client shut down", so every
+// client surfaces the condition as an error. The client stays safe to
+// call; every later operation also returns ErrClosed.
 var ErrClosed = errors.New("storage: client port closed")
 
 // ErrCASConflict reports a CAS that definitively lost: the key moved
@@ -258,32 +255,18 @@ func (kv *KVClient) Get(key string) (string, Version, error) {
 	return kv.GetCtx(context.Background(), key)
 }
 
-// GetCtx is Get with a per-operation deadline.
+// GetCtx is Get with a per-operation deadline: a read phase selects the
+// maximum tag at a quorum, then a writeback installs it at a quorum
+// unless a class-3 quorum already reported it (the one-round fast
+// path). It returns ErrClosed when the port closes mid-operation: an
+// unfinished writeback leaves the value unstable for later readers.
 func (kv *KVClient) GetCtx(ctx context.Context, key string) (string, Version, error) {
 	c := &kv.groups[kv.GroupFor(key)]
-	done := ctx.Done()
-	c.aborted = false
-	c.readPhase(key, done)
-	if c.aborted {
-		return NoValue, Version{}, ctx.Err()
+	c.key = key
+	if err := c.drive(ctx, c, c.readPhase(false)); err != nil {
+		return NoValue, Version{}, err
 	}
-	if c.closed {
-		return NoValue, Version{}, ErrClosed
-	}
-	tag, val := c.maxTag, c.maxVal
-	if _, ok := c.rqs.ContainedQuorum(c.withMax, core.Class3); ok {
-		return val, tag, nil
-	}
-	c.writePhase(key, tag, val, c.maxSig, done)
-	if c.aborted {
-		return NoValue, Version{}, ctx.Err()
-	}
-	if c.closed {
-		// The writeback did not reach a quorum; the read's value is not
-		// guaranteed to be stable for later readers.
-		return NoValue, Version{}, ErrClosed
-	}
-	return val, tag, nil
+	return c.maxVal, c.maxTag, nil
 }
 
 // Put unconditionally writes val under key.
@@ -291,30 +274,18 @@ func (kv *KVClient) Put(key, val string) (Version, error) {
 	return kv.PutCtx(context.Background(), key, val)
 }
 
-// PutCtx is Put with a per-operation deadline. An aborted Put may be
-// partially applied; the client remains usable.
+// PutCtx is Put with a per-operation deadline: a tag query discovers
+// the key's maximum tag at a quorum, then a write phase stores the value
+// under 〈maxTS+1, clientID〉 at a quorum. An aborted Put may be
+// partially applied and must not report as committed; the client
+// remains usable.
 func (kv *KVClient) PutCtx(ctx context.Context, key, val string) (Version, error) {
 	c := &kv.groups[kv.GroupFor(key)]
-	done := ctx.Done()
-	c.aborted = false
-	c.queryPhase(key, done)
-	if c.aborted {
-		return Version{}, ctx.Err()
+	c.key, c.val = key, val
+	if err := c.drive(ctx, c, c.readPhase(true)); err != nil {
+		return Version{}, err
 	}
-	if c.closed {
-		return Version{}, ErrClosed
-	}
-	tag := Tag{TS: c.maxTag.TS + 1, Writer: kv.id}
-	c.writePhase(key, tag, val, c.signTag(key, tag, val), done)
-	if c.aborted {
-		return Version{}, ctx.Err()
-	}
-	if c.closed {
-		// The write phase never completed at a quorum: the put is at
-		// best partially applied and must not report as committed.
-		return Version{}, ErrClosed
-	}
-	return tag, nil
+	return c.tag, nil
 }
 
 // CAS installs val iff key's version still equals expect (see the CAS
@@ -325,93 +296,77 @@ func (kv *KVClient) CAS(key string, expect Version, val string) (CASResult, erro
 
 // CASCtx is CAS with a per-operation deadline. An aborted or failed
 // CAS may still have deposited its value at a minority of servers; it
-// then acts as a concurrent write under its tag. A definitive loss
-// (some server moved past expect and success became impossible)
-// returns *ErrCASConflict with the newest observed version, so retry
-// loops re-read instead of spinning on the stale expect.
+// then acts as a concurrent write under its tag, and ErrClosed means
+// the same: no quorum verdict. A definitive loss (some server moved
+// past expect and success became impossible) returns *ErrCASConflict
+// with the newest observed version, so retry loops re-read instead of
+// spinning on the stale expect.
 func (kv *KVClient) CASCtx(ctx context.Context, key string, expect Version, val string) (CASResult, error) {
 	c := &kv.groups[kv.GroupFor(key)]
-	done := ctx.Done()
-	c.aborted = false
-	tag := Tag{TS: expect.TS + 1, Writer: kv.id}
-	res := c.casPhase(key, expect, tag, val, done)
-	if c.aborted {
-		return res, ctx.Err()
+	c.key, c.val = key, val
+	if err := c.drive(ctx, c, c.casPhase(expect, Tag{TS: expect.TS + 1, Writer: kv.id})); err != nil {
+		return c.cas, err
 	}
-	if c.closed {
-		// No quorum verdict: the CAS outcome is unknown (it may have
-		// deposited its value at a minority, like an aborted CAS).
-		return res, ErrClosed
+	if !c.cas.OK {
+		return c.cas, &ErrCASConflict{Key: key, Expect: expect, Observed: c.cas.Version, Val: c.cas.Val}
 	}
-	if !res.OK {
-		return res, &ErrCASConflict{Key: key, Expect: expect, Observed: res.Version, Val: res.Val}
-	}
-	return res, nil
+	return c.cas, nil
 }
 
-// casPhase broadcasts the conditional apply and collects acks until a
-// class-3 quorum fully applied (success), success has become
-// impossible (failure), or every server responded. The applied set is
-// counted on the client's second reused tracker (c.applied).
-func (c *mwClient) casPhase(key string, expect, tag Tag, val string, done <-chan struct{}) CASResult {
+// casPhase broadcasts the conditional apply. It ends once a class-3
+// quorum fully applied (success), success has become impossible
+// (failure), or every server responded. The applied set is counted on
+// the client's second reused tracker (c.applied).
+func (c *mwClient) casPhase(expect, tag Tag) Step {
 	c.seq++
-	drainPort(c.port)
-	transport.Broadcast(c.port, c.rqs.Universe(),
-		KVCASReq{Seq: c.seq, Key: key, Expect: expect, Tag: tag, Val: val, Sig: c.signTag(key, tag, val)})
-
+	c.phase, c.tag, c.refused = phaseCAS, tag, core.EmptySet
+	c.cas = CASResult{Version: expect, Val: NoValue, Rounds: 1}
 	if c.applied == nil {
 		c.applied = c.rqs.NewTracker()
 	}
-	applied := c.applied
-	applied.Reset()
+	c.applied.Reset()
 	c.tr.Reset()
-	rejected := core.EmptySet
-	curTag, curVal := expect, NoValue
-	for {
-		env, ok := c.recv(done)
-		if !ok {
-			if !c.aborted {
-				c.closed = true
-			}
-			return CASResult{Version: curTag, Val: curVal, Rounds: 1}
-		}
-		ack, isAck := env.Payload.(KVCASAck)
-		if !isAck || ack.Seq != c.seq || !c.tr.Add(env.From) {
-			// A server's first verdict on this Seq is its only one. A
-			// request redelivered to it after a restart finds its own
-			// tag installed and acks Applied=false; counting that would
-			// reject a server already counted as applied.
-			env.Release()
-			continue
-		}
-		if curTag.Less(ack.Tag) {
-			curTag, curVal = ack.Tag, ack.Val
-			if env.Aliased() {
-				// The adopted value escapes in the CASResult; unalias it
-				// from the receive arena before releasing.
-				curVal = strings.Clone(curVal)
-			}
-		}
+	return Step{Send: KVCASReq{Seq: c.seq, Key: c.key, Expect: expect, Tag: tag, Val: c.val, Sig: c.signTag(c.key, tag, c.val)}}
+}
+
+// casAck counts one CAS verdict; c.cas holds the newest state seen
+// among the rejecting servers until the CAS wins.
+func (c *mwClient) casAck(env transport.Envelope) Step {
+	ack, isAck := env.Payload.(KVCASAck)
+	if !isAck || ack.Seq != c.seq || !c.tr.Add(env.From) {
+		// A server's first verdict on this Seq is its only one. A
+		// request redelivered to it after a restart finds its own tag
+		// installed and acks Applied=false; counting that would reject
+		// a server already counted as applied.
 		env.Release()
-		if ack.Applied {
-			if applied.Add(env.From) {
-				if _, ok := applied.Contained(core.Class3); ok {
-					return CASResult{OK: true, Version: tag, Val: val, Rounds: 1}
-				}
-			}
-		} else {
-			// Success needs a class-3 quorum with every member
-			// applied; once the non-rejecting servers cannot contain
-			// one, the CAS has definitely lost.
-			rejected = rejected.Add(env.From)
-			if _, ok := c.rqs.ContainedQuorum(c.rqs.Universe().Diff(rejected), core.Class3); !ok {
-				return CASResult{Version: curTag, Val: curVal, Rounds: 1}
-			}
-		}
-		if c.tr.Complete() {
-			// Everyone responded without a fully-applied quorum (the
-			// success check above would have fired).
-			return CASResult{Version: curTag, Val: curVal, Rounds: 1}
+		return Step{}
+	}
+	if c.cas.Version.Less(ack.Tag) {
+		c.cas.Version, c.cas.Val = ack.Tag, ack.Val
+		if env.Aliased() {
+			// The adopted value escapes in the CASResult; unalias it
+			// from the receive arena before releasing.
+			c.cas.Val = strings.Clone(c.cas.Val)
 		}
 	}
+	env.Release()
+	if ack.Applied {
+		if c.applied.Add(env.From) {
+			if _, ok := c.applied.Contained(core.Class3); ok {
+				c.cas = CASResult{OK: true, Version: c.tag, Val: c.val, Rounds: 1}
+				return Step{Done: true}
+			}
+		}
+	} else {
+		// Success needs a class-3 quorum with every member applied;
+		// once the non-rejecting servers cannot contain one, the CAS
+		// has definitely lost.
+		c.refused = c.refused.Add(env.From)
+		if _, ok := c.rqs.ContainedQuorum(c.rqs.Universe().Diff(c.refused), core.Class3); !ok {
+			return Step{Done: true}
+		}
+	}
+	// Everyone responded without a fully-applied quorum: the success
+	// check above would have fired.
+	return Step{Done: c.tr.Complete()}
 }

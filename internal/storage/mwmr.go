@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"context"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -44,8 +43,8 @@ import (
 // discard acks that fail verification — completing once a fully
 // verified class-3 quorum remains.
 //
-// Every writer must use a distinct WriterID; NewMWWriter derives it
-// from the port's process ID, which deployments already keep unique.
+// Every writer must use a distinct writer ID; KVClient derives it from
+// the port's process ID, which deployments already keep unique.
 
 // Tag orders MWMR writes: lexicographic on (TS, Writer). The zero Tag
 // is the initial tag of the register (before any write).
@@ -85,8 +84,7 @@ func (t Tag) Packed() int64 { return t.TS<<16 | int64(t.Writer) }
 // sequence at a random 62-bit nonce: a fresh process reusing a slot
 // must not match acks the reliable links retransmit from its
 // predecessor's operations (which may concern a different key). Key
-// addresses one register of the server's keyspace; the key-less MWMR
-// clients use "".
+// addresses one register of the server's keyspace.
 
 // MWReadReq queries a server's current 〈tag, value〉 for one key (the
 // read phase of both mw-reads and mw-writes).
@@ -145,27 +143,32 @@ type MWWriteAck struct {
 	Seq int64
 }
 
-// MWResult reports how an MWMR operation completed.
-type MWResult struct {
-	Val    string
-	Tag    Tag // tag written (writes) or returned (reads)
-	Rounds int // communication round-trips used
-}
-
-// mwClient is the phase machinery shared by MWWriter and MWReader: a
-// client port, reused quorum trackers, and the per-operation sequence
-// counter. Like the SWMR clients, an mwClient runs one operation at a
+// mwClient is the MWMR client behind KVClient, one per shard group: a
+// client port, reused quorum trackers, the per-phase sequence counter,
+// and the operation in flight as a step function (Get, Put or CAS; see
+// kv.go). Like the SWMR clients, an mwClient runs one operation at a
 // time; concurrency comes from deploying many clients. There is no
-// timeout knob: the phases are pure quorum waits (the protocol is
-// asynchronous), wait-free while a correct quorum is reachable.
+// timeout knob: its phases never arm the 2Δ timer (the protocol is
+// asynchronous), and they are wait-free while a correct quorum is
+// reachable.
 type mwClient struct {
-	rqs  *core.RQS
-	port transport.Port
-	seq  int64
-	tr   *core.QuorumTracker
+	client
+	seq int64
+	tr  *core.QuorumTracker
 	// applied tracks the servers that applied the current CAS; built on
 	// the client's first CAS, reset by each later one.
 	applied *core.QuorumTracker
+
+	// The operation in flight: its key and value, and the phase it is
+	// in — a read phase then a write phase (Get, and Put, whose read
+	// phase is tagOnly), or a single CAS phase.
+	phase   mwPhase
+	tagOnly bool
+	key     string
+	val     string
+	tag     Tag       // the write phase's tag (Put: the result)
+	cas     CASResult // the CAS verdict so far
+	refused core.Set  // servers that refused the CAS
 
 	// Read-phase scratch, reset per phase: the maximum tag seen and
 	// the set of servers that reported it as synced (durably held, so
@@ -175,8 +178,6 @@ type mwClient struct {
 	maxVal  string
 	maxSig  []byte // writer signature accompanying maxTag (writeback forwarding)
 	withMax core.Set
-	closed  bool // the port's inbox closed mid-operation
-	aborted bool // the operation's deadline expired mid-phase
 
 	// Authenticated-deployment state (nil/zero when auth is off).
 	signer   auth.Signer   // signs this client's own write/CAS tags
@@ -204,7 +205,7 @@ func newMWClient(rqs *core.RQS, port transport.Port) mwClient {
 	// Random seq start: acks retransmitted to a restarted client
 	// process (same slot, fresh incarnation) must not match the new
 	// incarnation's sequence numbers. 2^62 of headroom remains.
-	return mwClient{rqs: rqs, port: port, tr: rqs.NewTracker(), seq: rand.Int63n(1 << 62)}
+	return mwClient{client: client{rqs: rqs, port: port}, tr: rqs.NewTracker(), seq: rand.Int63n(1 << 62)}
 }
 
 // setAuth installs this client's key material: a verifier to screen
@@ -265,272 +266,121 @@ func (c *mwClient) verifyReadAck(from core.ProcessID, key string, ack MWReadAck)
 	return true
 }
 
-// recv receives the next envelope for a phase wait, draining buffered
-// messages first (the cheap path under load). A nil done channel — the
-// deadline-free common case — can never fire; a non-nil one aborts the
-// phase when it does.
-func (c *mwClient) recv(done <-chan struct{}) (transport.Envelope, bool) {
-	select {
-	case env, ok := <-c.port.Inbox():
-		return env, ok
-	default:
+// mwPhase is the phase an mwClient's operation is in.
+type mwPhase int
+
+const (
+	phaseRead mwPhase = iota
+	phaseWrite
+	phaseCAS
+)
+
+// Deliver feeds a reply to the phase in flight.
+func (c *mwClient) Deliver(env transport.Envelope) Step {
+	switch c.phase {
+	case phaseRead:
+		if !c.readAck(env) {
+			return Step{}
+		}
+		return c.afterRead()
+	case phaseWrite:
+		ack, isAck := env.Payload.(MWWriteAck)
+		env.Release()
+		if isAck && ack.Seq == c.seq && c.tr.Add(env.From) {
+			if _, ok := c.tr.Contained(core.Class3); ok {
+				return Step{Done: true}
+			}
+		}
+		return Step{}
 	}
-	select {
-	case env, ok := <-c.port.Inbox():
-		return env, ok
-	case <-done:
-		c.aborted = true
-		return transport.Envelope{}, false
-	}
+	return c.casAck(env)
 }
 
-// readPhase broadcasts MWReadReq for key and collects acks until some
-// class-3 quorum responded, tracking the maximum tag and who reported
-// it. Acks are verified on authenticated deployments.
-func (c *mwClient) readPhase(key string, done <-chan struct{}) {
-	c.phase(key, false, done)
-}
+// Expire is never called: MWMR phases arm no timer.
+func (c *mwClient) Expire() Step { return Step{} }
 
-// queryPhase is the writer's cut-down read phase: a TagOnly broadcast
-// whose acks carry no value and no signatures and are counted
-// unverified (see MWReadReq.TagOnly for why that is sound). Only
-// maxTag is meaningful afterwards.
-func (c *mwClient) queryPhase(key string, done <-chan struct{}) {
-	c.phase(key, true, done)
-}
-
-func (c *mwClient) phase(key string, tagOnly bool, done <-chan struct{}) {
+// readPhase broadcasts MWReadReq for the key; its acks (readAck) track
+// the maximum tag and who reported it, until some class-3 quorum
+// responded. A tagOnly phase is the writer's cut-down read: its acks
+// carry no value and no signatures and are counted unverified (see
+// MWReadReq.TagOnly for why that is sound); only maxTag is meaningful
+// afterwards.
+func (c *mwClient) readPhase(tagOnly bool) Step {
 	c.seq++
-	drainPort(c.port)
-	transport.Broadcast(c.port, c.rqs.Universe(), MWReadReq{Seq: c.seq, Key: key, TagOnly: tagOnly})
-
+	c.phase, c.tagOnly = phaseRead, tagOnly
 	c.tr.Reset()
 	c.maxTag, c.maxVal, c.maxSig, c.withMax = Tag{}, NoValue, nil, core.EmptySet
 	c.vValid = false
-	for {
-		env, ok := c.recv(done)
-		if !ok {
-			if !c.aborted {
-				c.closed = true
-			}
-			return
-		}
-		ack, isAck := env.Payload.(MWReadAck)
-		if !isAck || ack.Seq != c.seq {
-			env.Release()
-			continue
-		}
-		if tagOnly {
-			if c.maxTag.Less(ack.Tag) {
-				c.maxTag = ack.Tag
-			}
-		} else if !c.verifyReadAck(env.From, key, ack) {
-			// A forged, tampered, or replayed ack: discard it without
-			// counting the sender toward the quorum. The phase still
-			// completes once a fully verified class-3 quorum answers.
-			c.rejected++
-			env.Release()
-			continue
-		} else if c.maxTag.Less(ack.Tag) {
-			val := ack.Val
-			if env.Aliased() {
-				// The adopted value may outlive the envelope (it is the
-				// phase's result); unalias it from the receive arena.
-				val = strings.Clone(val)
-			}
-			// Clone the writer signature too: it is forwarded in the
-			// writeback and must outlive both the receive arena and
-			// this phase.
-			c.maxTag, c.maxVal, c.maxSig, c.withMax = ack.Tag, val, bytes.Clone(ack.WSig), core.EmptySet
-			if ack.Synced {
-				c.withMax = core.NewSet(env.From)
-			}
-		} else if ack.Tag == c.maxTag && ack.Synced {
-			c.withMax = c.withMax.Add(env.From)
-		}
-		env.Release()
-		if c.tr.Add(env.From) {
-			if _, ok := c.tr.Contained(core.Class3); ok {
-				return
-			}
-		}
-	}
+	return Step{Send: MWReadReq{Seq: c.seq, Key: c.key, TagOnly: tagOnly}}
 }
 
-// writePhase broadcasts MWWriteReq〈tag, val〉 for key and waits for
-// acks from some class-3 quorum. sig is the tag's writer signature
-// (the client's own for fresh writes, the original writer's for
-// writebacks; nil when auth is off).
-func (c *mwClient) writePhase(key string, tag Tag, val string, sig []byte, done <-chan struct{}) {
+// readAck counts one read-phase reply, verifying it on authenticated
+// deployments, and reports whether the phase ended.
+func (c *mwClient) readAck(env transport.Envelope) bool {
+	ack, isAck := env.Payload.(MWReadAck)
+	switch {
+	case !isAck || ack.Seq != c.seq:
+		env.Release()
+		return false
+	case c.tagOnly:
+		if c.maxTag.Less(ack.Tag) {
+			c.maxTag = ack.Tag
+		}
+	case !c.verifyReadAck(env.From, c.key, ack):
+		// A forged, tampered, or replayed ack: discard it without
+		// counting the sender toward the quorum. The phase still
+		// completes once a fully verified class-3 quorum answers.
+		c.rejected++
+		env.Release()
+		return false
+	case c.maxTag.Less(ack.Tag):
+		val := ack.Val
+		if env.Aliased() {
+			// The adopted value may outlive the envelope (it is the
+			// phase's result); unalias it from the receive arena.
+			val = strings.Clone(val)
+		}
+		// Clone the writer signature too: it is forwarded in the
+		// writeback and must outlive both the receive arena and this
+		// phase.
+		c.maxTag, c.maxVal, c.maxSig, c.withMax = ack.Tag, val, bytes.Clone(ack.WSig), core.EmptySet
+		if ack.Synced {
+			c.withMax = core.NewSet(env.From)
+		}
+	case ack.Tag == c.maxTag && ack.Synced:
+		c.withMax = c.withMax.Add(env.From)
+	}
+	env.Release()
+	if c.tr.Add(env.From) {
+		_, ok := c.tr.Contained(core.Class3)
+		return ok
+	}
+	return false
+}
+
+// afterRead continues an operation once its read phase ended. A Get
+// returns at once when the servers that reported the maximum tag
+// contain a class-3 quorum — the value provably resides at a quorum
+// (the uncontended fast path) — and writes it back otherwise. A Put
+// writes its value under 〈maxTS+1, clientID〉.
+func (c *mwClient) afterRead() Step {
+	if !c.tagOnly {
+		if _, ok := c.rqs.ContainedQuorum(c.withMax, core.Class3); ok {
+			return Step{Done: true}
+		}
+		return c.writePhase(c.maxTag, c.maxVal, c.maxSig)
+	}
+	tag := Tag{TS: c.maxTag.TS + 1, Writer: c.port.ID()}
+	return c.writePhase(tag, c.val, c.signTag(c.key, tag, c.val))
+}
+
+// writePhase broadcasts MWWriteReq〈tag, val〉 for the key; it ends once
+// some class-3 quorum acked. sig is the tag's writer signature (the
+// client's own for fresh writes, the original writer's for writebacks;
+// nil when auth is off).
+func (c *mwClient) writePhase(tag Tag, val string, sig []byte) Step {
 	c.seq++
-	transport.Broadcast(c.port, c.rqs.Universe(), MWWriteReq{Seq: c.seq, Key: key, Tag: tag, Val: val, Sig: sig})
-
+	c.phase, c.tag = phaseWrite, tag
 	c.tr.Reset()
-	for {
-		env, ok := c.recv(done)
-		if !ok {
-			if !c.aborted {
-				c.closed = true
-			}
-			return
-		}
-		ack, isAck := env.Payload.(MWWriteAck)
-		env.Release()
-		if isAck && ack.Seq == c.seq {
-			if c.tr.Add(env.From) {
-				if _, ok := c.tr.Contained(core.Class3); ok {
-					return
-				}
-			}
-		}
-	}
-}
-
-// MWWriter is one of arbitrarily many writers of the MWMR register.
-// Each writer instance needs its own port; its writer ID is the port's
-// process ID. Not safe for concurrent use by multiple goroutines — the
-// model forbids a client from invoking a new operation before the
-// previous one completes.
-//
-// Legacy: MWWriter addresses the single key-less register, which is
-// key "" of the server's keyspace. New code that needs more than one
-// register should use KVClient (kv.go) instead.
-type MWWriter struct {
-	c  mwClient
-	id core.ProcessID
-}
-
-// NewMWWriter creates a multi-writer client. Unlike the SWMR
-// constructors there is no 2Δ timeout: the MWMR protocol is
-// asynchronous and its phases are unbounded quorum waits.
-func NewMWWriter(rqs *core.RQS, port transport.Port) *MWWriter {
-	return &MWWriter{c: newMWClient(rqs, port), id: port.ID()}
-}
-
-// NewMWWriterAuth is NewMWWriter on an authenticated deployment: the
-// writer signs its tags with signer and screens read-phase acks with
-// verifier.
-func NewMWWriterAuth(rqs *core.RQS, port transport.Port, signer auth.Signer, verifier auth.Verifier) *MWWriter {
-	w := NewMWWriter(rqs, port)
-	w.c.setAuth(signer, verifier)
-	return w
-}
-
-// AuthStats returns this writer's verification counters. Call between
-// operations (the writer runs one operation at a time).
-func (w *MWWriter) AuthStats() AuthStats { return AuthStats{RejectedAcks: w.c.rejected} }
-
-// WriterID returns the ID embedded in this writer's tags.
-func (w *MWWriter) WriterID() core.ProcessID { return w.id }
-
-// Write stores v under a tag strictly greater than any tag a preceding
-// complete operation observed: a read phase discovers the maximum tag
-// at a quorum, the write phase stores 〈〈maxTS+1, writerID〉, v〉 at a
-// quorum. Always two round-trips.
-func (w *MWWriter) Write(v string) MWResult {
-	res, _ := w.WriteCtx(context.Background(), v)
-	return res
-}
-
-// WriteCtx is Write with a per-operation deadline: when ctx expires
-// before a quorum responds, the operation aborts and the context's
-// error is returned. An aborted write may be partially applied; the
-// writer remains usable.
-func (w *MWWriter) WriteCtx(ctx context.Context, v string) (MWResult, error) {
-	done := ctx.Done()
-	w.c.aborted = false
-	w.c.queryPhase("", done)
-	if w.c.aborted {
-		return MWResult{Val: v, Rounds: 1}, ctx.Err()
-	}
-	if w.c.closed {
-		return MWResult{Val: v, Rounds: 1}, nil
-	}
-	tag := Tag{TS: w.c.maxTag.TS + 1, Writer: w.id}
-	w.c.writePhase("", tag, v, w.c.signTag("", tag, v), done)
-	if w.c.aborted {
-		return MWResult{Val: v, Rounds: 2}, ctx.Err()
-	}
-	return MWResult{Val: v, Tag: tag, Rounds: 2}, nil
-}
-
-// MWReader is a reader of the MWMR register. Like MWWriter, one
-// operation at a time per instance.
-//
-// Legacy: MWReader reads the single key-less register — key "" of the
-// server's keyspace. New code should prefer KVClient (kv.go).
-type MWReader struct {
-	c mwClient
-}
-
-// NewMWReader creates a multi-reader client (asynchronous — no
-// timeout, like NewMWWriter).
-func NewMWReader(rqs *core.RQS, port transport.Port) *MWReader {
-	return &MWReader{c: newMWClient(rqs, port)}
-}
-
-// NewMWReaderAuth is NewMWReader on an authenticated deployment.
-// Readers need no signer: writebacks forward the original writer's
-// signature.
-func NewMWReaderAuth(rqs *core.RQS, port transport.Port, verifier auth.Verifier) *MWReader {
-	r := NewMWReader(rqs, port)
-	r.c.setAuth(nil, verifier)
-	return r
-}
-
-// AuthStats returns this reader's verification counters. Call between
-// operations.
-func (r *MWReader) AuthStats() AuthStats { return AuthStats{RejectedAcks: r.c.rejected} }
-
-// Read returns the register's current value: a read phase selects the
-// maximum tag at a quorum, then a writeback installs it at a quorum
-// before returning — unless the servers that reported the maximum
-// already contain a class-3 quorum, in which case the value provably
-// resides at a quorum and the read completes in a single round-trip
-// (the uncontended fast path).
-func (r *MWReader) Read() MWResult {
-	res, _ := r.ReadCtx(context.Background())
-	return res
-}
-
-// ReadCtx is Read with a per-operation deadline: when ctx expires
-// before the read completes, the operation aborts and the context's
-// error is returned. The reader remains usable.
-func (r *MWReader) ReadCtx(ctx context.Context) (MWResult, error) {
-	done := ctx.Done()
-	r.c.aborted = false
-	r.c.readPhase("", done)
-	if r.c.aborted {
-		return MWResult{Val: NoValue, Rounds: 1}, ctx.Err()
-	}
-	if r.c.closed {
-		return MWResult{Val: NoValue, Rounds: 1}, nil
-	}
-	tag, val := r.c.maxTag, r.c.maxVal
-	if _, ok := r.c.rqs.ContainedQuorum(r.c.withMax, core.Class3); ok {
-		return MWResult{Val: val, Tag: tag, Rounds: 1}, nil
-	}
-	r.c.writePhase("", tag, val, r.c.maxSig, done)
-	if r.c.aborted {
-		return MWResult{Val: NoValue, Rounds: 2}, ctx.Err()
-	}
-	return MWResult{Val: val, Tag: tag, Rounds: 2}, nil
-}
-
-// drainPort discards leftover replies from previous operations.
-// Server registers are monotone, so dropped stale acks lose no
-// information — draining only keeps per-operation accounting exact.
-// Discarded envelopes are released so their receive arenas recycle.
-func drainPort(port transport.Port) {
-	for {
-		select {
-		case env, ok := <-port.Inbox():
-			if !ok {
-				return
-			}
-			env.Release()
-		default:
-			return
-		}
-	}
+	return Step{Send: MWWriteReq{Seq: c.seq, Key: c.key, Tag: tag, Val: val, Sig: sig}}
 }

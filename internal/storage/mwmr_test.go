@@ -37,7 +37,8 @@ func TestTagOrdering(t *testing.T) {
 // TestMWMRSequentialModel drives sequential multi-writer operations
 // from two writers against the last-written-value model: with no
 // concurrency every read must return exactly the latest write, and
-// tags must strictly increase across the whole run.
+// tags must strictly increase across the whole run. The register is
+// key "" of the keyspace.
 func TestMWMRSequentialModel(t *testing.T) {
 	for _, sys := range []struct {
 		name string
@@ -49,30 +50,72 @@ func TestMWMRSequentialModel(t *testing.T) {
 		t.Run(sys.name, func(t *testing.T) {
 			c := sim.NewStorageCluster(sys.rqs, sim.StorageOptions{Timeout: time.Millisecond, Clients: 3})
 			defer c.Stop()
-			writers := []*storage.MWWriter{c.MWWriter(), c.MWWriter()}
-			rd := c.MWReader()
+			writers := []*storage.KVClient{c.KVClient(), c.KVClient()}
+			rd := c.KVClient()
 
 			r := rand.New(rand.NewSource(11))
-			var last storage.MWResult
-			var prevTag storage.Tag
+			var lastVal string
+			var last storage.Tag
 			for op := 0; op < 40; op++ {
 				if r.Intn(2) == 0 {
 					w := writers[r.Intn(len(writers))]
 					val := fmt.Sprintf("v%d", op)
-					last = w.Write(val)
-					if !prevTag.Less(last.Tag) {
-						t.Fatalf("op %d: tag %v not above previous %v", op, last.Tag, prevTag)
+					tag, err := w.Put("", val)
+					if err != nil {
+						t.Fatal(err)
 					}
-					prevTag = last.Tag
+					if !last.Less(tag) {
+						t.Fatalf("op %d: tag %v not above previous %v", op, tag, last)
+					}
+					last, lastVal = tag, val
 				} else {
-					res := rd.Read()
-					if res.Tag != last.Tag || res.Val != last.Val {
-						t.Fatalf("op %d: read %+v, model %+v", op, res, last)
+					val, tag, err := rd.Get("")
+					if err != nil || tag != last || val != lastVal {
+						t.Fatalf("op %d: read (%q, %v, %v), model (%q, %v)", op, val, tag, err, lastVal, last)
 					}
 				}
 			}
 		})
 	}
+}
+
+// roundCounter counts the round-trips each client starts: one MWMR
+// request Seq per phase.
+type roundCounter struct {
+	mu   sync.Mutex
+	seqs map[core.ProcessID]map[int64]bool
+}
+
+// install makes c's network count every client's phases.
+func (rc *roundCounter) install(c *sim.StorageCluster) {
+	rc.seqs = make(map[core.ProcessID]map[int64]bool)
+	c.Net.SetFilter(func(env transport.Envelope) transport.Verdict {
+		var seq int64
+		switch req := env.Payload.(type) {
+		case storage.MWReadReq:
+			seq = req.Seq
+		case storage.MWWriteReq:
+			seq = req.Seq
+		default:
+			return transport.Deliver
+		}
+		rc.mu.Lock()
+		defer rc.mu.Unlock()
+		if rc.seqs[env.From] == nil {
+			rc.seqs[env.From] = make(map[int64]bool)
+		}
+		rc.seqs[env.From][seq] = true
+		return transport.Deliver
+	})
+}
+
+// rounds returns how many phases client id started since the last call.
+func (rc *roundCounter) rounds(id core.ProcessID) int {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	n := len(rc.seqs[id])
+	delete(rc.seqs, id)
+	return n
 }
 
 // TestMWMRReadFastPath pins the round counts: writes always take two
@@ -81,13 +124,21 @@ func TestMWMRSequentialModel(t *testing.T) {
 func TestMWMRReadFastPath(t *testing.T) {
 	c := sim.NewStorageCluster(core.Example7RQS(), sim.StorageOptions{Timeout: time.Millisecond, Clients: 2})
 	defer c.Stop()
-	w, rd := c.MWWriter(), c.MWReader()
+	var rc roundCounter
+	rc.install(c)
+	w, rd := c.KVClient(), c.KVClient()
 
-	if res := w.Write("a"); res.Rounds != 2 {
-		t.Fatalf("write rounds = %d, want 2", res.Rounds)
+	if _, err := w.Put("", "a"); err != nil {
+		t.Fatal(err)
 	}
-	if res := rd.Read(); res.Rounds != 1 || res.Val != "a" {
-		t.Fatalf("uncontended read = %+v, want 1 round of %q", res, "a")
+	if n := rc.rounds(w.WriterID()); n != 2 {
+		t.Fatalf("write rounds = %d, want 2", n)
+	}
+	if val, _, err := rd.Get(""); err != nil || val != "a" {
+		t.Fatalf("uncontended read = (%q, %v), want %q", val, err, "a")
+	}
+	if n := rc.rounds(rd.WriterID()); n != 1 {
+		t.Fatalf("uncontended read rounds = %d, want 1", n)
 	}
 }
 
@@ -99,8 +150,10 @@ func TestMWMRReadWriteback(t *testing.T) {
 	rqs := core.Example7RQS()
 	c := sim.NewStorageCluster(rqs, sim.StorageOptions{Timeout: time.Millisecond, Clients: 3})
 	defer c.Stop()
-	w, rd := c.MWWriter(), c.MWReader()
-	w.Write("old")
+	var rc roundCounter
+	rc.install(c)
+	w, rd := c.KVClient(), c.KVClient()
+	w.Put("", "old")
 
 	// Plant a newer tag at server 0 only, bypassing the write protocol
 	// (the state an interrupted writer leaves behind).
@@ -114,26 +167,30 @@ func TestMWMRReadWriteback(t *testing.T) {
 	// legally return the old pair in one round (the planted write is
 	// incomplete, so missing it is linearizable); retry until the read
 	// hears from server 0 and must take the slow path.
-	var res storage.MWResult
 	for attempt := 0; ; attempt++ {
-		res = rd.Read()
-		if res.Tag == planted {
+		rc.rounds(rd.WriterID())
+		val, tag, err := rd.Get("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tag == planted {
+			if val != "planted" {
+				t.Fatalf("read (%q, %v), want the planted pair", val, tag)
+			}
 			break
 		}
 		if attempt >= 100 {
-			t.Fatalf("read %+v after %d attempts, want the planted pair", res, attempt)
+			t.Fatalf("read %v after %d attempts, want the planted pair", tag, attempt)
 		}
 	}
-	if res.Val != "planted" {
-		t.Fatalf("read %+v, want the planted pair", res)
-	}
-	if res.Rounds != 2 {
-		t.Fatalf("read rounds = %d, want 2 (writeback required)", res.Rounds)
+	if n := rc.rounds(rd.WriterID()); n != 2 {
+		t.Fatalf("read rounds = %d, want 2 (writeback required)", n)
 	}
 	// The writeback installed the planted pair at a full quorum; reads
 	// converge to the fast path once their quorum is covered by it.
 	for attempt := 0; ; attempt++ {
-		if res := rd.Read(); res.Rounds == 1 {
+		rd.Get("")
+		if rc.rounds(rd.WriterID()) == 1 {
 			break
 		}
 		if attempt >= 100 {
@@ -157,38 +214,46 @@ func waitFor(t *testing.T, cond func() bool) {
 // readers for ops operations each under a randomized schedule, records
 // every completed operation, and checks the history for atomicity.
 // Each client runs on its own port; writer IDs are the port IDs.
-func mwmrWorkload(t *testing.T, writers []*storage.MWWriter, readers []*storage.MWReader, ops int, crash func()) {
+func mwmrWorkload(t *testing.T, writers, readers []*storage.KVClient, ops int, crash func()) {
 	t.Helper()
 	rec := histcheck.NewRecorder()
 	var wg sync.WaitGroup
 	for i, w := range writers {
 		wg.Add(1)
-		go func(i int, w *storage.MWWriter) {
+		go func(i int, w *storage.KVClient) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(100 + i)))
 			for op := 0; op < ops; op++ {
 				time.Sleep(time.Duration(r.Intn(300)) * time.Microsecond)
 				inv := time.Now()
-				res := w.Write(fmt.Sprintf("w%d-%d", i, op))
+				tag, err := w.Put("", fmt.Sprintf("w%d-%d", i, op))
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				rec.Record(histcheck.Op{
 					Kind: histcheck.Write, Client: fmt.Sprintf("w%d", i),
-					TS: res.Tag.Packed(), Inv: inv, Resp: time.Now(),
+					TS: tag.Packed(), Inv: inv, Resp: time.Now(),
 				})
 			}
 		}(i, w)
 	}
 	for i, rd := range readers {
 		wg.Add(1)
-		go func(i int, rd *storage.MWReader) {
+		go func(i int, rd *storage.KVClient) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(200 + i)))
 			for op := 0; op < ops; op++ {
 				time.Sleep(time.Duration(r.Intn(300)) * time.Microsecond)
 				inv := time.Now()
-				res := rd.Read()
+				_, tag, err := rd.Get("")
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				rec.Record(histcheck.Op{
 					Kind: histcheck.Read, Client: fmt.Sprintf("r%d", i),
-					TS: res.Tag.Packed(), Inv: inv, Resp: time.Now(),
+					TS: tag.Packed(), Inv: inv, Resp: time.Now(),
 				})
 			}
 		}(i, rd)
@@ -212,13 +277,12 @@ func TestMWMRConcurrentWritersLinearizable(t *testing.T) {
 		Timeout: time.Millisecond, Clients: nWriters + nReaders,
 	})
 	defer c.Stop()
-	var writers []*storage.MWWriter
+	var writers, readers []*storage.KVClient
 	for i := 0; i < nWriters; i++ {
-		writers = append(writers, c.MWWriter())
+		writers = append(writers, c.KVClient())
 	}
-	var readers []*storage.MWReader
 	for i := 0; i < nReaders; i++ {
-		readers = append(readers, c.MWReader())
+		readers = append(readers, c.KVClient())
 	}
 	mwmrWorkload(t, writers, readers, ops, func() {
 		go func() {
@@ -264,23 +328,25 @@ func TestMWMRConcurrentWritersLinearizableTCP(t *testing.T) {
 		defer srv.Stop()
 	}
 
-	var writers []*storage.MWWriter
+	client := func(node transport.Port) *storage.KVClient {
+		return storage.NewKVClient([]storage.KVGroup{{System: system, Port: node}})
+	}
+	var writers, readers []*storage.KVClient
 	for i := 0; i < nWriters; i++ {
 		node, err := transport.NewTCPNode(n+i, addrs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer node.Close()
-		writers = append(writers, storage.NewMWWriter(system, node))
+		writers = append(writers, client(node))
 	}
-	var readers []*storage.MWReader
 	for i := 0; i < nReaders; i++ {
 		node, err := transport.NewTCPNode(n+nWriters+i, addrs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer node.Close()
-		readers = append(readers, storage.NewMWReader(system, node))
+		readers = append(readers, client(node))
 	}
 	mwmrWorkload(t, writers, readers, 10, nil)
 }

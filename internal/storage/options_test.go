@@ -1,7 +1,6 @@
 package storage_test
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -54,66 +53,49 @@ func TestRegularReaderAdmitsReadInversion(t *testing.T) {
 	// reader can see the new value while a later one (talking to a
 	// different quorum) still returns the old — read inversion that the
 	// atomic reader's writeback would have prevented.
-	c := sim.NewStorageCluster(core.Example7RQS(), sim.StorageOptions{
-		Timeout: 2 * time.Millisecond, Clients: 3,
-	})
-	defer c.Stop()
-	w := c.Writer()
-	w.Write("old")
+	ls := &sim.Lockstep{Seed: 1}
+	st := sim.NewLockstepStorage(core.Example7RQS(), ls, nil)
+	w := st.Writer()
+	lockstepDo(t, st, w, w.StartWrite("old"))
 
 	// Stall the next write: round 1 reaches only Q2 = {s1..s5}; rounds
 	// ≥ 2 never leave the writer.
 	const writerID = 6
-	c.Net.SetFilter(func(env transport.Envelope) transport.Verdict {
-		if env.From == writerID {
-			if req, isW := env.Payload.(storage.WriteReq); isW && (req.Round >= 2 || env.To == 5) {
-				return transport.Drop
-			}
-		}
-		return transport.Deliver
-	})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w.Write("new")
-	}()
-	time.Sleep(6 * time.Millisecond)
-
-	// Reader A (regular) sees the partial write through Q2.
-	rA := c.ReaderOpts(storage.ReaderOptions{Semantics: storage.Regular})
-	resA := rA.Read()
-	if resA.Val != "new" {
-		t.Fatalf("reader A = %+v, want the racing value", resA)
+	ls.Drop = func(env transport.Envelope) bool {
+		req, isW := env.Payload.(storage.WriteReq)
+		return env.From == writerID && isW && (req.Round >= 2 || env.To == 5)
+	}
+	st.Start(w, w.StartWrite("new"))
+	if pending := st.Run(); len(pending) != 1 {
+		t.Fatalf("%d operations pending, want the stalled write", len(pending))
 	}
 
-	// Now the partial write's servers go quiet for reader B: it talks
-	// only to {s2, s4, s6} ∪ ... — cut B off from s1, s3, s5 so its
-	// quorum is Q1 = {s2,s4,s5,s6}... s5 holds the value, so cut B off
-	// from s5's *slot-1 knowledge* is impossible; instead forge nothing:
-	// simply note that regular reads offer no writeback, so an inversion
-	// needs a quorum missing all round-1 recipients — impossible in
-	// Example 7 (every quorum meets Q2 in a basic subset). We assert the
-	// weaker, still-illustrative fact: reader B may legally return the
-	// same racing value without any writeback having happened, i.e. no
-	// server learned anything from reader A's read.
-	rB := c.ReaderOpts(storage.ReaderOptions{Semantics: storage.Regular})
-	resB := rB.Read()
-	if resB.Val != "new" {
-		t.Fatalf("reader B = %+v", resB)
+	// Reader A (regular) sees the partial write through Q2.
+	rA := st.Reader(storage.ReaderOptions{Semantics: storage.Regular})
+	lockstepDo(t, st, rA, rA.StartRead())
+	if res := rA.Result(); res.Val != "new" {
+		t.Fatalf("reader A = %+v, want the racing value", res)
+	}
+
+	// An inversion needs a quorum missing all round-1 recipients —
+	// impossible in Example 7 (every quorum meets Q2 in a basic subset).
+	// We assert the weaker, still-illustrative fact: reader B may
+	// legally return the same racing value without any writeback having
+	// happened, i.e. no server learned anything from reader A's read.
+	rB := st.Reader(storage.ReaderOptions{Semantics: storage.Regular})
+	lockstepDo(t, st, rB, rB.StartRead())
+	if res := rB.Result(); res.Val != "new" {
+		t.Fatalf("reader B = %+v", res)
 	}
 	// No server's history gained reader-written state: slot-1 sets stay
 	// empty everywhere (the atomic reader would have written Q2's id).
-	for i, srv := range c.Servers {
-		h := srv.HistorySnapshot()
-		for ts, row := range h {
+	for i, srv := range st.Servers {
+		for ts, row := range srv.HistorySnapshot() {
 			if len(row[0].Sets) != 0 {
 				t.Errorf("server %d ts %d: regular reader performed a writeback", i, ts)
 			}
 		}
 	}
-	c.Net.Close()
-	wg.Wait()
 }
 
 func TestQC2AblationLosesTheTwoRoundRead(t *testing.T) {
@@ -121,17 +103,17 @@ func TestQC2AblationLosesTheTwoRoundRead(t *testing.T) {
 	// back class-2 quorum ids — is what makes 2-round reads compose with
 	// 1-round writes. Ablate it and the same scenario needs 3 rounds.
 	run := func(disable bool) int {
-		c := sim.NewStorageCluster(core.Example7RQS(), sim.StorageOptions{
-			Timeout: 2 * time.Millisecond, Clients: 2,
-		})
-		defer c.Stop()
-		w := c.Writer()
-		r := c.ReaderOpts(storage.ReaderOptions{DisableQC2: disable})
-		if res := w.Write("v"); res.Rounds != 1 {
-			t.Fatalf("write rounds = %d, want 1", res.Rounds)
+		ls := &sim.Lockstep{Seed: 1}
+		st := sim.NewLockstepStorage(core.Example7RQS(), ls, nil)
+		w := st.Writer()
+		r := st.Reader(storage.ReaderOptions{DisableQC2: disable})
+		lockstepDo(t, st, w, w.StartWrite("v"))
+		if got := w.Result().Rounds; got != 1 {
+			t.Fatalf("write rounds = %d, want 1", got)
 		}
-		c.CrashServers(core.NewSet(5)) // class-2 quorum Q2 remains
-		res := r.Read()
+		ls.Crashed = core.NewSet(5) // class-2 quorum Q2 remains
+		lockstepDo(t, st, r, r.StartRead())
+		res := r.Result()
 		if res.Val != "v" {
 			t.Fatalf("read = %+v (safety must survive the ablation)", res)
 		}

@@ -17,16 +17,12 @@ type readState struct {
 	elem []core.Set // enumeration of B, for valid3
 
 	hist        map[core.ProcessID]History
-	resp        *core.QuorumTracker // servers that acked at least once this read
-	round       *core.QuorumTracker // servers that acked the current round
-	respQuorums []core.Set          // quorums inside resp, refreshed once per round
-	qc2prime    []core.Set          // class-2 quorums that responded in round 1
+	respQuorums []core.Set // quorums among the servers that acked this read, refreshed once per round
+	qc2prime    []core.Set // class-2 quorums that responded in round 1
 	highestTS   int64
-	portClosed  bool // the transport shut down mid-read
-	aborted     bool // the operation's deadline expired mid-read
 
 	// pairs memoizes observedPairs for the current round: the histories
-	// only change in queryRound, which invalidates it, and the
+	// only change in a query round, whose start invalidates it, and the
 	// candidate-selection predicates re-enumerate the pairs many times
 	// per round (highCand calls it once per candidate). The slice's
 	// backing array is reused across rounds and reads.

@@ -19,29 +19,27 @@ type ReadResult struct {
 // Reader is a reader of the SWMR storage (Figure 7). Like the writer, a
 // Reader runs one operation at a time.
 type Reader struct {
-	rqs        *core.RQS
-	port       transport.Port
-	timeout    time.Duration
+	client
 	readNo     int64
-	advElem    []core.Set // cached enumeration of B for valid3
+	advElem    []core.Set // cached enumeration of B, for valid3
 	semantics  Semantics
 	disableQC2 bool
 
-	// Trackers reused across operations (one operation at a time).
-	trRound *core.QuorumTracker // acks of the current query round
-	trResp  *core.QuorumTracker // servers heard from at all this read
-	trWB    *core.QuorumTracker // writeback acks
-	timer   *time.Timer         // reused 2Δ timer (see resetTimer)
+	// Per-operation state, reused across operations.
+	query       round               // the query round in flight
+	trResp      *core.QuorumTracker // servers heard from at all this read
+	wb          writeRound          // the write-back round in flight, if writingBack
+	writingBack bool
+	res         ReadResult
 
-	// st is the per-operation read state, reused across operations (one
-	// operation at a time): the history map and pair scratch keep their
-	// allocations.
+	// st is the read state of lines 1-9: the history map and pair
+	// scratch keep their allocations.
 	st readState
 
 	// retained holds the arena-aliased envelopes whose ReadAck histories
 	// st.hist references. The histories stay live for the whole read
 	// (candidate selection and the BCD checks walk them), so the arenas
-	// recycle only at the start of the NEXT operation (drainStale).
+	// recycle only at the start of the NEXT operation.
 	retained []transport.Envelope
 }
 
@@ -51,16 +49,15 @@ func NewReader(rqs *core.RQS, port transport.Port, timeout time.Duration) *Reade
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	return &Reader{
-		rqs:       rqs,
-		port:      port,
-		timeout:   timeout,
+	r := &Reader{
+		client:    client{rqs: rqs, port: port, timeout: timeout},
 		advElem:   core.Elements(rqs.Adversary()),
 		semantics: Atomic,
-		trRound:   rqs.NewTracker(),
 		trResp:    rqs.NewTracker(),
-		trWB:      rqs.NewTracker(),
 	}
+	r.query.tr = rqs.NewTracker()
+	r.wb.tr = rqs.NewTracker()
+	return r
 }
 
 // Read returns the current value of the storage (lines 20-49 of
@@ -74,12 +71,25 @@ func (r *Reader) Read() ReadResult {
 
 // ReadCtx is Read with a per-operation deadline: when ctx expires
 // before the read can complete, the operation aborts and the context's
-// error is returned — the chaos harness's liveness check. The reader
-// remains usable after an abort.
+// error is returned — the chaos harness's liveness check. It returns
+// ErrClosed when the port closes first. Either way the result is ⊥ and
+// carries no information; the reader remains usable.
 func (r *Reader) ReadCtx(ctx context.Context) (ReadResult, error) {
-	done := ctx.Done()
+	if err := r.drive(ctx, r, r.StartRead()); err != nil {
+		return ReadResult{Val: NoValue, Rounds: r.res.Rounds}, err
+	}
+	return r.res, nil
+}
+
+// StartRead begins a read and returns its first step: query round 1.
+func (r *Reader) StartRead() Step {
 	r.readNo++
-	r.drainStale()
+	// The previous read's histories die with its state; the envelopes
+	// retained for them can recycle their arenas now.
+	for i := range r.retained {
+		r.retained[i].Release()
+	}
+	r.retained = r.retained[:0]
 	r.trResp.Reset()
 	st := &r.st
 	if st.hist == nil {
@@ -87,174 +97,154 @@ func (r *Reader) ReadCtx(ctx context.Context) (ReadResult, error) {
 		st.adv = r.rqs.Adversary()
 		st.elem = r.advElem
 		st.hist = make(map[core.ProcessID]History)
-		st.resp = r.trResp
-		st.round = r.trRound
 	} else {
 		clear(st.hist)
 	}
 	st.respQuorums = st.respQuorums[:0]
 	st.qc2prime = st.qc2prime[:0]
 	st.highestTS = 0
-	st.portClosed = false
-	st.aborted = false
-	st.pairsValid = false
+	r.res = ReadResult{}
+	r.writingBack = false
+	return r.queryRound()
+}
 
-	rounds := 0
-	var csel Pair
-	for {
-		rounds++
-		r.queryRound(st, rounds, done)
-		if st.aborted {
-			return ReadResult{Val: NoValue, TS: 0, Rounds: rounds}, ctx.Err()
+// Result is the outcome of the last read, once a step reported Done.
+func (r *Reader) Result() ReadResult { return r.res }
+
+// queryRound sends rd〈read_no, rnd〉 to every server. It ends once some
+// quorum replied in this round and, in round 1, the 2Δ timer expired or
+// every server replied.
+func (r *Reader) queryRound() Step {
+	r.res.Rounds++
+	r.st.pairsValid = false // fresh acks will refresh the histories
+	r.query.reset(r.res.Rounds == 1)
+	return Step{Send: ReadReq{ReadNo: r.readNo, Round: r.res.Rounds}, Timer: r.res.Rounds == 1}
+}
+
+// Deliver feeds a reply to the round in flight.
+func (r *Reader) Deliver(env transport.Envelope) Step {
+	if r.writingBack {
+		if !r.wb.deliver(env) {
+			return Step{}
 		}
-		if st.portClosed {
-			// The transport shut down mid-operation; report what little
-			// is known instead of spinning (test harnesses close the
-			// network under deliberately blocked reads).
-			return ReadResult{Val: NoValue, TS: 0, Rounds: rounds}, nil
+		return r.afterWriteback()
+	}
+	ack, isAck := env.Payload.(ReadAck)
+	if !isAck || ack.ReadNo != r.readNo {
+		env.Release()
+		return Step{}
+	}
+	// Lines 50-53: any ack refreshes the local copy of the server's
+	// history and the Responded bookkeeping; only current-round acks
+	// advance the round.
+	r.st.hist[env.From] = ack.History
+	if env.Aliased() {
+		// The history's strings alias the envelope's receive arena;
+		// hold the reference until the operation is over.
+		r.retained = append(r.retained, env)
+	}
+	r.trResp.Add(env.From)
+	if ack.Round == r.res.Rounds {
+		r.query.add(env.From)
+	}
+	if !r.query.ended() {
+		return Step{}
+	}
+	return r.afterQuery()
+}
+
+// Expire records that the round's 2Δ timer ran out.
+func (r *Reader) Expire() Step {
+	if r.writingBack {
+		if !r.wb.expire() {
+			return Step{}
 		}
-		// The responded set only changes between rounds, so the quorums
-		// it contains are computed once per round, not per predicate —
-		// appended into buffers the predicates alone read, reused across
-		// operations (the Sets themselves are shared immutable index
-		// state; only the slice headers are recycled here).
-		st.respQuorums = st.resp.AppendContained(st.respQuorums[:0], core.Class3)
-		if rounds == 1 {
-			st.highestTS = st.computeHighestTS()
-			if !r.disableQC2 {
-				st.qc2prime = st.round.AppendContained(st.qc2prime[:0], core.Class2)
-			}
+		return r.afterWriteback()
+	}
+	if !r.query.expire() {
+		return Step{}
+	}
+	return r.afterQuery()
+}
+
+// afterQuery selects a candidate once a query round ended (lines
+// 20-39), or starts another round, then plans the write-back (lines
+// 40-49).
+func (r *Reader) afterQuery() Step {
+	st := &r.st
+	// The responded set only changes between rounds, so the quorums it
+	// contains are computed once per round, not per predicate — appended
+	// into buffers the predicates alone read, reused across operations
+	// (the Sets themselves are shared immutable index state; only the
+	// slice headers are recycled here).
+	st.respQuorums = r.trResp.AppendContained(st.respQuorums[:0], core.Class3)
+	rounds := r.res.Rounds
+	if rounds == 1 {
+		st.highestTS = st.computeHighestTS()
+		if !r.disableQC2 {
+			st.qc2prime = r.query.tr.AppendContained(st.qc2prime[:0], core.Class2)
 		}
-		if c, ok := st.selectCandidate(); ok {
-			csel = c
-			break
-		}
+	}
+	csel, ok := st.selectCandidate()
+	if !ok {
+		return r.queryRound()
 	}
 	if len(r.retained) > 0 {
 		// The candidate was selected out of arena-aliased histories; the
 		// returned value must survive past the arenas' recycle at the
-		// next operation's drainStale.
+		// next operation's start.
 		csel.Val = strings.Clone(csel.Val)
 	}
+	r.res.Val, r.res.TS = csel.Val, csel.TS
 
 	// Regular semantics (Section 6): return the selection with no
 	// writeback; read inversion becomes possible but regularity holds.
 	if r.semantics == Regular {
-		return ReadResult{Val: csel.Val, TS: csel.TS, Rounds: rounds}, nil
+		return Step{Done: true}
 	}
 
 	// Second part: atomicity via the Best-Case Detector (lines 40-49).
 	if rounds == 1 {
 		if st.bcd1Any(csel) {
 			// Line 40: a class-1 quorum confirmed the pair; no writeback.
-			return ReadResult{Val: csel.Val, TS: csel.TS, Rounds: 1}, nil
+			return Step{Done: true}
 		}
 		x1 := st.bcd2(csel, 1)
-		x2 := st.bcd2(csel, 2)
-		x3 := st.bcd2(csel, 3)
-		if len(x1)+len(x2)+len(x3) > 0 {
-			if len(x2)+len(x3) > 0 {
-				// Line 42: the writer already informed a full quorum;
-				// write back directly with round number 2.
-				if _, aborted := r.writeback(2, csel, nil, false, done); aborted {
-					return ReadResult{Val: NoValue, Rounds: 2}, ctx.Err()
-				}
-				return ReadResult{Val: csel.Val, TS: csel.TS, Rounds: 2}, nil
-			}
+		if len(st.bcd2(csel, 2))+len(st.bcd2(csel, 3)) > 0 {
+			// Line 42: the writer already informed a full quorum;
+			// write back directly with round number 2.
+			return r.writeback(2, nil, false)
+		}
+		if len(x1) > 0 {
 			// Lines 43-47: R = 1. Write back the class-2 quorum ids and
 			// hope a quorum from X confirms before the timer runs out.
-			acked, aborted := r.writeback(1, csel, x1, true, done)
-			if aborted {
-				return ReadResult{Val: NoValue, Rounds: 2}, ctx.Err()
-			}
-			for _, q := range x1 {
-				if q.SubsetOf(acked) {
-					return ReadResult{Val: csel.Val, TS: csel.TS, Rounds: 2}, nil
-				}
-			}
-			if _, aborted := r.writeback(2, csel, nil, false, done); aborted {
-				return ReadResult{Val: NoValue, Rounds: 3}, ctx.Err()
-			}
-			return ReadResult{Val: csel.Val, TS: csel.TS, Rounds: 3}, nil
+			return r.writeback(1, x1, true)
 		}
 	}
-
 	// Line 49: generic two-round writeback.
-	if _, aborted := r.writeback(1, csel, nil, false, done); aborted {
-		return ReadResult{Val: NoValue, Rounds: rounds + 1}, ctx.Err()
-	}
-	if _, aborted := r.writeback(2, csel, nil, false, done); aborted {
-		return ReadResult{Val: NoValue, Rounds: rounds + 2}, ctx.Err()
-	}
-	return ReadResult{Val: csel.Val, TS: csel.TS, Rounds: rounds + 2}, nil
-}
-
-// queryRound sends rd〈read_no, rnd〉 to all servers and waits until some
-// quorum replied in this round and, in round 1, the 2Δ timer expired or
-// every server replied (once the whole universe has answered, no later
-// message can add information, so the timer wait is provably redundant).
-func (r *Reader) queryRound(st *readState, rnd int, done <-chan struct{}) {
-	transport.Broadcast(r.port, r.rqs.Universe(), ReadReq{ReadNo: r.readNo, Round: rnd})
-
-	st.pairsValid = false // fresh acks will refresh the histories
-	st.round.Reset()
-	timer := resetTimer(&r.timer, r.timeout)
-	timerDone := rnd != 1
-	quorumOK := false
-
-	for {
-		if quorumOK && (timerDone || st.round.Complete()) {
-			return
-		}
-		env, ok, timedOut, aborted := recvOrTimer(r.port, timer, done)
-		if aborted {
-			st.aborted = true
-			return
-		}
-		if timedOut {
-			timerDone = true
-			continue
-		}
-		if !ok {
-			st.portClosed = true
-			return
-		}
-		ack, isAck := env.Payload.(ReadAck)
-		if !isAck || ack.ReadNo != r.readNo {
-			env.Release()
-			continue
-		}
-		// Lines 50-53: any ack refreshes the local copy of the
-		// server's history and the Responded bookkeeping; only
-		// current-round acks advance the round. Quorum checks
-		// rerun only when the ack set actually grew.
-		st.hist[env.From] = ack.History
-		if env.Aliased() {
-			// The history's strings alias the envelope's receive arena;
-			// hold the reference until the operation is over.
-			r.retained = append(r.retained, env)
-		}
-		st.resp.Add(env.From)
-		if ack.Round == rnd && st.round.Add(env.From) && !quorumOK {
-			_, quorumOK = st.round.Contained(core.Class3)
-		}
-	}
+	return r.writeback(1, nil, false)
 }
 
 // writeback implements lines 60-62: the writer's round (writeRound)
-// with the selected pair, on the reader's own tracker and timer; with
-// withTimer it also waits for the 2Δ timer (the line 43-45 dance).
-func (r *Reader) writeback(round int, c Pair, sets []core.Set, withTimer bool, done <-chan struct{}) (core.Set, bool) {
-	req := WriteReq{TS: c.TS, Val: c.Val, Sets: sets, Round: round}
-	return writeRound(r.port, r.rqs.Universe(), r.trWB, resetTimer(&r.timer, r.timeout), req, withTimer, done)
+// with the selected pair, on the reader's own tracker and timer.
+func (r *Reader) writeback(rnd int, sets []core.Set, timed bool) Step {
+	r.writingBack = true
+	r.res.Rounds++
+	return r.wb.start(WriteReq{TS: r.res.TS, Val: r.res.Val, Sets: sets, Round: rnd}, timed)
 }
 
-func (r *Reader) drainStale() {
-	drainPort(r.port)
-	// The previous operation's histories die with its read state; the
-	// envelopes retained for them can recycle their arenas now.
-	for i := range r.retained {
-		r.retained[i].Release()
+// afterWriteback ends the read after a round-2 write-back, and after a
+// round-1 write-back whose quorum ids (lines 43-47) one quorum fully
+// acked; otherwise it writes back again with round number 2.
+func (r *Reader) afterWriteback() Step {
+	if r.wb.req.Round == 2 {
+		return Step{Done: true}
 	}
-	r.retained = r.retained[:0]
+	acked := r.wb.tr.Responded()
+	for _, q := range r.wb.req.Sets {
+		if q.SubsetOf(acked) {
+			return Step{Done: true}
+		}
+	}
+	return r.writeback(2, nil, false)
 }

@@ -127,8 +127,8 @@ func shardOf(key string) int {
 // Server is one storage server. It hosts a keyspace of registers over
 // a single port: per key, the SWMR history of Figure 6 and the
 // tag-ordered MWMR register (mwmr.go), behind a sharded map with
-// per-shard mutexes, created lazily on first apply. The key-less
-// protocol clients (Writer/Reader, MWWriter/MWReader) address key "".
+// per-shard mutexes, created lazily on first apply. The SWMR clients
+// (Writer/Reader) address key "".
 // Run processes its inbox until the port's inbox closes; Stop aborts
 // earlier.
 //
@@ -237,6 +237,13 @@ func (s *Server) AuthRejects() uint64 { return s.authRejects.Load() }
 // Start launches the server loop in its own goroutine.
 func (s *Server) Start() {
 	go s.run()
+}
+
+// HandleEnvelope serves one request synchronously, for a volatile
+// server driven from a single goroutine (sim.Lockstep) instead of by
+// Start. The caller owns serialization and must not mix it with Start.
+func (s *Server) HandleEnvelope(env transport.Envelope) {
+	s.handleBurst([]transport.Envelope{env})
 }
 
 // Stop terminates the server loop and waits for it to exit. Safe for

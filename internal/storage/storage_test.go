@@ -1,6 +1,8 @@
 package storage_test
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -45,36 +47,51 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// lockstepSeeds are the in-round delivery orders the lockstep tests
+// sweep: round counts must not depend on which reply lands first.
+const lockstepSeeds = 20
+
+// lockstepDo runs one operation of a LockstepStorage client to
+// quiescence and fails the test if it is still pending.
+func lockstepDo(t *testing.T, st *sim.LockstepStorage, op storage.Op, first storage.Step) {
+	t.Helper()
+	st.Start(op, first)
+	if pending := st.Run(); len(pending) > 0 {
+		t.Fatalf("operation pending at quiescence")
+	}
+}
+
 func TestBestCaseLatenciesByClass(t *testing.T) {
 	// Theorem 9: the algorithm is (m, QCm)-fast. With n=8, t=3, r=2,
 	// q=1: crash 0/2/3 servers to leave exactly a class-1/2/3 quorum of
-	// correct servers, and observe 1/2/3-round writes and reads.
+	// correct servers, and observe m-round writes and reads of at most
+	// m rounds, counted by the lockstep driver under every seed.
+	// The five-server system's all-alive write is the quickstart's.
+	r8 := threshold8(t)
 	tests := []struct {
 		name       string
+		rqs        *core.RQS
 		crash      core.Set
 		wantRounds int
 	}{
-		{"class1 all alive", core.EmptySet, 1},
-		{"class2 two crashed", core.NewSet(6, 7), 2},
-		{"class3 three crashed", core.NewSet(5, 6, 7), 3},
+		{"class1 all alive", r8, core.EmptySet, 1},
+		{"class2 two crashed", r8, core.NewSet(6, 7), 2},
+		{"class3 three crashed", r8, core.NewSet(5, 6, 7), 3},
+		{"five-server all alive", core.FiveServerRQS(), core.EmptySet, 1},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			c := sim.NewStorageCluster(threshold8(t), sim.StorageOptions{Timeout: 2 * time.Millisecond})
-			defer c.Stop()
-			c.CrashServers(tt.crash)
-			w, r := c.Writer(), c.Reader()
-
-			wres := w.Write("v")
-			if wres.Rounds != tt.wantRounds {
-				t.Errorf("write rounds = %d, want %d", wres.Rounds, tt.wantRounds)
-			}
-			rres := r.Read()
-			if rres.Val != "v" {
-				t.Fatalf("read = %+v, want v", rres)
-			}
-			if rres.Rounds > tt.wantRounds {
-				t.Errorf("read rounds = %d, want ≤ %d", rres.Rounds, tt.wantRounds)
+			for seed := int64(1); seed <= lockstepSeeds; seed++ {
+				st := sim.NewLockstepStorage(tt.rqs, &sim.Lockstep{Crashed: tt.crash, Seed: seed}, nil)
+				w, r := st.Writer(), st.Reader(storage.ReaderOptions{})
+				lockstepDo(t, st, w, w.StartWrite("v"))
+				if got := w.Result().Rounds; got != tt.wantRounds {
+					t.Errorf("seed %d: write rounds = %d, want %d", seed, got, tt.wantRounds)
+				}
+				lockstepDo(t, st, r, r.StartRead())
+				if res := r.Result(); res.Val != "v" || res.Rounds > tt.wantRounds {
+					t.Errorf("seed %d: read = %+v, want v in ≤ %d rounds", seed, res, tt.wantRounds)
+				}
 			}
 		})
 	}
@@ -85,21 +102,36 @@ func TestExample7TwoRoundReadAfterFastWrite(t *testing.T) {
 	// s6 disappears, leaving class-2 quorum Q2 = {s1..s5}. The read needs
 	// the QC'2 writeback machinery (lines 43-46) and completes in 2
 	// rounds.
-	c := sim.NewStorageCluster(core.Example7RQS(), sim.StorageOptions{Timeout: 2 * time.Millisecond})
-	defer c.Stop()
-	w, r := c.Writer(), c.Reader()
+	for seed := int64(1); seed <= lockstepSeeds; seed++ {
+		ls := &sim.Lockstep{Seed: seed}
+		st := sim.NewLockstepStorage(core.Example7RQS(), ls, nil)
+		w, r := st.Writer(), st.Reader(storage.ReaderOptions{})
+		lockstepDo(t, st, w, w.StartWrite("one"))
+		if got := w.Result().Rounds; got != 1 {
+			t.Fatalf("seed %d: write rounds = %d, want 1 (class-1 quorum alive)", seed, got)
+		}
+		ls.Crashed = core.NewSet(5) // s6
+		lockstepDo(t, st, r, r.StartRead())
+		if res := r.Result(); res.Val != "one" || res.Rounds != 2 {
+			t.Errorf("seed %d: read = %+v, want one in 2 rounds", seed, res)
+		}
+	}
+}
 
-	wres := w.Write("one")
-	if wres.Rounds != 1 {
-		t.Fatalf("write rounds = %d, want 1 (class-1 quorum alive)", wres.Rounds)
+// TestSWMRErrClosed pins the shutdown contract the KV client keeps
+// (TestKVErrClosed) for the SWMR clients: once the port closes, a write
+// must not report a timestamp as stored nor a read return ⊥ as the
+// register's value.
+func TestSWMRErrClosed(t *testing.T) {
+	c := sim.NewStorageCluster(core.Example7RQS(), sim.StorageOptions{Timeout: 2 * time.Millisecond})
+	w, r := c.Writer(), c.Reader()
+	w.Write("v")
+	c.Stop()
+	if res, err := w.WriteCtx(context.Background(), "x"); !errors.Is(err, storage.ErrClosed) {
+		t.Errorf("WriteCtx after Stop = (%+v, %v), want ErrClosed", res, err)
 	}
-	c.CrashServers(core.NewSet(5)) // s6
-	rres := r.Read()
-	if rres.Val != "one" {
-		t.Fatalf("read = %+v, want one", rres)
-	}
-	if rres.Rounds != 2 {
-		t.Errorf("read rounds = %d, want 2", rres.Rounds)
+	if res, err := r.ReadCtx(context.Background()); !errors.Is(err, storage.ErrClosed) {
+		t.Errorf("ReadCtx after Stop = (%+v, %v), want ErrClosed", res, err)
 	}
 }
 

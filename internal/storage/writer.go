@@ -22,12 +22,11 @@ type WriteResult struct {
 // It is not safe for concurrent use: the model forbids a client from
 // invoking a new operation before the previous one completes.
 type Writer struct {
-	rqs     *core.RQS
-	port    transport.Port
-	timeout time.Duration // the 2Δ round timer
-	ts      int64
-	tr      *core.QuorumTracker // per-round ack tracker, reset each round
-	timer   *time.Timer         // reused 2Δ timer (see resetTimer)
+	client
+	ts  int64
+	wr  writeRound // the round in flight; its tracker is reused
+	qc2 []core.Set // class-2 quorums that acked round 1 (lines 4-5)
+	res WriteResult
 }
 
 // NewWriter creates the writer. timeout is the paper's 2Δ; zero selects
@@ -36,7 +35,9 @@ func NewWriter(rqs *core.RQS, port transport.Port, timeout time.Duration) *Write
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	return &Writer{rqs: rqs, port: port, timeout: timeout, tr: rqs.NewTracker()}
+	w := &Writer{client: client{rqs: rqs, port: port, timeout: timeout}}
+	w.wr.tr = rqs.NewTracker()
+	return w
 }
 
 // Timestamp returns the writer's current local timestamp.
@@ -64,140 +65,68 @@ func (w *Writer) Write(v string) WriteResult {
 // WriteCtx is Write with a per-operation deadline: when ctx expires
 // before a quorum is reachable, the operation aborts and the context's
 // error is returned — a liveness violation surfaced as an error instead
-// of an unbounded quorum wait. An aborted write consumes its timestamp
-// (the single writer never reuses one) and may be partially applied at
-// some servers; the writer itself remains usable.
+// of an unbounded quorum wait. It returns ErrClosed when the port
+// closes first. An aborted write consumes its timestamp (the single
+// writer never reuses one) and may be partially applied at some
+// servers; the writer itself remains usable.
 func (w *Writer) WriteCtx(ctx context.Context, v string) (WriteResult, error) {
-	done := ctx.Done()
+	if err := w.drive(ctx, w, w.StartWrite(v)); err != nil {
+		return WriteResult{TS: w.ts}, err
+	}
+	return w.res, nil
+}
+
+// StartWrite begins writing v under the next timestamp and returns the
+// first step: round 1, which waits for a quorum AND the 2Δ timer (or
+// every server).
+func (w *Writer) StartWrite(v string) Step {
 	w.ts++
-	w.drainStale()
-
-	// Round 1: wait for a quorum AND the 2Δ timer (or every server).
-	_, aborted := w.round(1, v, nil, true, done)
-	if aborted {
-		return WriteResult{TS: w.ts}, ctx.Err()
-	}
-	if _, ok := w.tr.Contained(core.Class1); ok {
-		return WriteResult{TS: w.ts, Rounds: 1}, nil
-	}
-	// Remember the class-2 quorums that responded (lines 4-5).
-	qc2 := w.tr.ContainedAll(core.Class2)
-
-	// Round 2: write the pair with the QC'2 certificate.
-	acked, aborted := w.round(2, v, qc2, true, done)
-	if aborted {
-		return WriteResult{TS: w.ts}, ctx.Err()
-	}
-	for _, q := range qc2 {
-		if q.SubsetOf(acked) {
-			return WriteResult{TS: w.ts, Rounds: 2}, nil
-		}
-	}
-
-	// Round 3: plain quorum write.
-	if _, aborted := w.round(3, v, nil, false, done); aborted {
-		return WriteResult{TS: w.ts}, ctx.Err()
-	}
-	return WriteResult{TS: w.ts, Rounds: 3}, nil
+	return w.startRound(1, v, nil)
 }
 
-// round is one round of Figure 5: wr〈ts, v, sets, rnd〉 to all servers.
-// It returns the servers that acked (also held by w.tr) and whether
-// the wait was aborted by the done channel firing.
-func (w *Writer) round(rnd int, v string, sets []core.Set, withTimer bool, done <-chan struct{}) (core.Set, bool) {
-	req := WriteReq{TS: w.ts, Val: v, Sets: sets, Round: rnd}
-	return writeRound(w.port, w.rqs.Universe(), w.tr, resetTimer(&w.timer, w.timeout), req, withTimer, done)
+// Result is the outcome of the last write, once a step reported Done.
+func (w *Writer) Result() WriteResult { return w.res }
+
+func (w *Writer) startRound(rnd int, v string, sets []core.Set) Step {
+	w.res = WriteResult{TS: w.ts, Rounds: rnd}
+	return w.wr.start(WriteReq{TS: w.ts, Val: v, Sets: sets, Round: rnd}, rnd < 3)
 }
 
-// writeRound is the Figure 5 write round, shared by the writer and the
-// reader's writeback (Figure 7, lines 60-62): broadcast req to the
-// universe and count WriteAck〈req.TS, req.Round〉 on tr until some
-// class-3 quorum acked and, withTimer, the 2Δ timer fired. The timer
-// wait is cut short once every server has acked: nothing further can
-// arrive, so waiting longer cannot change any verdict. It returns the
-// servers that acked and whether the done channel aborted the wait.
-func writeRound(port transport.Port, universe core.Set, tr *core.QuorumTracker, timer *time.Timer, req WriteReq, withTimer bool, done <-chan struct{}) (core.Set, bool) {
-	transport.Broadcast(port, universe, req)
-	tr.Reset()
-	timerDone := !withTimer
-	quorumOK := false
-	for {
-		if quorumOK && (timerDone || tr.Complete()) {
-			return tr.Responded(), false
+// Deliver counts a reply toward the round in flight.
+func (w *Writer) Deliver(env transport.Envelope) Step {
+	if !w.wr.deliver(env) {
+		return Step{}
+	}
+	return w.next()
+}
+
+// Expire records that the round's 2Δ timer ran out.
+func (w *Writer) Expire() Step {
+	if !w.wr.expire() {
+		return Step{}
+	}
+	return w.next()
+}
+
+// next is Figure 5 between rounds: done after round 1 if a class-1
+// quorum acked; after round 2 if a class-2 quorum that acked round 1
+// acked again, carrying the QC'2 certificate; after round 3 in any case.
+func (w *Writer) next() Step {
+	switch w.res.Rounds {
+	case 1:
+		if _, ok := w.wr.tr.Contained(core.Class1); ok {
+			return Step{Done: true}
 		}
-		env, ok, timedOut, aborted := recvOrTimer(port, timer, done)
-		if aborted {
-			return tr.Responded(), true
-		}
-		if timedOut {
-			timerDone = true
-			continue
-		}
-		if !ok {
-			return tr.Responded(), false
-		}
-		// Re-check quorum containment only when the ack changed the
-		// tracker state; duplicates and stale messages are free. The
-		// assertion copies the (string-free) ack out of the envelope, so
-		// the receive arena can recycle before the tracker runs.
-		ack, isAck := env.Payload.(WriteAck)
-		env.Release()
-		if isAck && ack.TS == req.TS && ack.Round == req.Round {
-			if tr.Add(env.From) && !quorumOK {
-				_, quorumOK = tr.Contained(core.Class3)
+		w.qc2 = w.wr.tr.ContainedAll(core.Class2)
+		return w.startRound(2, w.wr.req.Val, w.qc2)
+	case 2:
+		acked := w.wr.tr.Responded()
+		for _, q := range w.qc2 {
+			if q.SubsetOf(acked) {
+				return Step{Done: true}
 			}
 		}
+		return w.startRound(3, w.wr.req.Val, nil)
 	}
+	return Step{Done: true}
 }
-
-// resetTimer arms a client's reused 2Δ round timer: the first call
-// creates it, later calls stop-drain-reset it. Clients run one
-// operation at a time and the timer channel has no other consumer, so
-// the non-blocking drain makes Reset race-free under both timer
-// semantics — and a round stops paying a runtime-timer allocation.
-func resetTimer(t **time.Timer, d time.Duration) *time.Timer {
-	tm := *t
-	if tm == nil {
-		tm = time.NewTimer(d)
-		*t = tm
-		return tm
-	}
-	if !tm.Stop() {
-		select {
-		case <-tm.C:
-		default:
-		}
-	}
-	tm.Reset(d)
-	return tm
-}
-
-// recvOrTimer receives the next envelope for a timed protocol wait,
-// draining already-buffered messages before touching the select/timer
-// machinery (under load a whole quorum's acks land as one burst, and
-// the bare receive is markedly cheaper than a multi-case select).
-// timedOut reports that the round timer fired instead; ok is false
-// when the inbox closed; aborted reports that the caller's done
-// channel fired (nil done — the common, deadline-free case — can
-// never fire and costs only a never-ready select case on the slow
-// path).
-func recvOrTimer(port transport.Port, timer *time.Timer, done <-chan struct{}) (env transport.Envelope, ok, timedOut, aborted bool) {
-	select {
-	case env, ok = <-port.Inbox():
-		return env, ok, false, false
-	default:
-	}
-	select {
-	case env, ok = <-port.Inbox():
-		return env, ok, false, false
-	case <-timer.C:
-		return transport.Envelope{}, false, true, false
-	case <-done:
-		return transport.Envelope{}, false, false, true
-	}
-}
-
-// drainStale discards any leftover replies from previous operations.
-// Server state is monotone, so dropping stale acks never loses
-// information — it only keeps per-operation accounting exact.
-func (w *Writer) drainStale() { drainPort(w.port) }

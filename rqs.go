@@ -152,14 +152,6 @@ type (
 	ServerHooks = storage.Hooks
 	// Tag orders MWMR writes: lexicographic on (TS, Writer).
 	Tag = storage.Tag
-	// MWWriter is one of arbitrarily many writers of the MWMR register
-	// (deadline-aware variant: WriteCtx).
-	MWWriter = storage.MWWriter
-	// MWReader is a reader of the MWMR register (deadline-aware
-	// variant: ReadCtx).
-	MWReader = storage.MWReader
-	// MWResult reports an MWMR operation's value, tag and round count.
-	MWResult = storage.MWResult
 )
 
 // NewStorage starts an atomic-storage cluster over the given system.
@@ -262,20 +254,6 @@ func NewAuthDeployment(mode AuthMode, ids Set) (*AuthDeployment, error) {
 // / KVOptions.Auth.
 func AuthForCluster(mode AuthMode, system *System, clients int) *AuthDeployment {
 	return sim.AuthDeployment(mode, system, clients)
-}
-
-// NewMWMRWriterAuth is NewMWMRWriter for an authenticated deployment:
-// the writer signs every tag it installs with its port identity's key.
-func NewMWMRWriterAuth(system *System, port Port, signer AuthSigner, verifier AuthVerifier) *MWWriter {
-	return storage.NewMWWriterAuth(system, port, signer, verifier)
-}
-
-// NewMWMRReaderAuth is NewMWMRReader for an authenticated deployment:
-// the reader discards acks that fail verification and forwards the
-// original writer signature on writebacks (readers need no signing
-// key of their own).
-func NewMWMRReaderAuth(system *System, port Port, verifier AuthVerifier) *MWReader {
-	return storage.NewMWReaderAuth(system, port, verifier)
 }
 
 // Consensus deployment (Section 4).
@@ -431,18 +409,6 @@ func NewStorageWriter(system *System, port Port, timeout time.Duration) *Writer 
 // NewStorageReader builds a reader client on an arbitrary Port.
 func NewStorageReader(system *System, port Port, timeout time.Duration) *Reader {
 	return storage.NewReader(system, port, timeout)
-}
-
-// NewMWMRWriter builds a multi-writer client on an arbitrary Port; the
-// port's process ID becomes the writer ID embedded in its tags, so
-// concurrent writers must sit on distinct ports.
-func NewMWMRWriter(system *System, port Port) *MWWriter {
-	return storage.NewMWWriter(system, port)
-}
-
-// NewMWMRReader builds a multi-reader client on an arbitrary Port.
-func NewMWMRReader(system *System, port Port) *MWReader {
-	return storage.NewMWReader(system, port)
 }
 
 // RegisterStorageMessages registers the storage message types — the

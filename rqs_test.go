@@ -9,10 +9,9 @@ func TestFacadeStorageQuickstart(t *testing.T) {
 	c := NewStorage(FiveServerRQS(), StorageOptions{Timeout: 2 * time.Millisecond})
 	defer c.Stop()
 	w, r := c.Writer(), c.Reader()
-	res := w.Write("hello")
-	if res.Rounds != 1 {
-		t.Errorf("write rounds = %d, want 1", res.Rounds)
-	}
+	// A wall-clock smoke test: round counts are the lockstep tests' job
+	// (storage's TestBestCaseLatenciesByClass).
+	w.Write("hello")
 	if got := r.Read(); got.Val != "hello" {
 		t.Errorf("read = %+v", got)
 	}
