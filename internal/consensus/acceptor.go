@@ -2,26 +2,30 @@ package consensus
 
 import (
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
-// ElectionConfig tunes the Election module (Figure 14).
-type ElectionConfig struct {
-	// Enabled turns the view-change machinery on. Best-case experiments
-	// may disable it to freeze the initial view.
-	Enabled bool
-	// InitTimeout is the initial suspect timeout (the paper's 5Δ); it
-	// doubles after every expiration.
-	InitTimeout time.Duration
+// initSuspect is the initial suspect timeout of Figure 14, in Δ.
+const initSuspect = 5
+
+// Timer is what one step of the acceptor asks of its suspect timer
+// (Figure 14). The acceptor keeps the timer's length in units of Δ but
+// holds no clock: Arm > 0 asks the driver to (re)arm the timer to expire
+// Arm Δ from now, when the driver calls Expire, and Stop asks it to
+// cancel the timer for good. The zero Timer leaves the timer as it was,
+// so a host that never calls Expire runs no Election module.
+type Timer struct {
+	Arm  int
+	Stop bool
 }
 
 // Acceptor is one acceptor of the Locking module (Figure 15) together
-// with its Election module half (Figure 14).
+// with its Election module half (Figure 14). It is a step function:
+// HandleEnvelope and Expire each handle one event to completion, and
+// the caller owns their serialization.
 type Acceptor struct {
 	id     core.ProcessID
 	rqs    *core.RQS
@@ -30,7 +34,6 @@ type Acceptor struct {
 	signer *Signer
 	topo   Topology
 	port   transport.Port
-	elect  ElectionConfig
 
 	// Locking state (Figure 15 initialisation). The maps are created on
 	// first write: a pipelined host builds one acceptor per log slot, and
@@ -58,14 +61,14 @@ type Acceptor struct {
 	pendingActive bool
 	pendingNeeded map[[2]int]bool // (step index 0/1, view) still unproven
 
-	// Election state. The suspect timer is created when first armed, so
-	// an acceptor with the Election module disabled never has one.
-	timerRunning   bool
-	timer          *time.Timer
-	suspectTimeout time.Duration
-	nextView       int
-	timerStopped   bool // permanently stopped after a decided quorum
-	decisionFrom   map[Value]core.Set
+	// Election state: the suspect timeout in Δ (5Δ at first, doubling
+	// on each expiry), and what the current step reports of the timer.
+	suspect      int
+	timerRunning bool
+	timerStopped bool // permanently stopped after a decided quorum
+	timer        Timer
+	nextView     int
+	decisionFrom map[Value]core.Set
 
 	// Durability (nil for a volatile acceptor — see durable.go). dirty
 	// marks that the handled event changed promise/accept state; the
@@ -79,13 +82,8 @@ type Acceptor struct {
 	maxSegments int
 
 	// hooks is the Byzantine fault-injection surface (hooks.go); zero
-	// for an honest acceptor. Set before Start via SetHooks.
+	// for an honest acceptor. Set before the first step via SetHooks.
 	hooks Hooks
-
-	// Loop plumbing, created by Start (nil on an inline-driven acceptor).
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // stepKey names one update message this acceptor sent: update_step〈v, w〉.
@@ -95,29 +93,24 @@ type stepKey struct {
 }
 
 // NewAcceptor builds an acceptor. signer must hold this acceptor's key.
-func NewAcceptor(rqs *core.RQS, topo Topology, port transport.Port, ring *Keyring, signer *Signer, elect ElectionConfig) *Acceptor {
-	if elect.InitTimeout <= 0 {
-		elect.InitTimeout = 50 * time.Millisecond
-	}
+func NewAcceptor(rqs *core.RQS, topo Topology, port transport.Port, ring *Keyring, signer *Signer) *Acceptor {
 	return &Acceptor{
-		id:             port.ID(),
-		rqs:            rqs,
-		elems:          rqs.AdversaryElements(),
-		ring:           ring,
-		signer:         signer,
-		topo:           topo,
-		port:           port,
-		elect:          elect,
-		view:           InitView,
-		dec:            newDecider(rqs),
-		suspectTimeout: elect.InitTimeout,
-		nextView:       InitView,
+		id:       port.ID(),
+		rqs:      rqs,
+		elems:    rqs.AdversaryElements(),
+		ring:     ring,
+		signer:   signer,
+		topo:     topo,
+		port:     port,
+		view:     InitView,
+		dec:      newDecider(rqs),
+		suspect:  initSuspect,
+		nextView: InitView,
 	}
 }
 
 // SetHooks installs the Byzantine fault-injection hooks. Must be
-// called before Start (or before the first HandleEnvelope on an
-// inline-driven acceptor).
+// called before the first step.
 func (a *Acceptor) SetHooks(h Hooks) { a.hooks = h }
 
 // sendUpdates emits one update message to the update targets: the
@@ -155,64 +148,30 @@ func (a *Acceptor) sendDecision(m DecisionMsg) {
 	}
 }
 
-// Start launches the acceptor loop.
-func (a *Acceptor) Start() {
-	a.stop = make(chan struct{})
-	a.done = make(chan struct{})
-	go a.run()
-}
-
-// HandleEnvelope processes one incoming envelope synchronously, for
-// hosts that drive many acceptors from a single goroutine (the smr
-// replica pipelines all slots of a deployment this way). It must not
-// be mixed with Start — the caller owns serialization — and the
-// Election module must be disabled: its suspect timer only fires
-// inside Start's loop. Stop is unnecessary for acceptors driven this
-// way (there is no goroutine to stop).
-func (a *Acceptor) HandleEnvelope(env transport.Envelope) { a.handle(env) }
-
-// Stop terminates the loop and waits for exit. A durable acceptor's
-// log is released after the loop drains.
-func (a *Acceptor) Stop() {
-	a.stopOnce.Do(func() { close(a.stop) })
-	<-a.done
-	if a.wal != nil {
-		a.wal.Close()
-	}
-}
-
-// Decided returns the acceptor's decision, if any. Safe only after Stop.
-func (a *Acceptor) Decided() (Value, bool) { return a.decidedVal, a.hasDecided }
-
-func (a *Acceptor) run() {
-	defer close(a.done)
-	defer a.stopTimer()
-	for {
-		var suspect <-chan time.Time // nil until the timer is first armed
-		if a.timer != nil {
-			suspect = a.timer.C
-		}
-		select {
-		case <-a.stop:
-			return
-		case <-suspect:
-			a.onSuspectTimeout()
-			a.persistAndFlush()
-		case env, ok := <-a.port.Inbox():
-			if !ok {
-				return
-			}
-			a.handle(env)
-		}
-	}
-}
-
-func (a *Acceptor) handle(env transport.Envelope) {
+// HandleEnvelope processes one incoming envelope and reports what it
+// did to the suspect timer. A durable acceptor commits the state the
+// envelope dirtied before the envelope's sends leave (write-ahead); a
+// volatile one sends inline.
+func (a *Acceptor) HandleEnvelope(env transport.Envelope) Timer {
+	a.timer = Timer{}
 	a.dispatch(env)
-	// Durable acceptors commit dirtied state before the event's sends
-	// leave (write-ahead); volatile acceptors no-op here.
 	a.persistAndFlush()
+	return a.timer
 }
+
+// Expire is the suspect timer running out (Figure 14 lines 3-6): the
+// acceptor suspects the current view's leader, doubles its timeout and
+// asks the next view's leader for a view change. It reports the re-armed
+// timer, or nothing once a decided quorum stopped it.
+func (a *Acceptor) Expire() Timer {
+	a.timer = Timer{}
+	a.onSuspectTimeout()
+	a.persistAndFlush()
+	return a.timer
+}
+
+// Decided returns the acceptor's decision, if any.
+func (a *Acceptor) Decided() (Value, bool) { return a.decidedVal, a.hasDecided }
 
 func (a *Acceptor) dispatch(env transport.Envelope) {
 	switch m := env.Payload.(type) {
@@ -503,9 +462,9 @@ func (a *Acceptor) onDecision(from core.ProcessID, m DecisionMsg) {
 		a.decisionFrom = make(map[Value]core.Set)
 	}
 	a.decisionFrom[m.V] = a.decisionFrom[m.V].Add(from)
-	if _, ok := a.rqs.ContainedQuorum(a.decisionFrom[m.V], core.Class3); ok {
+	if _, ok := a.rqs.ContainedQuorum(a.decisionFrom[m.V], core.Class3); ok && !a.timerStopped {
 		a.timerStopped = true
-		a.stopTimer()
+		a.timer = Timer{Stop: true}
 	}
 	if !a.hasDecided && core.IsBasic(a.decisionFrom[m.V], a.rqs.Adversary()) {
 		a.decide(m.V)
@@ -515,33 +474,23 @@ func (a *Acceptor) onDecision(from core.ProcessID, m DecisionMsg) {
 // Election module (Figure 14).
 
 func (a *Acceptor) armTimer() {
-	if !a.elect.Enabled || a.timerRunning || a.timerStopped {
+	if a.timerRunning || a.timerStopped {
 		return
 	}
 	a.timerRunning = true
-	if a.timer == nil {
-		a.timer = time.NewTimer(a.suspectTimeout)
-		return
-	}
-	a.timer.Reset(a.suspectTimeout)
-}
-
-func (a *Acceptor) stopTimer() {
-	if a.timer != nil {
-		a.timer.Stop()
-	}
+	a.timer = Timer{Arm: a.suspect}
 }
 
 func (a *Acceptor) onSuspectTimeout() {
-	if a.timerStopped || !a.elect.Enabled {
+	if a.timerStopped {
 		return
 	}
-	a.suspectTimeout *= 2
+	a.suspect *= 2
 	a.nextView++
 	body := ViewChangeBody{NextView: a.nextView}
 	vc := SignedViewChange{Acceptor: a.id, Body: body, Sig: a.signer.Sign(body.signingBody())}
 	a.port.Send(a.topo.Leader(a.nextView), vc)
-	a.timer.Reset(a.suspectTimeout)
+	a.timer = Timer{Arm: a.suspect}
 }
 
 func sortedViews(m map[int]bool) []int {

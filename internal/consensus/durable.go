@@ -54,11 +54,12 @@ func registerConsensusWALTypes() {
 // NewDurableAcceptor builds an acceptor whose promise/accept state is
 // backed by a write-ahead log in dir, recovering any state a previous
 // incarnation committed there. Outgoing messages are deferred until
-// the state they witness is durable.
-func NewDurableAcceptor(rqs *core.RQS, topo Topology, port transport.Port, ring *Keyring, signer *Signer, elect ElectionConfig, dir string) (*Acceptor, error) {
+// the state they witness is durable. The log stays open for the
+// acceptor's lifetime.
+func NewDurableAcceptor(rqs *core.RQS, topo Topology, port transport.Port, ring *Keyring, signer *Signer, dir string) (*Acceptor, error) {
 	registerConsensusWALTypes()
 	dp := &deferPort{inner: port}
-	a := NewAcceptor(rqs, topo, dp, ring, signer, elect)
+	a := NewAcceptor(rqs, topo, dp, ring, signer)
 	l, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return nil, err
@@ -87,8 +88,8 @@ func NewDurableAcceptor(rqs *core.RQS, topo Topology, port transport.Port, ring 
 
 // PersistentState captures the durable slice of the acceptor's state.
 // It is what each WAL record holds; exported for recovery assertions
-// in tests. Safe only from the acceptor's own goroutine (or before
-// Start / after Stop).
+// in tests. Like every step, the caller serializes it with the
+// acceptor's other calls.
 func (a *Acceptor) PersistentState() AcceptorState {
 	st := AcceptorState{
 		View:       a.view,
@@ -125,7 +126,7 @@ func viewSet(views []int) map[int]bool {
 	return m
 }
 
-// persistAndFlush runs after every handled event: if the event dirtied
+// persistAndFlush runs after every step: if the event dirtied
 // durable state, append + fsync one full-state record, then release
 // the deferred sends. On a volatile acceptor it is a no-op (the port
 // is not wrapped, sends already left inline).

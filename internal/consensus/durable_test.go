@@ -8,25 +8,44 @@ import (
 	"repro/internal/transport"
 )
 
-// durableAcceptorFixture builds one durable acceptor over a fresh
-// in-memory network: acceptors 0-6 (the Example 7 universe), proposer
-// 7.
-func durableAcceptorFixture(t *testing.T, dir string) (*Acceptor, *transport.Network) {
+// sentPort is acceptor 0's port in the durable fixtures: it records
+// what leaves, in order.
+type sentPort struct{ sent []transport.Envelope }
+
+func (p *sentPort) ID() core.ProcessID { return 0 }
+func (p *sentPort) Send(to core.ProcessID, m transport.Message) {
+	p.sent = append(p.sent, transport.Envelope{From: 0, To: to, Payload: m})
+}
+func (p *sentPort) SendHop(to core.ProcessID, m transport.Message, _ int) { p.Send(to, m) }
+func (p *sentPort) SendBatch(to core.ProcessID, ms []transport.Message, _ int) {
+	for _, m := range ms {
+		p.Send(to, m)
+	}
+}
+func (p *sentPort) Broadcast(dst core.Set, m transport.Message, _ int) {
+	for _, to := range dst.Members() {
+		p.Send(to, m)
+	}
+}
+func (p *sentPort) Inbox() <-chan transport.Envelope { return nil }
+
+// durableAcceptorFixture builds durable acceptor 0 of the Example 7
+// universe (acceptors 0-5, proposer 7) over a recording port.
+func durableAcceptorFixture(t *testing.T, dir string) (*Acceptor, *sentPort) {
 	t.Helper()
 	rqs := core.Example7RQS()
-	acceptors := core.FullSet(7)
+	acceptors := rqs.Universe()
 	topo := Topology{Acceptors: acceptors, Proposers: []core.ProcessID{7}}
 	ring, signers, err := GenKeys(acceptors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := transport.NewNetwork(8)
-	a, err := NewDurableAcceptor(rqs, topo, net.Port(0), ring, signers[0], ElectionConfig{}, dir)
+	port := &sentPort{}
+	a, err := NewDurableAcceptor(rqs, topo, port, ring, signers[0], dir)
 	if err != nil {
-		net.Close()
 		t.Fatal(err)
 	}
-	return a, net
+	return a, port
 }
 
 // TestDurableAcceptorRecoversPromise: a prepared value must survive a
@@ -35,8 +54,7 @@ func durableAcceptorFixture(t *testing.T, dir string) (*Acceptor, *transport.Net
 // in that view.
 func TestDurableAcceptorRecoversPromise(t *testing.T) {
 	dir := t.TempDir()
-	a, net := durableAcceptorFixture(t, dir)
-	defer net.Close()
+	a, port := durableAcceptorFixture(t, dir)
 	a.HandleEnvelope(transport.Envelope{From: 7, To: 0, Payload: PrepareMsg{View: InitView, V: "x"}})
 	want := a.PersistentState()
 	if want.Prep != "x" || len(want.Prepview) != 1 {
@@ -44,18 +62,15 @@ func TestDurableAcceptorRecoversPromise(t *testing.T) {
 	}
 	// The promise echo (update1) must have left only after the fsync —
 	// and must have left.
-	select {
-	case env := <-net.Port(1).Inbox():
-		if u, ok := env.Payload.(UpdateMsg); !ok || u.Step != 1 || u.V != "x" {
-			t.Fatalf("acceptor 1 received %#v, want update1<x>", env.Payload)
-		}
-	default:
+	if len(port.sent) == 0 {
 		t.Fatal("update1 was never flushed after the commit")
+	}
+	if u, ok := port.sent[0].Payload.(UpdateMsg); !ok || u.Step != 1 || u.V != "x" {
+		t.Fatalf("acceptor 0 sent %#v first, want update1<x>", port.sent[0].Payload)
 	}
 	a.wal.Close() // kill -9: only the log survives
 
-	a2, net2 := durableAcceptorFixture(t, dir)
-	defer net2.Close()
+	a2, _ := durableAcceptorFixture(t, dir)
 	defer a2.wal.Close()
 	if got := a2.PersistentState(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered state differs:\n got %#v\nwant %#v", got, want)
@@ -66,8 +81,7 @@ func TestDurableAcceptorRecoversPromise(t *testing.T) {
 // of update3 messages survives restart.
 func TestDurableAcceptorRecoversDecision(t *testing.T) {
 	dir := t.TempDir()
-	a, net := durableAcceptorFixture(t, dir)
-	defer net.Close()
+	a, _ := durableAcceptorFixture(t, dir)
 	for from := core.ProcessID(0); from < 7; from++ {
 		a.HandleEnvelope(transport.Envelope{From: from, To: 0,
 			Payload: UpdateMsg{Step: 3, V: "d", View: InitView}})
@@ -77,8 +91,7 @@ func TestDurableAcceptorRecoversDecision(t *testing.T) {
 	}
 	a.wal.Close()
 
-	a2, net2 := durableAcceptorFixture(t, dir)
-	defer net2.Close()
+	a2, _ := durableAcceptorFixture(t, dir)
 	defer a2.wal.Close()
 	if v, ok := a2.Decided(); !ok || v != "d" {
 		t.Fatalf("recovered acceptor lost its decision: (%q, %v)", v, ok)
@@ -90,14 +103,11 @@ func TestDurableAcceptorRecoversDecision(t *testing.T) {
 // acceptor is safe, an amnesiac one that spoke is not.
 func TestDurableAcceptorMutesOnWALFailure(t *testing.T) {
 	dir := t.TempDir()
-	a, net := durableAcceptorFixture(t, dir)
-	defer net.Close()
+	a, port := durableAcceptorFixture(t, dir)
 	a.wal.Close() // the next Sync fails: disk is gone
 	a.HandleEnvelope(transport.Envelope{From: 7, To: 0, Payload: PrepareMsg{View: InitView, V: "x"}})
-	select {
-	case env := <-net.Port(1).Inbox():
-		t.Fatalf("message %#v escaped a failed commit", env.Payload)
-	default:
+	if len(port.sent) > 0 {
+		t.Fatalf("message %#v escaped a failed commit", port.sent[0].Payload)
 	}
 	if !a.walFailed {
 		t.Fatal("acceptor did not latch the WAL failure")

@@ -5,8 +5,8 @@ import "repro/internal/core"
 // Hooks turn one acceptor Byzantine, mirroring storage.Hooks for the
 // consensus layer: the chaos matrix can forge, equivocate, or withhold
 // an acceptor's protocol messages below the SMR slot driver. All hooks
-// are optional; a zero Hooks value is an honest acceptor. Hooks run on
-// the acceptor's goroutine, once per (message, destination) pair — the
+// are optional; a zero Hooks value is an honest acceptor. Hooks run in
+// the acceptor's step, once per (message, destination) pair — the
 // per-destination fan-out is what enables equivocation (telling
 // different peers different things), the fault the RQS adversary
 // structure masks via class-3 intersection.

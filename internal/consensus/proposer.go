@@ -3,13 +3,14 @@ package consensus
 import (
 	"repro/internal/core"
 	"repro/internal/transport"
-	"sync"
 )
 
 // Proposer drives the Locking module's proposer side (Figure 15 lines
 // 1-10): in the initial view it sends prepare directly; when elected
 // later it runs the consult phase (new_view → quorum of acks → choose)
-// before preparing.
+// before preparing. It is a step function: Propose and HandleEnvelope
+// each handle one event to completion, and the caller owns their
+// serialization.
 type Proposer struct {
 	id    core.ProcessID
 	rqs   *core.RQS
@@ -30,47 +31,34 @@ type Proposer struct {
 
 	// View-change messages per next-view.
 	vcs map[int]map[core.ProcessID]SignedViewChange
-
-	proposeCh chan Value
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
 }
 
 // NewProposer builds a proposer.
 func NewProposer(rqs *core.RQS, topo Topology, port transport.Port, ring *Keyring) *Proposer {
 	return &Proposer{
-		id:        port.ID(),
-		rqs:       rqs,
-		elems:     rqs.AdversaryElements(),
-		ring:      ring,
-		topo:      topo,
-		port:      port,
-		view:      InitView,
-		faulty:    make(map[core.Set]bool),
-		vcs:       make(map[int]map[core.ProcessID]SignedViewChange),
-		proposeCh: make(chan Value, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		id:     port.ID(),
+		rqs:    rqs,
+		elems:  rqs.AdversaryElements(),
+		ring:   ring,
+		topo:   topo,
+		port:   port,
+		view:   InitView,
+		faulty: make(map[core.Set]bool),
+		vcs:    make(map[int]map[core.ProcessID]SignedViewChange),
 	}
 }
 
-// Start launches the proposer loop.
-func (p *Proposer) Start() { go p.run() }
-
-// Stop terminates the loop and waits for exit.
-func (p *Proposer) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	<-p.done
-}
-
-// Propose submits the proposer's value. In the initial view the prepare
-// goes out immediately (every proposer is a leader of view 0); in later
-// views the proposer acts when elected.
+// Propose stores the proposer's value and acts on it: in the initial
+// view, which every proposer leads, the prepare goes out at once; a
+// proposer already elected to a later view starts that view's consult
+// phase. A later election (onViewChange) consults with the stored value.
 func (p *Proposer) Propose(v Value) {
-	select {
-	case p.proposeCh <- v:
-	case <-p.stop:
+	p.value = v
+	p.proposed = true
+	if p.view == InitView {
+		ProposeInitial(p.port, p.topo, v)
+	} else {
+		p.startConsult()
 	}
 }
 
@@ -85,30 +73,9 @@ func ProposeInitial(port transport.Port, topo Topology, v Value) {
 	transport.Broadcast(port, topo.Acceptors, PrepareMsg{V: v, View: InitView})
 }
 
-func (p *Proposer) run() {
-	defer close(p.done)
-	for {
-		select {
-		case <-p.stop:
-			return
-		case v := <-p.proposeCh:
-			p.value = v
-			p.proposed = true
-			if p.view == InitView {
-				ProposeInitial(p.port, p.topo, v)
-			} else {
-				p.startConsult()
-			}
-		case env, ok := <-p.port.Inbox():
-			if !ok {
-				return
-			}
-			p.handle(env)
-		}
-	}
-}
-
-func (p *Proposer) handle(env transport.Envelope) {
+// HandleEnvelope processes one incoming envelope: a view_change
+// towards an election, or a new_view_ack of the consult phase.
+func (p *Proposer) HandleEnvelope(env transport.Envelope) {
 	switch m := env.Payload.(type) {
 	case SignedViewChange:
 		p.onViewChange(env.From, m)

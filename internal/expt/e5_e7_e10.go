@@ -2,6 +2,9 @@ package expt
 
 import (
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/abd"
@@ -107,10 +110,13 @@ func E7ConsensusLatency() *Table {
 		{"class 3 (5 alive)", core.NewSet(5, 6, 7)},
 	}
 	for _, tc := range cases {
-		learns, _, err := sim.LockstepConsensus(threeClassRQS(), 1, &sim.Lockstep{Crashed: tc.crash, Seed: 1}, "v")
+		c, err := sim.NewConsensusCluster(threeClassRQS(), sim.ConsensusOptions{Proposers: 1, Learners: 1})
 		if err != nil {
 			panic(err)
 		}
+		c.Net.Crashed, c.Net.Seed = tc.crash, 1
+		c.Proposers[0].Propose("v")
+		c.Run()
 
 		// PBFT baseline: n=7 tolerates 2 crashes; cap the crash set.
 		var pbCrash core.Set
@@ -128,7 +134,7 @@ func E7ConsensusLatency() *Table {
 				pbDelays = ls.Round()
 			}
 		})
-		tbl.AddRow(tc.label, tc.crash, learns[0].Delays, pbDelays)
+		tbl.AddRow(tc.label, tc.crash, c.Learned[0].Delays, pbDelays)
 	}
 	tbl.Notes = append(tbl.Notes,
 		"shape matches §4: RQS learns in 2/3/4 delays by class; the no-fast-path baseline is pinned at 4",
@@ -136,86 +142,78 @@ func E7ConsensusLatency() *Table {
 	return tbl
 }
 
-// E10ViewChange runs the consensus under contention (two proposers,
-// different values) and under a muted initial leader, reporting time to
-// agreement through the Election module.
+// E10ViewChange runs the Election module and the consult phase
+// (Figures 14-15) under sim.Lockstep, over seeds 1-20 of the in-round
+// delivery order: two proposers contending in view 0, and every view-0
+// prepare lost, so that only a view change can decide. Per scenario it
+// reports the values learned, whether each seed's learners agreed, the
+// view the first learner learned in and the round the last one learned
+// in (message delays; the suspect timer is 5Δ = 5 rounds, doubling).
 func E10ViewChange() *Table {
 	tbl := &Table{
 		ID:      "E10",
-		Title:   "Election module: agreement under contention and leader failure (Example 7 RQS)",
-		Columns: []string{"scenario", "learned", "agreement", "elapsed"},
+		Title:   "Election module: agreement under contention and leader failure (Example 7 RQS, seeds 1-20)",
+		Columns: []string{"scenario", "learned", "agreement", "view", "delays"},
 	}
-
-	runContention := func() (string, bool, time.Duration) {
-		c, err := sim.NewConsensusCluster(core.Example7RQS(), sim.ConsensusOptions{
-			Election:  consensus.ElectionConfig{Enabled: true, InitTimeout: 40 * time.Millisecond},
-			PullEvery: 25 * time.Millisecond,
-		})
-		if err != nil {
-			panic(err)
-		}
-		defer c.Stop()
-		start := time.Now()
-		c.Proposers[0].Propose("zero")
-		c.Proposers[1].Propose("one")
-		var first string
+	lostView0 := func(env transport.Envelope) bool {
+		m, ok := env.Payload.(consensus.PrepareMsg)
+		return ok && m.View == consensus.InitView
+	}
+	for _, sc := range []struct {
+		label string
+		drop  func(transport.Envelope) bool
+	}{
+		{"two proposers, contention in view 0", nil},
+		{"view-0 prepares lost, view change", lostView0},
+	} {
+		learned := map[consensus.Value]bool{}
 		agree := true
-		for _, l := range c.Learners {
-			res, ok := l.Wait(20 * time.Second)
-			if !ok {
-				return "timeout", false, time.Since(start)
+		var views, delays []int
+		for seed := int64(1); seed <= 20; seed++ {
+			c, err := sim.NewConsensusCluster(core.Example7RQS(), sim.ConsensusOptions{})
+			if err != nil {
+				panic(err)
 			}
-			if first == "" {
-				first = res.V
-			} else if res.V != first {
-				agree = false
+			c.Net.Drop, c.Net.Seed = sc.drop, seed
+			c.Proposers[0].Propose("zero")
+			c.Proposers[1].Propose("one")
+			if len(c.Run()) > 0 {
+				learned["timeout"] = true
+				continue
 			}
-		}
-		return first, agree, time.Since(start)
-	}
-
-	runMuteLeader := func() (string, bool, time.Duration) {
-		c, err := sim.NewConsensusCluster(core.Example7RQS(), sim.ConsensusOptions{
-			Election:  consensus.ElectionConfig{Enabled: true, InitTimeout: 40 * time.Millisecond},
-			PullEvery: 25 * time.Millisecond,
-		})
-		if err != nil {
-			panic(err)
-		}
-		defer c.Stop()
-		p0 := c.Topo.Proposers[0]
-		c.Net.SetFilter(func(env transport.Envelope) transport.Verdict {
-			if env.From == p0 {
-				if _, isPrep := env.Payload.(consensus.PrepareMsg); isPrep {
-					return transport.Drop
+			first, last := c.Learned[0], 0
+			for _, l := range c.Learned {
+				learned[l.V] = true
+				agree = agree && l.V == c.Learned[0].V
+				if l.Delays < first.Delays {
+					first = l
 				}
+				last = max(last, l.Delays)
 			}
-			return transport.Deliver
-		})
-		start := time.Now()
-		c.Proposers[0].Propose("lost")
-		c.Proposers[1].Propose("backup")
-		var first string
-		agree := true
-		for _, l := range c.Learners {
-			res, ok := l.Wait(20 * time.Second)
-			if !ok {
-				return "timeout", false, time.Since(start)
-			}
-			if first == "" {
-				first = res.V
-			} else if res.V != first {
-				agree = false
-			}
+			views = append(views, first.View)
+			delays = append(delays, last)
 		}
-		return first, agree, time.Since(start)
+		vs := make([]string, 0, len(learned))
+		for v := range learned {
+			vs = append(vs, v)
+		}
+		sort.Strings(vs)
+		tbl.AddRow(sc.label, strings.Join(vs, "/"), agree, rangeOf(views), rangeOf(delays))
 	}
-
-	v, agree, d := runContention()
-	tbl.AddRow("two proposers, contention in view 0", v, agree, fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000))
-	v, agree, d = runMuteLeader()
-	tbl.AddRow("initial leader mute, view change", v, agree, fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000))
 	tbl.Notes = append(tbl.Notes,
-		"eventual synchrony: the doubling suspect timeout (Figure 14) guarantees progress after GST")
+		"eventual synchrony: the doubling suspect timeout (Figure 14) guarantees progress after GST",
+		"view and delays are min-max over the seeds; the first learner learns through update messages, which carry their view")
 	return tbl
+}
+
+// rangeOf renders the range of a column over seeds: "lo" or "lo-hi".
+func rangeOf(xs []int) string {
+	if len(xs) == 0 {
+		return "-"
+	}
+	lo, hi := slices.Min(xs), slices.Max(xs)
+	if lo == hi {
+		return fmt.Sprint(lo)
+	}
+	return fmt.Sprintf("%d-%d", lo, hi)
 }

@@ -2,23 +2,46 @@ package sim
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/transport"
 )
 
-// ConsensusCluster is a running consensus deployment: acceptors on IDs
-// 0..nA-1 (the RQS universe), then proposers, then learners.
+// pullRounds is how often, in rounds, an unlearned learner pulls
+// decisions (Figure 15 line 60's preset time).
+const pullRounds = 8
+
+// ConsensusCluster is a single-shot consensus deployment under a
+// Lockstep driver: acceptors on IDs 0..nA-1 (the RQS universe), then
+// proposers, then learners, every role a step function. Propose on a
+// proposer queues its first messages; Run delivers them round by round.
+// Each acceptor's suspect timer runs in rounds (5Δ = 5 rounds, doubling
+// on each expiry, Figure 14), and each unlearned learner pulls decisions
+// every pullRounds rounds, so view changes happen at the same round on
+// every run of a seed.
 type ConsensusCluster struct {
-	RQS       *core.RQS
-	Net       *transport.Network
+	RQS *core.RQS
+	// Net is the driver; set its scenario inputs (Crashed, Drop, Seed)
+	// before Run.
+	Net       *Lockstep
 	Topo      consensus.Topology
 	Ring      *consensus.Keyring
 	Acceptors []*consensus.Acceptor
 	Proposers []*consensus.Proposer
 	Learners  []*consensus.Learner
+	// Learned is each learner's outcome, in topology order.
+	Learned []LockstepLearn
+
+	suspect []*lockstepTimer // by acceptor: its armed suspect timer
+}
+
+// LockstepLearn is one learner's outcome. Delays is the round it
+// learned in — the message delays since the proposal — and 0 while it
+// has not learned.
+type LockstepLearn struct {
+	consensus.Learn
+	Delays int
 }
 
 // ConsensusOptions configures NewConsensusCluster.
@@ -27,13 +50,10 @@ type ConsensusOptions struct {
 	// the minimums the optimality theorems assume).
 	Proposers int
 	Learners  int
-	// Election configures the view-change machinery.
-	Election consensus.ElectionConfig
-	// PullEvery enables learner decision-pulling (0 disables).
-	PullEvery time.Duration
 }
 
-// NewConsensusCluster starts acceptors, proposers and learners.
+// NewConsensusCluster builds acceptors, proposers and learners over rqs
+// on a fresh Lockstep.
 func NewConsensusCluster(rqs *core.RQS, opts ConsensusOptions) (*ConsensusCluster, error) {
 	if opts.Proposers <= 0 {
 		opts.Proposers = 2
@@ -42,7 +62,6 @@ func NewConsensusCluster(rqs *core.RQS, opts ConsensusOptions) (*ConsensusCluste
 		opts.Learners = 3
 	}
 	nA := rqs.N()
-	total := nA + opts.Proposers + opts.Learners
 	topo := consensus.Topology{Acceptors: rqs.Universe()}
 	for i := 0; i < opts.Proposers; i++ {
 		topo.Proposers = append(topo.Proposers, nA+i)
@@ -50,48 +69,77 @@ func NewConsensusCluster(rqs *core.RQS, opts ConsensusOptions) (*ConsensusCluste
 	for i := 0; i < opts.Learners; i++ {
 		topo.Learners = topo.Learners.Add(nA + opts.Proposers + i)
 	}
-
 	ring, signers, err := consensus.GenKeys(rqs.Universe())
 	if err != nil {
 		return nil, fmt.Errorf("consensus cluster: %w", err)
 	}
-	net := transport.NewNetwork(total)
-	c := &ConsensusCluster{RQS: rqs, Net: net, Topo: topo, Ring: ring}
+	ls := &Lockstep{}
+	c := &ConsensusCluster{
+		RQS: rqs, Net: ls, Topo: topo, Ring: ring,
+		Learned: make([]LockstepLearn, opts.Learners),
+		suspect: make([]*lockstepTimer, nA),
+	}
 	for _, id := range rqs.Universe().Members() {
-		a := consensus.NewAcceptor(rqs, topo, net.Port(id), ring, signers[id], opts.Election)
-		a.Start()
-		c.Acceptors = append(c.Acceptors, a)
+		c.Acceptors = append(c.Acceptors, consensus.NewAcceptor(rqs, topo, ls.Port(id), ring, signers[id]))
 	}
 	for _, id := range topo.Proposers {
-		p := consensus.NewProposer(rqs, topo, net.Port(id), ring)
-		p.Start()
-		c.Proposers = append(c.Proposers, p)
+		c.Proposers = append(c.Proposers, consensus.NewProposer(rqs, topo, ls.Port(id), ring))
 	}
-	for _, id := range topo.Learners.Members() {
-		l := consensus.NewLearner(rqs, topo, net.Port(id), opts.PullEvery)
-		l.Start()
-		c.Learners = append(c.Learners, l)
+	for i, id := range topo.Learners.Members() {
+		c.Learners = append(c.Learners, consensus.NewLearner(rqs, topo, ls.Port(id)))
+		c.pull(i)
 	}
 	return c, nil
 }
 
-// CrashAcceptors crashes the given acceptors at the network boundary.
-func (c *ConsensusCluster) CrashAcceptors(set core.Set) {
-	for _, id := range set.Members() {
-		c.Net.Crash(id)
+// Run delivers rounds until the deployment is quiescent, or for at most
+// maxRounds rounds, and returns the learners (indexes into Learners)
+// that have not learned.
+func (c *ConsensusCluster) Run() (unlearned []int) {
+	c.Net.Run(c.deliver)
+	for i, l := range c.Learned {
+		if l.Delays == 0 {
+			unlearned = append(unlearned, i)
+		}
+	}
+	return unlearned
+}
+
+func (c *ConsensusCluster) deliver(env transport.Envelope) {
+	nA, nP := len(c.Acceptors), len(c.Proposers)
+	switch id := env.To; {
+	case id < nA:
+		c.setSuspect(id, c.Acceptors[id].HandleEnvelope(env))
+	case id < nA+nP:
+		c.Proposers[id-nA].HandleEnvelope(env)
+	default:
+		i := id - nA - nP
+		if res, ok := c.Learners[i].HandleEnvelope(env); ok {
+			c.Learned[i] = LockstepLearn{Learn: res, Delays: c.Net.Round()}
+		}
 	}
 }
 
-// Stop shuts the cluster down.
-func (c *ConsensusCluster) Stop() {
-	c.Net.Close()
-	for _, a := range c.Acceptors {
-		a.Stop()
+// setSuspect applies what acceptor id's step asked of its suspect timer.
+func (c *ConsensusCluster) setSuspect(id core.ProcessID, t consensus.Timer) {
+	if t.Stop || t.Arm > 0 {
+		c.Net.cancel(c.suspect[id])
+		c.suspect[id] = nil
 	}
-	for _, p := range c.Proposers {
-		p.Stop()
+	if t.Arm > 0 {
+		c.suspect[id] = c.Net.after(t.Arm, func() {
+			c.suspect[id] = nil
+			c.setSuspect(id, c.Acceptors[id].Expire())
+		})
 	}
-	for _, l := range c.Learners {
-		l.Stop()
-	}
+}
+
+// pull arms learner i's next decision pull.
+func (c *ConsensusCluster) pull(i int) {
+	c.Net.after(pullRounds, func() {
+		if c.Learned[i].Delays == 0 {
+			c.Learners[i].Pull()
+			c.pull(i)
+		}
+	})
 }

@@ -1,10 +1,9 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 
-	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -23,6 +22,10 @@ import (
 // Network.SetFilter: envelopes to or from a crashed process, and those
 // Drop reports true for, are discarded undelivered. Both may change
 // between Runs.
+//
+// Timers count rounds: one armed for d rounds fires once round
+// Round()+d has been delivered, so a timer of the paper's kΔ is one of k
+// rounds.
 type Lockstep struct {
 	Crashed core.Set
 	Drop    func(transport.Envelope) bool
@@ -31,8 +34,13 @@ type Lockstep struct {
 	rng    *rand.Rand
 	round  int
 	sent   []transport.Envelope // awaiting delivery in the next round
-	timers []lockstepTimer      // armed, in expiry order
+	timers []*lockstepTimer     // armed, in expiry order
 }
+
+// maxRounds bounds one Run: a deployment whose timers keep re-arming
+// (a suspect timer, a learner's pull) returns after this many rounds
+// instead of running forever.
+const maxRounds = 1000
 
 type lockstepTimer struct {
 	at   int // fires after this round's deliveries
@@ -48,22 +56,33 @@ func (l *Lockstep) Port(id core.ProcessID) transport.Port {
 // Round is the round being delivered: 0 before Run, then 1, 2, ...
 func (l *Lockstep) Round() int { return l.round }
 
-// after arms a 2Δ timer: fire runs once round Round()+2 has been
-// delivered — a request sent now is delivered in the next round and
-// its reply in the one after, so by then every correct server's reply
-// is in.
-func (l *Lockstep) after(fire func()) {
-	l.timers = append(l.timers, lockstepTimer{at: l.round + 2, fire: fire})
+// after arms a timer of d rounds: fire runs once round Round()+d has
+// been delivered, after the timers armed earlier for the same round.
+func (l *Lockstep) after(d int, fire func()) *lockstepTimer {
+	t := &lockstepTimer{at: l.round + d, fire: fire}
+	i := len(l.timers)
+	for i > 0 && l.timers[i-1].at > t.at {
+		i--
+	}
+	l.timers = slices.Insert(l.timers, i, t)
+	return t
 }
 
-// Run delivers rounds until one sends nothing and no timer is armed,
-// calling deliver for each envelope that survives Crashed and Drop and
-// firing each timer after its round's deliveries.
+// cancel disarms t; a nil or already fired t is ignored.
+func (l *Lockstep) cancel(t *lockstepTimer) {
+	if i := slices.Index(l.timers, t); i >= 0 {
+		l.timers = slices.Delete(l.timers, i, i+1)
+	}
+}
+
+// Run delivers rounds until one sends nothing and no timer is armed, or
+// for maxRounds rounds, calling deliver for each envelope that survives
+// Crashed and Drop and firing each timer after its round's deliveries.
 func (l *Lockstep) Run(deliver func(transport.Envelope)) {
 	if l.rng == nil {
 		l.rng = rand.New(rand.NewSource(l.Seed))
 	}
-	for len(l.sent) > 0 || len(l.timers) > 0 {
+	for end := l.round + maxRounds; (len(l.sent) > 0 || len(l.timers) > 0) && l.round < end; {
 		l.round++
 		cur := l.sent
 		l.sent = nil
@@ -74,8 +93,6 @@ func (l *Lockstep) Run(deliver func(transport.Envelope)) {
 			}
 			deliver(env)
 		}
-		// Timers armed now fire two rounds later, so the queue stays in
-		// expiry order.
 		for len(l.timers) > 0 && l.timers[0].at == l.round {
 			t := l.timers[0]
 			l.timers = l.timers[1:]
@@ -112,54 +129,6 @@ func (p lockstepPort) Broadcast(dst core.Set, payload transport.Message, _ int) 
 }
 
 func (p lockstepPort) Inbox() <-chan transport.Envelope { return nil }
-
-// LockstepLearn is one learner's outcome under LockstepConsensus.
-// Delays is the round it learned in — the message delays since the
-// proposal — and 0 if it never learned.
-type LockstepLearn struct {
-	consensus.Learn
-	Delays int
-}
-
-// LockstepConsensus runs one initial-view consensus instance over rqs
-// under ls — acceptors on IDs 0..n-1, the proposer on n, then the
-// learners: the proposer proposes v, and every acceptor and learner is
-// driven through its HandleEnvelope. It returns each learner's outcome,
-// in topology order, and the acceptors, whose decisions the caller may
-// inspect.
-func LockstepConsensus(rqs *core.RQS, learners int, ls *Lockstep, v consensus.Value) ([]LockstepLearn, []*consensus.Acceptor, error) {
-	nA := rqs.N()
-	proposer := nA
-	topo := consensus.Topology{Acceptors: rqs.Universe(), Proposers: []core.ProcessID{proposer}}
-	for i := 0; i < learners; i++ {
-		topo.Learners = topo.Learners.Add(nA + 1 + i)
-	}
-	ring, signers, err := consensus.GenKeys(rqs.Universe())
-	if err != nil {
-		return nil, nil, fmt.Errorf("lockstep consensus: %w", err)
-	}
-	acceptors := make([]*consensus.Acceptor, nA)
-	for _, id := range rqs.Universe().Members() {
-		acceptors[id] = consensus.NewAcceptor(rqs, topo, ls.Port(id), ring, signers[id], consensus.ElectionConfig{})
-	}
-	lrs := make([]*consensus.Learner, learners)
-	for i := range lrs {
-		lrs[i] = consensus.NewLearner(rqs, topo, ls.Port(nA+1+i), 0)
-	}
-	out := make([]LockstepLearn, learners)
-	consensus.ProposeInitial(ls.Port(proposer), topo, v)
-	ls.Run(func(env transport.Envelope) {
-		switch {
-		case env.To < nA:
-			acceptors[env.To].HandleEnvelope(env)
-		case env.To > proposer:
-			if res, ok := lrs[env.To-nA-1].HandleEnvelope(env); ok {
-				out[env.To-nA-1] = LockstepLearn{Learn: res, Delays: ls.Round()}
-			}
-		}
-	})
-	return out, acceptors, nil
-}
 
 // LockstepStorage is a storage deployment under a Lockstep driver:
 // volatile servers on IDs 0..n-1, served through HandleEnvelope, and
@@ -272,7 +241,10 @@ func (s *LockstepStorage) step(o *LockstepOp, st storage.Step) {
 		transport.Broadcast(s.ls.Port(o.client), s.rqs.Universe(), st.Send)
 		if st.Timer {
 			r := o.rounds
-			s.ls.after(func() {
+			// 2Δ: the round's requests are delivered in the next round
+			// and their replies in the one after, so by then every
+			// correct server's reply is in.
+			s.ls.after(2, func() {
 				if o.rounds == r && !o.Done() {
 					s.step(o, o.op.Expire())
 				}

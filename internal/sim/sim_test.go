@@ -100,7 +100,6 @@ func TestConsensusClusterDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Stop()
 	if len(c.Proposers) != 2 || len(c.Learners) != 3 {
 		t.Errorf("defaults: %d proposers, %d learners", len(c.Proposers), len(c.Learners))
 	}

@@ -21,9 +21,10 @@
 // instead of a full cluster setup — the amortization BenchmarkSMRPipelined
 // measures against the per-slot-setup baseline.
 //
-// Slots decide in the initial view: the hosts do not run the Election
-// module, whose view changes the consensus package and
-// sim.ConsensusCluster exercise on single instances.
+// Slots decide in the initial view: the replica never calls an
+// acceptor's Expire, so the hosts run no Election module. View changes
+// run on single instances under the lockstep sim.ConsensusCluster,
+// whose driver counts the suspect timers in rounds.
 //
 // Proposer.Append allocates log slots; many slots may be in flight at
 // once and commit out of order, with Log.Prefix exposing the gap-free
@@ -265,7 +266,7 @@ func (r *Replica) deliver(slot int, env transport.Envelope) {
 			return // a fresh acceptor has no decision to answer with
 		}
 		a = consensus.NewAcceptor(r.rqs, r.topo,
-			&slotPort{out: &r.out, slot: slot}, r.ring, r.signer, consensus.ElectionConfig{})
+			&slotPort{out: &r.out, slot: slot}, r.ring, r.signer)
 		a.SetHooks(r.hooks)
 		r.acceptors[slot] = a
 	}
@@ -408,7 +409,7 @@ func (l *Log) deliver(slot int, env transport.Envelope) {
 			return // a straggler for a recorded slot
 		}
 		u = unlearned{
-			lr:    consensus.NewLearner(l.rqs, l.topo, &slotPort{out: &l.out, slot: slot}, 0),
+			lr:    consensus.NewLearner(l.rqs, l.topo, &slotPort{out: &l.out, slot: slot}),
 			since: time.Now(),
 		}
 		l.learners[slot] = u

@@ -258,18 +258,17 @@ func AuthForCluster(mode AuthMode, system *System, clients int) *AuthDeployment 
 
 // Consensus deployment (Section 4).
 type (
-	// ConsensusCluster is a running consensus deployment: acceptors on
-	// IDs 0..n-1, then proposers, then learners.
+	// ConsensusCluster is a single-shot consensus deployment under a
+	// deterministic round-by-round driver: acceptors on IDs 0..n-1, then
+	// proposers, then learners. Propose on a proposer, then Run.
 	ConsensusCluster = sim.ConsensusCluster
 	// ConsensusOptions configures NewConsensus.
 	ConsensusOptions = sim.ConsensusOptions
-	// ElectionConfig tunes the view-change module (Figure 14).
-	ElectionConfig = consensus.ElectionConfig
 	// Learn is a learned value with the decision rule that fired.
 	Learn = consensus.Learn
 )
 
-// NewConsensus starts a consensus cluster over the given system.
+// NewConsensus builds a consensus cluster over the given system.
 func NewConsensus(system *System, opts ConsensusOptions) (*ConsensusCluster, error) {
 	return sim.NewConsensusCluster(system, opts)
 }

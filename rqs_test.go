@@ -22,11 +22,9 @@ func TestFacadeConsensusQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Stop()
 	c.Proposers[0].Propose("x")
-	res, ok := c.Learners[0].Wait(5 * time.Second)
-	if !ok || res.V != "x" {
-		t.Errorf("learn = %+v %v, want x", res, ok)
+	if unlearned := c.Run(); len(unlearned) > 0 || c.Learned[0].V != "x" {
+		t.Errorf("learn = %+v (unlearned %v), want x", c.Learned[0], unlearned)
 	}
 }
 
