@@ -28,9 +28,11 @@ type SMRCluster struct {
 
 // SMROptions configures NewSMRCluster.
 type SMROptions struct {
-	// PullEvery enables learner decision-pulling (default 20ms; < 0
-	// disables). Pulling lets a log host that joined a slot late catch
-	// up from decided acceptors.
+	// PullEvery is the log host's pull tick (default 20ms; < 0
+	// disables it). Each tick pulls decisions for slots the log host
+	// joined late, so it catches up from decided acceptors, and sends
+	// the replicas its learned prefix, below which they retire slots:
+	// with the tick off, replicas keep every slot they decide.
 	PullEvery time.Duration
 	// Hooks optionally makes individual acceptor replicas Byzantine:
 	// the hook set is installed on every slot acceptor the replica

@@ -13,9 +13,10 @@ import (
 // the pipelined log: 2,000 decisions at 16 slots in flight over the
 // Example 7 deployment must average fewer than 200 heap allocations
 // each, counting every host (seven replicas, the proposer host and the
-// log host) and the driver's own Append/Wait calls. Measured: 158–179
-// at -cpu 1,2,4,8 on a 2-CPU host, go1.24. The race detector allocates
-// on its own account, hence the build tag.
+// log host) and the driver's own Append/Wait calls. Measured: 163–187
+// at -cpu 1,2,4,8 on a 2-CPU host, go1.24, of which six are the
+// replicas' per-slot state. The race detector allocates on its own
+// account, hence the build tag.
 func TestPipelinedDecisionAllocs(t *testing.T) {
 	const (
 		decisions = 2000

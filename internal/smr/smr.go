@@ -28,11 +28,15 @@
 //
 // Proposer.Append allocates log slots; many slots may be in flight at
 // once and commit out of order, with Log.Prefix exposing the gap-free
-// committed prefix. The sim package assembles a whole in-memory
-// deployment as sim.SMRCluster.
+// committed prefix. Each pull tick sends its length to the replicas
+// (PrefixMsg), and a replica drops every slot below the smallest prefix
+// over all learners, which no learner asks for again: a replica holds
+// recent slots, not the whole log. The sim package assembles a whole
+// in-memory deployment as sim.SMRCluster.
 package smr
 
 import (
+	"maps"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -53,6 +57,12 @@ type SlotMsg struct {
 // inbox burst to one destination, in send order.
 type SlotBatch struct {
 	Msgs []SlotMsg
+}
+
+// PrefixMsg is a learner's contiguous learned prefix: it has learned
+// every slot below Upto.
+type PrefixMsg struct {
+	Upto int
 }
 
 // hostBurst bounds how many inbox envelopes a host handles before it
@@ -133,17 +143,17 @@ func eachSlotMsg(env transport.Envelope, deliver func(slot int, env transport.En
 	}
 }
 
-// burst delivers env and then every envelope already queued behind it,
+// burst handles env and then every envelope already queued behind it,
 // up to hostBurst envelopes; it reports false once the inbox has closed.
-func burst(inbox <-chan transport.Envelope, env transport.Envelope, deliver func(int, transport.Envelope)) bool {
-	eachSlotMsg(env, deliver)
+func burst(inbox <-chan transport.Envelope, env transport.Envelope, handle func(transport.Envelope)) bool {
+	handle(env)
 	for n := 1; n < hostBurst; n++ {
 		select {
 		case env, ok := <-inbox:
 			if !ok {
 				return false
 			}
-			eachSlotMsg(env, deliver)
+			handle(env)
 		default:
 			return true
 		}
@@ -196,9 +206,17 @@ type Replica struct {
 	done   chan struct{}
 
 	// Owned by the replica's goroutine.
-	out       outbox
-	acceptors map[int]*consensus.Acceptor
-	decided   map[int]consensus.Value // tombstones of retired slots
+	out     outbox
+	slots   map[int]*slotState
+	learned map[core.ProcessID]int // latest PrefixMsg.Upto per learner
+	floor   int                    // min of learned over all learners; no slot below it is held
+}
+
+// slotState is a slot's live acceptor or, once the slot has decided,
+// only the value a decided acceptor answers decision pulls with.
+type slotState struct {
+	acc *consensus.Acceptor // nil once decided
+	v   consensus.Value
 }
 
 // NewReplica starts the acceptor host on the given port.
@@ -218,9 +236,9 @@ func NewReplicaHooks(rqs *core.RQS, topo consensus.Topology, port transport.Port
 	r := &Replica{
 		rqs: rqs, topo: topo, ring: ring, signer: signer, hooks: hooks,
 		port: port, done: make(chan struct{}),
-		out:       outbox{port: port},
-		acceptors: make(map[int]*consensus.Acceptor),
-		decided:   make(map[int]consensus.Value),
+		out:     outbox{port: port},
+		slots:   make(map[int]*slotState),
+		learned: make(map[core.ProcessID]int),
 	}
 	go r.run()
 	return r
@@ -228,11 +246,11 @@ func NewReplicaHooks(rqs *core.RQS, topo consensus.Topology, port transport.Port
 
 // run executes every slot's acceptor on this one goroutine, one inbox
 // burst at a time, and sends each burst's reactions as one envelope per
-// destination. The slot maps need no lock — nothing else touches them.
+// destination. The slot map needs no lock — nothing else touches it.
 func (r *Replica) run() {
 	defer close(r.done)
 	for env := range r.port.Inbox() {
-		open := burst(r.port.Inbox(), env, r.deliver)
+		open := burst(r.port.Inbox(), env, r.handle)
 		r.out.flush()
 		if !open {
 			return
@@ -240,40 +258,55 @@ func (r *Replica) run() {
 	}
 }
 
-// deliver hands one slot message to the slot's acceptor.
-//
-// Decided slots are retired: the acceptor's whole protocol state is
-// replaced by a tombstone holding its decided value, which is all a
-// decided acceptor ever uses again (answering decision pulls). A
-// tombstone is kept for every slot the replica ever decided. An
-// acceptor that adopted a decision early stops forwarding update
-// steps, but by then a full quorum has already broadcast every step
-// and its decision, so lagging acceptors and learners still converge
-// through decision messages.
-func (r *Replica) deliver(slot int, env transport.Envelope) {
-	// Live slots first: the tombstone map holds every slot ever
-	// decided, so probing it for each message costs cache misses.
-	a, ok := r.acceptors[slot]
+// handle hands slot messages to deliver. A topology learner's prefix
+// (the network stamps From) that grew raises the floor to the smallest
+// prefix over all learners and drops every slot below it.
+func (r *Replica) handle(env transport.Envelope) {
+	m, ok := env.Payload.(PrefixMsg)
 	if !ok {
-		_, isPull := env.Payload.(consensus.DecisionPullMsg)
-		if v, ok := r.decided[slot]; ok {
-			if isPull {
-				r.out.add(core.Set(0).Add(env.From), SlotMsg{Slot: slot, Payload: consensus.DecisionMsg{V: v}})
-			}
-			return
-		}
+		eachSlotMsg(env, r.deliver)
+		return
+	}
+	if !r.topo.Learners.Contains(env.From) || m.Upto <= r.learned[env.From] {
+		return
+	}
+	r.learned[env.From] = m.Upto
+	r.floor = m.Upto
+	for v := uint64(r.topo.Learners); v != 0; v &= v - 1 {
+		r.floor = min(r.floor, r.learned[bits.TrailingZeros64(v)])
+	}
+	maps.DeleteFunc(r.slots, func(n int, _ *slotState) bool { return n < r.floor })
+}
+
+// deliver hands one slot message to the slot's acceptor. An acceptor
+// that adopted a decision early stops forwarding update steps, but by
+// then a full quorum has already broadcast every step and its decision,
+// so lagging acceptors and learners still converge through decision
+// messages.
+func (r *Replica) deliver(n int, env transport.Envelope) {
+	if n < r.floor {
+		return // every learner has learned the slot
+	}
+	_, isPull := env.Payload.(consensus.DecisionPullMsg)
+	s, ok := r.slots[n]
+	if !ok {
 		if isPull {
 			return // a fresh acceptor has no decision to answer with
 		}
-		a = consensus.NewAcceptor(r.rqs, r.topo,
-			&slotPort{out: &r.out, slot: slot}, r.ring, r.signer)
-		a.SetHooks(r.hooks)
-		r.acceptors[slot] = a
+		s = &slotState{acc: consensus.NewAcceptor(r.rqs, r.topo,
+			&slotPort{out: &r.out, slot: n}, r.ring, r.signer)}
+		s.acc.SetHooks(r.hooks)
+		r.slots[n] = s
 	}
-	a.HandleEnvelope(env)
-	if v, ok := a.Decided(); ok {
-		r.decided[slot] = v
-		delete(r.acceptors, slot)
+	if s.acc == nil {
+		if isPull {
+			r.out.add(core.Set(0).Add(env.From), SlotMsg{Slot: n, Payload: consensus.DecisionMsg{V: s.v}})
+		}
+		return
+	}
+	s.acc.HandleEnvelope(env)
+	if v, ok := s.acc.Decided(); ok {
+		*s = slotState{v: v}
 	}
 }
 
@@ -346,12 +379,15 @@ type Log struct {
 	mu       sync.Mutex
 	entries  map[int]consensus.Value
 	watchers map[int][]chan consensus.Value
+	prefix   int // every slot below it is recorded; written only by the host's goroutine
 }
 
-// NewLog starts the learner host on the given port. Every pullEvery
-// (0 disables pulling) it asks the acceptors to re-send their decision
-// for each slot that has gone unlearned for at least that long, so a
-// log host that missed a slot's update stream catches up.
+// NewLog starts the learner host on the given port. Every pullEvery it
+// asks the acceptors to re-send their decision for each slot that has
+// gone unlearned for at least that long, so a log host that missed a
+// slot's update stream catches up, and sends them its learned prefix,
+// so they can retire the slots below it. pullEvery 0 disables both: no
+// pulls, and the replicas keep every slot they decide.
 func NewLog(rqs *core.RQS, topo consensus.Topology, port transport.Port, pullEvery time.Duration) *Log {
 	l := &Log{
 		rqs: rqs, topo: topo, port: port, pullEvery: pullEvery,
@@ -388,11 +424,12 @@ func (l *Log) run() {
 				}
 			}
 			l.out.flush()
+			transport.Broadcast(l.port, l.topo.Acceptors, PrefixMsg{Upto: l.prefix})
 		case env, ok := <-l.port.Inbox():
 			if !ok {
 				return
 			}
-			open := burst(l.port.Inbox(), env, l.deliver)
+			open := burst(l.port.Inbox(), env, func(env transport.Envelope) { eachSlotMsg(env, l.deliver) })
 			l.out.flush()
 			if !open {
 				return
@@ -405,8 +442,11 @@ func (l *Log) run() {
 func (l *Log) deliver(slot int, env transport.Envelope) {
 	u, ok := l.learners[slot]
 	if !ok {
+		if slot < l.prefix { // a straggler: no need for l.mu
+			return
+		}
 		if _, done := l.Get(slot); done {
-			return // a straggler for a recorded slot
+			return // a straggler for a slot recorded past a gap
 		}
 		u = unlearned{
 			lr:    consensus.NewLearner(l.rqs, l.topo, &slotPort{out: &l.out, slot: slot}),
@@ -425,6 +465,9 @@ func (l *Log) record(slot int, v consensus.Value) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.entries[slot] = v
+	for _, ok := l.entries[l.prefix]; ok; _, ok = l.entries[l.prefix] {
+		l.prefix++
+	}
 	for _, w := range l.watchers[slot] {
 		w <- v // buffered; each watcher receives exactly one value
 	}
@@ -483,13 +526,10 @@ func (l *Log) Prefix() []consensus.Value {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []consensus.Value
-	for slot := 0; ; slot++ {
-		v, ok := l.entries[slot]
-		if !ok {
-			return out
-		}
-		out = append(out, v)
+	for slot := 0; slot < l.prefix; slot++ {
+		out = append(out, l.entries[slot])
 	}
+	return out
 }
 
 // Stop waits for the log host's goroutine to exit. Call after the

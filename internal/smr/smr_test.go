@@ -2,6 +2,7 @@ package smr
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -186,4 +187,111 @@ func TestSlotsSurviveAcceptorCrash(t *testing.T) {
 	if !ok || got != "after" {
 		t.Fatalf("slot 1 = %q, %v", got, ok)
 	}
+}
+
+// TestReplicaRetiresBelowLearnersPrefix feeds one replica envelopes
+// directly, with two learners in the topology. A single goroutine
+// sends them all, so the replica's inbox holds them in send order
+// whatever their sender, and the reply to the last one, a pull, shows
+// that the replica has handled them all.
+func TestReplicaRetiresBelowLearnersPrefix(t *testing.T) {
+	rqs := core.Example7RQS()
+	nA := rqs.N()
+	acceptor, proposer, learnerA, learnerB := core.ProcessID(4), nA, nA+1, nA+2
+	topo := consensus.Topology{
+		Acceptors: rqs.Universe(),
+		Proposers: []core.ProcessID{proposer},
+		Learners:  core.NewSet(learnerA, learnerB),
+	}
+	ring, signers, err := consensus.GenKeys(rqs.Universe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewNetwork(nA + 3)
+	defer net.Close()
+	r := NewReplica(rqs, topo, net.Port(0), ring, signers[0])
+	send := func(from core.ProcessID, slot int, m transport.Message) {
+		net.Port(from).Send(0, SlotMsg{Slot: slot, Payload: m})
+	}
+	prefix := func(from core.ProcessID, upto int) {
+		net.Port(from).Send(0, PrefixMsg{Upto: upto})
+	}
+
+	// Slots 0-3 and 8 decide (one acceptor is a basic set on Example 7,
+	// so the replica adopts its decision); slots 4-7 and 9 hold live
+	// acceptors.
+	for _, slot := range []int{0, 1, 2, 3, 8} {
+		send(acceptor, slot, consensus.DecisionMsg{V: "v"})
+	}
+	for _, slot := range []int{4, 5, 6, 7, 9} {
+		send(acceptor, slot, consensus.UpdateMsg{Step: 1, V: "v"})
+	}
+	// Neither an acceptor nor the proposer host is a learner, and the
+	// floor is the smallest prefix over both learners: slot 0 is held.
+	prefix(acceptor, 8)
+	prefix(proposer, 8)
+	prefix(learnerA, 8)
+	send(proposer, 0, consensus.DecisionPullMsg{})
+	// The floor rises to 6: decided slots 0-3 and live slots 4-5 go.
+	prefix(learnerB, 6)
+	// A stale prefix from learner A is ignored, so the floor rises to
+	// 8, not 5, and live slots 6-7 go too.
+	prefix(learnerA, 5)
+	prefix(learnerB, 10)
+	// Messages below the floor create nothing and get no reply.
+	send(acceptor, 3, consensus.UpdateMsg{Step: 1, V: "v"})
+	send(acceptor, 7, consensus.DecisionMsg{V: "v"})
+	send(proposer, 1, consensus.DecisionPullMsg{})
+	send(proposer, 8, consensus.DecisionPullMsg{})
+
+	var replies []received
+	for len(replies) < 2 {
+		select {
+		case env := <-net.Port(proposer).Inbox():
+			eachSlotMsg(env, func(slot int, env transport.Envelope) {
+				replies = append(replies, received{slot, env.Payload})
+			})
+		case <-time.After(5 * time.Second):
+			t.Fatalf("pull replies %v, want two", replies)
+		}
+	}
+	net.Close()
+	r.Stop() // the replica's map is ours to read
+	for env := range net.Port(proposer).Inbox() {
+		t.Errorf("unexpected reply %+v", env.Payload)
+	}
+	if want := []received{{0, consensus.DecisionMsg{V: "v"}}, {8, consensus.DecisionMsg{V: "v"}}}; !reflect.DeepEqual(replies, want) {
+		t.Errorf("pull replies %v, want %v", replies, want)
+	}
+	if got, want := r.heldSlots(), []int{8, 9}; !reflect.DeepEqual(got, want) {
+		t.Errorf("replica holds slots %v, want %v", got, want)
+	}
+	if live := r.liveAcceptors(); live != 1 {
+		t.Errorf("replica holds %d live acceptors, want 1", live)
+	}
+}
+
+// TestReplicaStateBounded: a replica retires every slot below the log
+// host's announced prefix, so what it holds, live or decided, tracks
+// the slots decided within about one pull tick rather than the whole
+// log. Before retirement each replica held all 20,000 slots.
+func TestReplicaStateBounded(t *testing.T) {
+	const (
+		decisions = 20000
+		window    = 16
+		maxHeld   = 2000
+	)
+	d := deploy(t, core.Example7RQS())
+	defer d.stop()
+	d.decideInWindows(t, decisions, window)
+	d.stop() // every replica has drained its inbox: its map is ours to read
+	most := 0
+	for i, r := range d.replicas {
+		held := len(r.heldSlots())
+		most = max(most, held)
+		if held > maxHeld {
+			t.Errorf("replica %d holds %d slots after %d decisions, want ≤ %d", i, held, decisions, maxHeld)
+		}
+	}
+	t.Logf("at most %d slots held per replica", most)
 }
