@@ -38,26 +38,35 @@ type Op interface {
 
 // round is the wait condition every client round shares: it ends once
 // some class-3 quorum has answered and, in a timed round, the 2Δ timer
-// has fired or every server has answered — once the whole universe has,
-// no later message can change a verdict, so waiting out the timer would
-// be provably redundant.
+// has fired or no later message can change the decision taken after
+// the round — because every server has answered, or because the
+// decision is already fixed (decided). The second is the run in which
+// the timer fires early, which the algorithm allows: its safety does
+// not rest on the timer, a local clock that may fire at any instant
+// under asynchrony; only its best-case latency does.
 type round struct {
-	tr     *core.QuorumTracker
-	timed  bool // the 2Δ timer is pending
-	quorum bool
+	tr      *core.QuorumTracker
+	timed   bool // the 2Δ timer is pending
+	quorum  bool
+	decided bool // no later message can change the decision after the round
 }
 
 func (r *round) reset(timed bool) {
 	r.tr.Reset()
-	r.timed, r.quorum = timed, false
+	r.timed, r.quorum, r.decided = timed, false, false
 }
 
-// add counts server from; quorum containment is re-checked only when
-// the answer set grew (duplicates and stale replies are free).
-func (r *round) add(from core.ProcessID) {
-	if r.tr.Add(from) && !r.quorum {
+// add counts server from and reports whether it is new; quorum
+// containment is re-checked only when the answer set grew (duplicates
+// and stale replies are free).
+func (r *round) add(from core.ProcessID) bool {
+	if !r.tr.Add(from) {
+		return false
+	}
+	if !r.quorum {
 		_, r.quorum = r.tr.Contained(core.Class3)
 	}
+	return true
 }
 
 // expire records that the 2Δ timer fired and reports whether the
@@ -67,19 +76,35 @@ func (r *round) expire() bool {
 	return r.ended()
 }
 
-func (r *round) ended() bool { return r.quorum && (!r.timed || r.tr.Complete()) }
+func (r *round) ended() bool {
+	return r.quorum && (!r.timed || r.decided || r.tr.Complete())
+}
 
 // writeRound is the Figure 5 write round, shared by the writer and the
 // reader's write-back (Figure 7, lines 60-62): wr〈ts, v, sets, rnd〉 to
 // every server, counting WriteAck〈ts, rnd〉.
+//
+// done is the check that follows the round — does it complete the
+// operation? — kept current on every new ack: a class-1 quorum acked
+// (the writer's round 1, class1), or some member of req.Sets fully
+// acked (the writer's round 2 over QC'2, the reader's R = 1 write-back
+// over X). Both only grow with the ack set, so once done holds the
+// decision is fixed and a timed round ends without waiting out its
+// timer. A round whose req.Sets is empty and that is not class1 can
+// never be done: its decision (another round) is fixed from the start.
+// Writer round 1 without a class-1 quorum is not decided: the QC'2 it
+// carries forward depends on every ack within 2Δ.
 type writeRound struct {
 	round
-	req WriteReq
+	req    WriteReq
+	class1 bool // done is "a class-1 quorum acked", not "a member of req.Sets did"
+	done   bool
 }
 
-func (w *writeRound) start(req WriteReq, timed bool) Step {
-	w.req = req
+func (w *writeRound) start(req WriteReq, timed, class1 bool) Step {
+	w.req, w.class1, w.done = req, class1, false
 	w.reset(timed)
+	w.decided = !class1 && len(req.Sets) == 0
 	return Step{Send: req, Timer: timed}
 }
 
@@ -89,10 +114,25 @@ func (w *writeRound) start(req WriteReq, timed bool) Step {
 func (w *writeRound) deliver(env transport.Envelope) bool {
 	ack, isAck := env.Payload.(WriteAck)
 	env.Release()
-	if isAck && ack.TS == w.req.TS && ack.Round == w.req.Round {
-		w.add(env.From)
+	if isAck && ack.TS == w.req.TS && ack.Round == w.req.Round && w.add(env.From) && !w.done && w.completes() {
+		w.done, w.decided = true, true
 	}
 	return w.ended()
+}
+
+// completes evaluates done on the acks so far.
+func (w *writeRound) completes() bool {
+	if w.class1 {
+		_, ok := w.tr.Contained(core.Class1)
+		return ok
+	}
+	acked := w.tr.Responded()
+	for _, q := range w.req.Sets {
+		if q.SubsetOf(acked) {
+			return true
+		}
+	}
+	return false
 }
 
 // client is what the blocking driver needs of a storage client: its

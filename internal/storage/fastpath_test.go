@@ -49,8 +49,10 @@ func TestReadEarlyCompletionSkipsTimer(t *testing.T) {
 
 // TestTimerStillHonouredWhenServersMissing pins the other side of the
 // early-completion argument: with a server down the universe never
-// completes, so a round-1 write must keep waiting for the full 2Δ even
-// after a quorum acked — cutting it short would change the protocol.
+// completes and no class-1 quorum acks, so a round-1 write must keep
+// waiting for the full 2Δ even after a quorum acked — the QC'2 it
+// carries forward depends on every ack within 2Δ. Round 2 is decided
+// once QC'2's member has acked again, so the write pays 2Δ only once.
 func TestTimerStillHonouredWhenServersMissing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -62,8 +64,12 @@ func TestTimerStillHonouredWhenServersMissing(t *testing.T) {
 	w := c.Writer()
 	start := time.Now()
 	res := w.Write("v")
-	if d := time.Since(start); d < timeout {
+	d := time.Since(start)
+	if d < timeout {
 		t.Fatalf("write returned in %v < 2Δ=%v despite missing server", d, timeout)
+	}
+	if d >= 2*timeout {
+		t.Fatalf("write took %v ≥ 2×2Δ=%v: round 2 waited out its timer after QC'2 acked", d, 2*timeout)
 	}
 	if res.Rounds != 2 {
 		t.Fatalf("rounds = %d, want 2 (class-2 quorum path)", res.Rounds)

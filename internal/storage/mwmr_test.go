@@ -3,7 +3,6 @@ package storage_test
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -304,25 +303,26 @@ func TestMWMRConcurrentWritersLinearizableTCP(t *testing.T) {
 	transport.Register(storage.MWWriteAck{})
 
 	const nWriters, nReaders = 3, 1
+	// Every process listens on its own host, bound on an ephemeral port
+	// and entered in the address map before any node attaches, so no
+	// port is released and re-bound, and no server sends before every
+	// address is known.
 	addrs := make(map[core.ProcessID]string, n+nWriters+nReaders)
-	for i := 0; i < n; i++ {
-		addrs[i] = "127.0.0.1:0"
-	}
-	// Client slots need fixed addresses before the server nodes start.
-	for i := 0; i < nWriters+nReaders; i++ {
-		addrs[n+i] = reservePort(t)
-	}
 	var nodes []*transport.TCPNode
-	for i := 0; i < n; i++ {
-		node, err := transport.NewTCPNode(i, addrs)
+	for id := 0; id < n+nWriters+nReaders; id++ {
+		host, err := transport.NewTCPHost("127.0.0.1:0", addrs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer node.Close()
-		addrs[i] = node.Addr()
+		defer host.Close()
+		addrs[id] = host.Addr()
+		node, err := host.Node(id)
+		if err != nil {
+			t.Fatal(err)
+		}
 		nodes = append(nodes, node)
 	}
-	for _, node := range nodes {
+	for _, node := range nodes[:n] {
 		srv := storage.NewServer(node, storage.Hooks{})
 		srv.Start()
 		defer srv.Stop()
@@ -332,34 +332,11 @@ func TestMWMRConcurrentWritersLinearizableTCP(t *testing.T) {
 		return storage.NewKVClient([]storage.KVGroup{{System: system, Port: node}})
 	}
 	var writers, readers []*storage.KVClient
-	for i := 0; i < nWriters; i++ {
-		node, err := transport.NewTCPNode(n+i, addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer node.Close()
+	for _, node := range nodes[n : n+nWriters] {
 		writers = append(writers, client(node))
 	}
-	for i := 0; i < nReaders; i++ {
-		node, err := transport.NewTCPNode(n+nWriters+i, addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer node.Close()
+	for _, node := range nodes[n+nWriters:] {
 		readers = append(readers, client(node))
 	}
 	mwmrWorkload(t, writers, readers, 10, nil)
-}
-
-// reservePort grabs a free loopback port and releases it for a client
-// node to bind (SO_REUSEADDR makes the immediate rebind safe).
-func reservePort(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	_ = ln.Close()
-	return addr
 }

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"repro/internal/core"
 )
@@ -28,6 +30,14 @@ type readState struct {
 	// backing array is reused across rounds and reads.
 	pairs      []Pair
 	pairsValid bool
+
+	// byTS and sameTS are observedPairs' dedup scratch, reused across
+	// rounds and reads: byTS maps a timestamp to the index in pairs of
+	// the last distinct pair collected with it, and sameTS[i] is the
+	// index of the one collected before pairs[i] with the same
+	// timestamp (-1 for none).
+	byTS   map[int64]int
+	sameTS []int
 }
 
 // slot returns the reader's local copy of server i's slot for (ts, rnd);
@@ -131,48 +141,63 @@ func (st *readState) highCand(c Pair) bool {
 }
 
 // observedPairs collects every distinct pair appearing in slot 1 or 2 of
-// any received history, plus the initial pair ⊥. The result is memoized
-// until the next query round refreshes the histories. Dedup is a linear
-// scan: honest executions observe a handful of distinct pairs, and even
-// forged histories stay small in the experiments.
+// any received history, plus the initial pair ⊥, sorted by descending
+// timestamp (ties by value). The result is memoized until the next
+// query round refreshes the histories. Dedup is by timestamp, linear in
+// the rows received: values are compared only among the pairs that
+// share a timestamp — one in an honest execution, more only when
+// Byzantine servers forge pairs, which must stay distinct.
 func (st *readState) observedPairs() []Pair {
 	if st.pairsValid {
 		return st.pairs
 	}
+	if st.byTS == nil {
+		st.byTS = make(map[int64]int)
+	} else {
+		clear(st.byTS)
+	}
 	out := append(st.pairs[:0], Bottom)
+	st.byTS[Bottom.TS] = 0
+	st.sameTS = append(st.sameTS[:0], -1)
 	for _, h := range st.hist {
 		for ts, row := range h {
-			for rnd := 1; rnd <= 2; rnd++ {
-				p := row[rnd-1].Pair
-				if p.TS == ts && !p.IsBottom() && !containsPair(out, p) {
-					out = append(out, p)
-				}
+			if p := row[0].Pair; p.TS == ts {
+				out = st.addPair(out, p)
+			}
+			// A two-round write leaves its pair in both slots.
+			if p := row[1].Pair; p.TS == ts && p != row[0].Pair {
+				out = st.addPair(out, p)
 			}
 		}
 	}
 	// slices.SortFunc over sort.Slice: no reflect.Swapper allocation on
 	// a path the candidate predicates hit once per round.
 	slices.SortFunc(out, func(a, b Pair) int {
-		switch {
-		case a.TS > b.TS:
-			return -1
-		case a.TS < b.TS:
-			return 1
+		if c := cmp.Compare(b.TS, a.TS); c != 0 {
+			return c
 		}
-		return 0
+		return strings.Compare(a.Val, b.Val)
 	})
 	st.pairs = out
 	st.pairsValid = true
 	return out
 }
 
-func containsPair(pairs []Pair, p Pair) bool {
-	for _, q := range pairs {
-		if q == p {
-			return true
+// addPair appends p to out unless out already holds it.
+func (st *readState) addPair(out []Pair, p Pair) []Pair {
+	last, ok := st.byTS[p.TS]
+	if ok {
+		for i := last; i >= 0; i = st.sameTS[i] {
+			if out[i] == p {
+				return out
+			}
 		}
+	} else {
+		last = -1
 	}
-	return false
+	st.byTS[p.TS] = len(out)
+	st.sameTS = append(st.sameTS, last)
+	return append(out, p)
 }
 
 // computeHighestTS is line 29: the highest timestamp of any pair read.

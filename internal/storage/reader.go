@@ -230,21 +230,16 @@ func (r *Reader) afterQuery() Step {
 func (r *Reader) writeback(rnd int, sets []core.Set, timed bool) Step {
 	r.writingBack = true
 	r.res.Rounds++
-	return r.wb.start(WriteReq{TS: r.res.TS, Val: r.res.Val, Sets: sets, Round: rnd}, timed)
+	return r.wb.start(WriteReq{TS: r.res.TS, Val: r.res.Val, Sets: sets, Round: rnd}, timed, false)
 }
 
 // afterWriteback ends the read after a round-2 write-back, and after a
 // round-1 write-back whose quorum ids (lines 43-47) one quorum fully
-// acked; otherwise it writes back again with round number 2.
+// acked — the round's done check, kept current per ack; otherwise it
+// writes back again with round number 2.
 func (r *Reader) afterWriteback() Step {
-	if r.wb.req.Round == 2 {
+	if r.wb.req.Round == 2 || r.wb.done {
 		return Step{Done: true}
-	}
-	acked := r.wb.tr.Responded()
-	for _, q := range r.wb.req.Sets {
-		if q.SubsetOf(acked) {
-			return Step{Done: true}
-		}
 	}
 	return r.writeback(2, nil, false)
 }

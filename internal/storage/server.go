@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -679,10 +680,12 @@ func (s *Server) mw(key string) (Tag, string, []byte) {
 // *different* pair already occupies the slot, and merge the class-2
 // quorum ids into the final round's slot. If the current history map
 // is shared with outstanding read acks it is copied first (the acks
-// keep the old, now-immutable snapshot). It reports whether the row
-// changed (the WAL logs exactly those requests); re-applying the same
-// request changes nothing, which is what makes log replay and
-// redelivery idempotent. req.Val must be server-owned.
+// keep the old, now-immutable snapshot). The copy is shallow: rows are
+// values, and Slot.addSets never writes through a Sets slice an ack
+// may hold. It reports whether the row changed (the WAL logs exactly
+// those requests); re-applying the same request changes nothing, which
+// is what makes log replay and redelivery idempotent. req.Val must be
+// server-owned.
 func (s *Server) applyWrite(req WriteReq) bool {
 	if req.Round < 1 || req.Round > 3 {
 		return false
@@ -709,7 +712,7 @@ func (s *Server) applyWrite(req WriteReq) bool {
 		return false
 	}
 	if reg.histShared {
-		reg.history = reg.history.Clone()
+		reg.history = maps.Clone(reg.history)
 		reg.histShared = false
 	}
 	if reg.history == nil {

@@ -25,7 +25,6 @@ type Writer struct {
 	client
 	ts  int64
 	wr  writeRound // the round in flight; its tracker is reused
-	qc2 []core.Set // class-2 quorums that acked round 1 (lines 4-5)
 	res WriteResult
 }
 
@@ -78,7 +77,7 @@ func (w *Writer) WriteCtx(ctx context.Context, v string) (WriteResult, error) {
 
 // StartWrite begins writing v under the next timestamp and returns the
 // first step: round 1, which waits for a quorum AND the 2Δ timer (or
-// every server).
+// every server, or a class-1 quorum).
 func (w *Writer) StartWrite(v string) Step {
 	w.ts++
 	return w.startRound(1, v, nil)
@@ -89,7 +88,7 @@ func (w *Writer) Result() WriteResult { return w.res }
 
 func (w *Writer) startRound(rnd int, v string, sets []core.Set) Step {
 	w.res = WriteResult{TS: w.ts, Rounds: rnd}
-	return w.wr.start(WriteReq{TS: w.ts, Val: v, Sets: sets, Round: rnd}, rnd < 3)
+	return w.wr.start(WriteReq{TS: w.ts, Val: v, Sets: sets, Round: rnd}, rnd < 3, rnd == 1)
 }
 
 // Deliver counts a reply toward the round in flight.
@@ -111,22 +110,14 @@ func (w *Writer) Expire() Step {
 // next is Figure 5 between rounds: done after round 1 if a class-1
 // quorum acked; after round 2 if a class-2 quorum that acked round 1
 // acked again, carrying the QC'2 certificate; after round 3 in any case.
+// The first two are the round's done check, kept current per ack.
 func (w *Writer) next() Step {
-	switch w.res.Rounds {
-	case 1:
-		if _, ok := w.wr.tr.Contained(core.Class1); ok {
-			return Step{Done: true}
-		}
-		w.qc2 = w.wr.tr.ContainedAll(core.Class2)
-		return w.startRound(2, w.wr.req.Val, w.qc2)
-	case 2:
-		acked := w.wr.tr.Responded()
-		for _, q := range w.qc2 {
-			if q.SubsetOf(acked) {
-				return Step{Done: true}
-			}
-		}
-		return w.startRound(3, w.wr.req.Val, nil)
+	if w.wr.done || w.res.Rounds == 3 {
+		return Step{Done: true}
 	}
-	return Step{Done: true}
+	if w.res.Rounds == 1 {
+		// Lines 4-5: QC'2 is the class-2 quorums that acked round 1.
+		return w.startRound(2, w.wr.req.Val, w.wr.tr.ContainedAll(core.Class2))
+	}
+	return w.startRound(3, w.wr.req.Val, nil)
 }
