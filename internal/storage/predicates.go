@@ -10,15 +10,23 @@ import (
 )
 
 // readState is the reader's view of the system during one read operation:
-// the latest history received from each server plus the bookkeeping of
-// Figure 7 (Responded, QC'2, highest_ts). All the read predicates of
-// lines 1-9 are methods on it.
+// the latest history suffix received from each server plus the
+// bookkeeping of Figure 7 (Responded, QC'2, highest_ts). All the read
+// predicates of lines 1-9 are methods on it.
+//
+// The histories hold only the rows at or above from, the timestamp of
+// the reader's last completed atomic read. Every predicate on a pair c
+// reads only rows at c.TS and pairs above it, and an atomic reader
+// never selects a pair below its last return, so dropping the rows
+// below from (and ⊥, when from > 0) leaves every selection as the full
+// histories would make it (ARCHITECTURE.md, "Suffix read acks").
 type readState struct {
 	rqs  *core.RQS
 	adv  core.Adversary
 	elem []core.Set // enumeration of B, for valid3
 
-	hist        map[core.ProcessID]History
+	from        int64
+	hist        [][]TSRow  // by server id: ts-ascending rows, all ≥ from
 	respQuorums []core.Set // quorums among the servers that acked this read, refreshed once per round
 	qc2prime    []core.Set // class-2 quorums that responded in round 1
 	highestTS   int64
@@ -44,7 +52,7 @@ type readState struct {
 // unheard-from servers read as the initial state 〈〈0,⊥〉, ∅〉 exactly as
 // the initialisation of line 10 prescribes.
 func (st *readState) slot(i core.ProcessID, ts int64, rnd int) Slot {
-	return st.hist[i].Slot(ts, rnd)
+	return rowSlot(st.hist[i], ts, rnd)
 }
 
 // readPred is read(c, i) (line 7): server i reported c in slot 1 or 2.
@@ -141,9 +149,9 @@ func (st *readState) highCand(c Pair) bool {
 }
 
 // observedPairs collects every distinct pair appearing in slot 1 or 2 of
-// any received history, plus the initial pair ⊥, sorted by descending
-// timestamp (ties by value). The result is memoized until the next
-// query round refreshes the histories. Dedup is by timestamp, linear in
+// any received history, plus the initial pair ⊥ unless from > 0, sorted
+// by descending timestamp (ties by value). The result is memoized until
+// the next query round refreshes the histories. Dedup is by timestamp, linear in
 // the rows received: values are compared only among the pairs that
 // share a timestamp — one in an honest execution, more only when
 // Byzantine servers forge pairs, which must stay distinct.
@@ -156,16 +164,18 @@ func (st *readState) observedPairs() []Pair {
 	} else {
 		clear(st.byTS)
 	}
-	out := append(st.pairs[:0], Bottom)
-	st.byTS[Bottom.TS] = 0
-	st.sameTS = append(st.sameTS[:0], -1)
-	for _, h := range st.hist {
-		for ts, row := range h {
-			if p := row[0].Pair; p.TS == ts {
+	out := st.pairs[:0]
+	st.sameTS = st.sameTS[:0]
+	if st.from == 0 {
+		out = st.addPair(out, Bottom)
+	}
+	for _, rows := range st.hist {
+		for _, r := range rows {
+			if p := r.Row[0].Pair; p.TS == r.TS {
 				out = st.addPair(out, p)
 			}
 			// A two-round write leaves its pair in both slots.
-			if p := row[1].Pair; p.TS == ts && p != row[0].Pair {
+			if p := r.Row[1].Pair; p.TS == r.TS && p != r.Row[0].Pair {
 				out = st.addPair(out, p)
 			}
 		}

@@ -32,11 +32,12 @@ type Reader struct {
 	writingBack bool
 	res         ReadResult
 
-	// st is the read state of lines 1-9: the history map and pair
-	// scratch keep their allocations.
+	// st is the read state of lines 1-9: the history table and pair
+	// scratch keep their allocations, and st.from carries over from the
+	// last atomic read that completed.
 	st readState
 
-	// retained holds the arena-aliased envelopes whose ReadAck histories
+	// retained holds the arena-aliased envelopes whose ReadAck rows
 	// st.hist references. The histories stay live for the whole read
 	// (candidate selection and the BCD checks walk them), so the arenas
 	// recycle only at the start of the NEXT operation.
@@ -96,7 +97,7 @@ func (r *Reader) StartRead() Step {
 		st.rqs = r.rqs
 		st.adv = r.rqs.Adversary()
 		st.elem = r.advElem
-		st.hist = make(map[core.ProcessID]History)
+		st.hist = make([][]TSRow, r.rqs.N())
 	} else {
 		clear(st.hist)
 	}
@@ -118,7 +119,7 @@ func (r *Reader) queryRound() Step {
 	r.res.Rounds++
 	r.st.pairsValid = false // fresh acks will refresh the histories
 	r.query.reset(r.res.Rounds == 1)
-	return Step{Send: ReadReq{ReadNo: r.readNo, Round: r.res.Rounds}, Timer: r.res.Rounds == 1}
+	return Step{Send: ReadReq{ReadNo: r.readNo, Round: r.res.Rounds, From: r.st.from}, Timer: r.res.Rounds == 1}
 }
 
 // Deliver feeds a reply to the round in flight.
@@ -130,16 +131,20 @@ func (r *Reader) Deliver(env transport.Envelope) Step {
 		return r.afterWriteback()
 	}
 	ack, isAck := env.Payload.(ReadAck)
-	if !isAck || ack.ReadNo != r.readNo {
+	// An ack from outside the universe, or with rows out of order or
+	// repeated, is no history an honest server sends: it counts as not
+	// received, which is silence, a legal Byzantine behaviour.
+	if !isAck || ack.ReadNo != r.readNo || env.From < 0 || env.From >= len(r.st.hist) || !ascending(ack.Rows) {
 		env.Release()
 		return Step{}
 	}
 	// Lines 50-53: any ack refreshes the local copy of the server's
 	// history and the Responded bookkeeping; only current-round acks
-	// advance the round.
-	r.st.hist[env.From] = ack.History
+	// advance the round. Rows below from, which only a Byzantine
+	// server sends, are skipped.
+	r.st.hist[env.From] = rowsFrom(ack.Rows, r.st.from)
 	if env.Aliased() {
-		// The history's strings alias the envelope's receive arena;
+		// The rows' strings alias the envelope's receive arena;
 		// hold the reference until the operation is over.
 		r.retained = append(r.retained, env)
 	}
@@ -207,7 +212,7 @@ func (r *Reader) afterQuery() Step {
 	if rounds == 1 {
 		if st.bcd1Any(csel) {
 			// Line 40: a class-1 quorum confirmed the pair; no writeback.
-			return Step{Done: true}
+			return r.done()
 		}
 		x1 := st.bcd2(csel, 1)
 		if len(st.bcd2(csel, 2))+len(st.bcd2(csel, 3)) > 0 {
@@ -239,7 +244,14 @@ func (r *Reader) writeback(rnd int, sets []core.Set, timed bool) Step {
 // writes back again with round number 2.
 func (r *Reader) afterWriteback() Step {
 	if r.wb.req.Round == 2 || r.wb.done {
-		return Step{Done: true}
+		return r.done()
 	}
 	return r.writeback(2, nil, false)
+}
+
+// done completes an atomic read: later reads need no history row
+// below its timestamp.
+func (r *Reader) done() Step {
+	r.st.from = r.res.TS
+	return Step{Done: true}
 }

@@ -2,7 +2,7 @@ package storage
 
 import (
 	"bytes"
-	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,9 +20,9 @@ import (
 // apply to every key of the keyspace; the chaos matrix runs its forging
 // cells on the swmr, mwmr and multi-key kv workloads.
 type Hooks struct {
-	// ForgeHistory, if non-nil, replaces the history sent in read acks
-	// (state forging, as the Byzantine servers of the Theorem 3 proof do
-	// when they revert to σ0 or fabricate σ1).
+	// ForgeHistory, if non-nil, replaces the history whose suffix read
+	// acks carry (state forging, as the Byzantine servers of the
+	// Theorem 3 proof do when they revert to σ0 or fabricate σ1).
 	ForgeHistory func() History
 	// DropWrite, if non-nil and returning true, silently ignores a write
 	// request ("forgetting" rounds, as in execution ex4 of Figure 4).
@@ -71,17 +71,15 @@ const kvShardCount = 16
 
 // regState is the full per-key register state: the SWMR history of
 // Figure 6 plus the tag-ordered MWMR register. States are created
-// lazily on first apply; History stays nil until the first SWMR write
-// (nil-safe: History.Slot and Clone treat nil as empty).
+// lazily on first apply.
 type regState struct {
-	history History
-	// histShared marks the history map as referenced by previously
-	// handed-out read acks: the next write copies it instead of
-	// mutating in place (copy-on-write), so read acks share one
-	// snapshot between writes instead of deep-cloning per read.
-	histShared bool
-	mwTag      Tag    // MWMR register: current tag ...
-	mwVal      string // ... and value, monotone in tag order
+	// rows is the SWMR history, ts-ascending: a suffix read is a binary
+	// search plus a copy of the suffix, and the honest writer's next
+	// timestamp appends. Writes mutate it in place; read acks carry
+	// copies (Server.suffix).
+	rows  []TSRow
+	mwTag Tag    // MWMR register: current tag ...
+	mwVal string // ... and value, monotone in tag order
 	// mwSig is the writer signature that arrived with the current
 	// 〈mwTag, mwVal〉 pair (nil on unauthenticated deployments). Read
 	// acks forward it so clients can re-verify the pair's provenance.
@@ -154,6 +152,7 @@ type Server struct {
 	authBuf      []byte
 	appendSigner auth.AppendSigner    // signer's append form, nil if unsupported
 	sigSlab      []byte               // countersignature slab (see signAck)
+	rowSlab      []TSRow              // read-ack row slab (see suffix)
 	dmemo        digestMemo           // last value digest (bursts repeat one value)
 	replayCap    map[string]MWReadAck // Hooks.ReplayMWRead capture, keyed by register
 
@@ -278,7 +277,7 @@ func (s *Server) StateSnapshot() ServerState {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for key, reg := range sh.regs {
-			out[key] = RegSnapshot{History: reg.history.Clone(), MWTag: reg.mwTag, MWVal: reg.mwVal, MWSig: bytes.Clone(reg.mwSig)}
+			out[key] = RegSnapshot{History: historyOf(reg.rows), MWTag: reg.mwTag, MWVal: reg.mwVal, MWSig: bytes.Clone(reg.mwSig)}
 		}
 		sh.mu.Unlock()
 	}
@@ -296,7 +295,7 @@ func (s *Server) SetState(st ServerState) {
 	}
 	for key, snap := range st {
 		sh := s.lock(key)
-		sh.regs[key] = &regState{history: snap.History.Clone(), mwTag: snap.MWTag, mwVal: snap.MWVal, mwSig: bytes.Clone(snap.MWSig)}
+		sh.regs[key] = &regState{rows: snap.History.Clone().Rows(0), mwTag: snap.MWTag, mwVal: snap.MWVal, mwSig: bytes.Clone(snap.MWSig)}
 		sh.mu.Unlock()
 	}
 }
@@ -308,7 +307,7 @@ func (s *Server) HistorySnapshot() History {
 	sh := s.lock("")
 	defer sh.mu.Unlock()
 	if reg := sh.regs[""]; reg != nil {
-		return reg.history.Clone()
+		return historyOf(reg.rows)
 	}
 	return make(History)
 }
@@ -409,15 +408,15 @@ func (s *Server) handleWrite(env *transport.Envelope, req WriteReq) {
 }
 
 // handleRead serves a SWMR read (Figure 6): reply with the key's
-// entire history, shared copy-on-write with the register.
+// history from the reader's last atomic return on (ReadReq.From).
 func (s *Server) handleRead(env *transport.Envelope, req ReadReq) {
-	var h History
+	var rows []TSRow
 	if s.hooks.ForgeHistory != nil {
-		h = s.hooks.ForgeHistory()
+		rows = s.hooks.ForgeHistory().Rows(req.From)
 	} else {
-		h = s.history(req.Key)
+		rows = s.suffix(req.Key, req.From)
 	}
-	s.reply(env, ReadAck{ReadNo: req.ReadNo, Round: req.Round, History: h})
+	s.reply(env, ReadAck{ReadNo: req.ReadNo, Round: req.Round, Rows: rows})
 }
 
 // handleMWWrite serves an MWMR write: the register adopts a newer tag.
@@ -650,18 +649,33 @@ func (s *Server) lock(key string) *kvShard {
 	return sh
 }
 
-// history returns key's SWMR history for a read ack (nil if never
-// written). The map is marked shared, so the next write copies it
-// before mutating and the ack keeps an immutable snapshot.
-func (s *Server) history(key string) History {
+// rowSlabLen is the row capacity of a fresh read-ack slab.
+const rowSlabLen = 64
+
+// suffix copies key's history rows at or above from, for a read ack
+// (nil if there are none). It costs a binary search plus the suffix's
+// length, whatever the history's. The copy is carved from a slab, as
+// signAck carves signatures: chunks are retained by the acks that
+// carry them, and a filled slab is dropped for a fresh one. The copied
+// rows share their Sets slices with the register, which Slot.addSets
+// never writes through. Server goroutine only.
+func (s *Server) suffix(key string, from int64) []TSRow {
 	sh := s.lock(key)
 	defer sh.mu.Unlock()
 	reg := sh.regs[key]
 	if reg == nil {
 		return nil
 	}
-	reg.histShared = true
-	return reg.history
+	tail := rowsFrom(reg.rows, from)
+	if len(tail) == 0 {
+		return nil
+	}
+	if cap(s.rowSlab)-len(s.rowSlab) < len(tail) {
+		s.rowSlab = make([]TSRow, 0, max(len(tail), rowSlabLen))
+	}
+	n := len(s.rowSlab)
+	s.rowSlab = append(s.rowSlab, tail...)
+	return s.rowSlab[n:len(s.rowSlab):len(s.rowSlab)]
 }
 
 // mw returns key's MWMR register: 〈tag, value〉 and the writer
@@ -678,14 +692,12 @@ func (s *Server) mw(key string) (Tag, string, []byte) {
 // applyWrite implements lines 2-7 of Figure 6 against one key's
 // register: for every round m ≤ rnd, store the pair unless a
 // *different* pair already occupies the slot, and merge the class-2
-// quorum ids into the final round's slot. If the current history map
-// is shared with outstanding read acks it is copied first (the acks
-// keep the old, now-immutable snapshot). The copy is shallow: rows are
-// values, and Slot.addSets never writes through a Sets slice an ack
-// may hold. It reports whether the row changed (the WAL logs exactly
-// those requests); re-applying the same request changes nothing, which
-// is what makes log replay and redelivery idempotent. req.Val must be
-// server-owned.
+// quorum ids into the final round's slot. The history is mutated in
+// place: read acks hold copies of their rows, and Slot.addSets never
+// writes through a Sets slice an ack shares. It reports whether the
+// row changed (the WAL logs exactly those requests); re-applying the
+// same request changes nothing, which is what makes log replay and
+// redelivery idempotent. req.Val must be server-owned.
 func (s *Server) applyWrite(req WriteReq) bool {
 	if req.Round < 1 || req.Round > 3 {
 		return false
@@ -694,7 +706,11 @@ func (s *Server) applyWrite(req WriteReq) bool {
 	defer sh.mu.Unlock()
 	reg := sh.reg(req.Key)
 	pair := Pair{TS: req.TS, Val: req.Val}
-	row := reg.history[req.TS] // a copy: the live row moves only below
+	i, found := slices.BinarySearchFunc(reg.rows, req.TS, cmpRowTS)
+	var row Row // a copy: the live row moves only below
+	if found {
+		row = reg.rows[i].Row
+	}
 	changed := false
 	for m := 1; m <= req.Round; m++ {
 		slot := &row[m-1]
@@ -711,14 +727,11 @@ func (s *Server) applyWrite(req WriteReq) bool {
 	if !changed {
 		return false
 	}
-	if reg.histShared {
-		reg.history = maps.Clone(reg.history)
-		reg.histShared = false
+	if found {
+		reg.rows[i].Row = row
+	} else {
+		reg.rows = slices.Insert(reg.rows, i, TSRow{TS: req.TS, Row: row})
 	}
-	if reg.history == nil {
-		reg.history = make(History)
-	}
-	reg.history[req.TS] = row
 	return true
 }
 

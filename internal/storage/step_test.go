@@ -132,8 +132,8 @@ func TestReadWritebackEndsOnXMember(t *testing.T) {
 	if !ok || !st.Timer {
 		t.Fatalf("first step %+v, want a timed query", st)
 	}
-	hist := storage.History{1: {{Pair: storage.Pair{TS: 1, Val: "v"}}}}
-	s.waits(storage.ReadAck{ReadNo: rd.ReadNo, Round: 1, History: hist}, 0, 1, 2, 3, 4)
+	rows := []storage.TSRow{{TS: 1, Row: storage.Row{{Pair: storage.Pair{TS: 1, Val: "v"}}}}}
+	s.waits(storage.ReadAck{ReadNo: rd.ReadNo, Round: 1, Rows: rows}, 0, 1, 2, 3, 4)
 	req := sent(t, r.Expire())
 	if req.Round != 1 || len(req.Sets) != 1 || req.Sets[0] != core.NewSet(0, 1, 2, 3, 4) {
 		t.Fatalf("write-back %+v, want R = 1 with X = [{s1..s5}]", req)

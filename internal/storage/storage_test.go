@@ -11,6 +11,7 @@ import (
 	"repro/internal/histcheck"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 // threshold8 is an RQS with three genuinely distinct quorum classes:
@@ -58,6 +59,38 @@ func lockstepDo(t *testing.T, st *sim.LockstepStorage, op storage.Op, first stor
 	st.Start(op, first)
 	if pending := st.Run(); len(pending) > 0 {
 		t.Fatalf("operation pending at quiescence")
+	}
+}
+
+// TestRepeatReadWithoutWriteReturnsSamePair: once a read returned
+// 〈2,b〉, the reader asks only for the history rows from ts 2 on
+// (ReadReq.From), and with no write in between it returns the same
+// pair again — with every server up, and with s6 down so writes take
+// two rounds and reads write back. A From one above the last return
+// would leave the reader no pair to select: its read never completes.
+func TestRepeatReadWithoutWriteReturnsSamePair(t *testing.T) {
+	for _, crashed := range []core.Set{0, core.NewSet(5)} {
+		ls := &sim.Lockstep{Seed: 1, Crashed: crashed}
+		st := sim.NewLockstepStorage(core.Example7RQS(), ls, nil)
+		w, r := st.Writer(), st.Reader(storage.ReaderOptions{})
+		lockstepDo(t, st, w, w.StartWrite("a"))
+		lockstepDo(t, st, w, w.StartWrite("b"))
+		var froms []int64 // From of every query round, as s1 sees it
+		ls.Drop = func(env transport.Envelope) bool {
+			if req, ok := env.Payload.(storage.ReadReq); ok && env.To == 0 {
+				froms = append(froms, req.From)
+			}
+			return false
+		}
+		for i := 0; i < 3; i++ {
+			lockstepDo(t, st, r, r.StartRead())
+			if res := r.Result(); res.Val != "b" || res.TS != 2 {
+				t.Fatalf("crashed %v, read %d = %+v, want b at ts 2", crashed, i+1, res)
+			}
+		}
+		if len(froms) < 3 || froms[0] != 0 || froms[len(froms)-1] != 2 {
+			t.Fatalf("crashed %v: query rounds asked from %v, want 0 first and 2 last", crashed, froms)
+		}
 	}
 }
 

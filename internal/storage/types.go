@@ -21,7 +21,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -90,9 +92,55 @@ func (s *Slot) addSets(qs []core.Set) bool {
 // indexed by round-1.
 type Row [3]Slot
 
+// clone deep-copies the row's quorum-id sets.
+func (r Row) clone() Row {
+	for i := range r {
+		r[i].Sets = slices.Clone(r[i].Sets)
+	}
+	return r
+}
+
+// TSRow is one history row with its timestamp: the unit a server keeps
+// its history in, ts-ascending, and ships in read acks.
+type TSRow struct {
+	TS  int64
+	Row Row
+}
+
+// cmpRowTS orders a ts-ascending row slice against a timestamp, for
+// binary search.
+func cmpRowTS(r TSRow, ts int64) int { return cmp.Compare(r.TS, ts) }
+
+// rowsFrom returns the suffix of the ts-ascending rows whose
+// timestamps are at least from.
+func rowsFrom(rows []TSRow, from int64) []TSRow {
+	i, _ := slices.BinarySearchFunc(rows, from, cmpRowTS)
+	return rows[i:]
+}
+
+// rowSlot returns the slot for (ts, rnd) of the ts-ascending rows;
+// rnd ∈ {1,2,3}. An absent row reads as 〈〈0,⊥〉, ∅〉.
+func rowSlot(rows []TSRow, ts int64, rnd int) Slot {
+	if i, ok := slices.BinarySearchFunc(rows, ts, cmpRowTS); ok {
+		return rows[i].Row[rnd-1]
+	}
+	return Slot{}
+}
+
+// ascending reports whether the rows' timestamps strictly increase —
+// the shape every honest read ack has.
+func ascending(rows []TSRow) bool {
+	for i := 1; i < len(rows); i++ {
+		if rows[i].TS <= rows[i-1].TS {
+			return false
+		}
+	}
+	return true
+}
+
 // History is a server's entire history of the shared variable, keyed by
-// timestamp. Absent rows mean 〈〈0,⊥〉, ∅〉 everywhere, matching the
-// initialisation of Figure 6.
+// timestamp: the form state snapshots and forging hooks use. Absent rows
+// mean 〈〈0,⊥〉, ∅〉 everywhere, matching the initialisation of Figure 6.
 type History map[int64]Row
 
 // Slot returns the slot for (ts, rnd); rnd ∈ {1,2,3}.
@@ -108,12 +156,30 @@ func (h History) Slot(ts int64, rnd int) Slot {
 func (h History) Clone() History {
 	out := make(History, len(h))
 	for ts, row := range h {
-		var cp Row
-		for i, s := range row {
-			cp[i] = Slot{Pair: s.Pair, Sets: append([]core.Set(nil), s.Sets...)}
-		}
-		out[ts] = cp
+		out[ts] = row.clone()
 	}
+	return out
+}
+
+// historyOf deep-copies ts-ascending rows into a History.
+func historyOf(rows []TSRow) History {
+	h := make(History, len(rows))
+	for _, r := range rows {
+		h[r.TS] = r.Row.clone()
+	}
+	return h
+}
+
+// Rows returns the rows with timestamps at least from, ts-ascending.
+// The rows share their quorum-id sets with h.
+func (h History) Rows(from int64) []TSRow {
+	var out []TSRow
+	for ts, row := range h {
+		if ts >= from {
+			out = append(out, TSRow{TS: ts, Row: row})
+		}
+	}
+	slices.SortFunc(out, func(a, b TSRow) int { return cmp.Compare(a.TS, b.TS) })
 	return out
 }
 
@@ -139,17 +205,26 @@ type WriteAck struct {
 
 // ReadReq is the rd〈read_no, read_rnd〉 message. Key addresses one
 // register of the server's keyspace ("" = the legacy single register).
+// From is the timestamp of the reader's last completed atomic read (0
+// for a new reader, and always 0 for a regular one, which may return
+// below it): the server ships only the history rows at or above it.
 type ReadReq struct {
 	ReadNo int64
 	Round  int
 	Key    string
+	From   int64
 }
 
-// ReadAck is the rd_ack〈read_no, read_rnd, history〉 reply carrying the
-// server's entire history (footnote 4 of the paper: servers keep the full
-// history to keep the algorithm simple).
+// ReadAck is the rd_ack〈read_no, read_rnd, history〉 reply. The paper's
+// servers ship their entire history (footnote 4: servers keep the full
+// history to keep the algorithm simple); Rows carries only its suffix
+// from the request's From on, ts-ascending. No Figure 7 predicate on a
+// pair reads a row below the pair's timestamp, and an atomic reader
+// never again selects a pair below its last return, so the rows below
+// From cannot change what the reader selects (ARCHITECTURE.md, "Suffix
+// read acks"). The rows are immutable once sent.
 type ReadAck struct {
-	ReadNo  int64
-	Round   int
-	History History
+	ReadNo int64
+	Round  int
+	Rows   []TSRow
 }

@@ -75,7 +75,18 @@ const (
 // or hostile stream and kills the connection.
 const maxFrame = 64 << 20
 
-var errShortFrame = errors.New("transport: truncated frame")
+var (
+	errShortFrame   = errors.New("transport: truncated frame")
+	errNonCanonical = errors.New("transport: non-canonical encoding")
+)
+
+// canonicalVarint reports whether the n-byte varint at the start of b
+// (n > 0, from binary.Uvarint or Varint) is in its shortest form. A
+// longer form ends in a zero byte; accepting it would let two byte
+// strings decode to one value.
+func canonicalVarint(b []byte, n int) bool {
+	return n == 1 || b[n-1] != 0
+}
 
 // encFn appends the value's encoding to b; decFn decodes a value into v
 // (settable) and returns the remaining bytes.
@@ -194,7 +205,10 @@ func compileCodec(t reflect.Type, seen map[reflect.Type]*typeCodec) (encFn, decF
 			if len(b) < 1 {
 				return nil, errShortFrame
 			}
-			v.SetBool(b[0] != 0)
+			if b[0] > 1 {
+				return nil, errNonCanonical
+			}
+			v.SetBool(b[0] == 1)
 			return b[1:], nil
 		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
@@ -205,6 +219,9 @@ func compileCodec(t reflect.Type, seen map[reflect.Type]*typeCodec) (encFn, decF
 			x, n := binary.Varint(b)
 			if n <= 0 {
 				return nil, errShortFrame
+			}
+			if !canonicalVarint(b, n) {
+				return nil, errNonCanonical
 			}
 			v.SetInt(x)
 			return b[n:], nil
@@ -217,6 +234,9 @@ func compileCodec(t reflect.Type, seen map[reflect.Type]*typeCodec) (encFn, decF
 			x, n := binary.Uvarint(b)
 			if n <= 0 {
 				return nil, errShortFrame
+			}
+			if !canonicalVarint(b, n) {
+				return nil, errNonCanonical
 			}
 			v.SetUint(x)
 			return b[n:], nil
@@ -501,10 +521,14 @@ func minEncodedSize(t reflect.Type) int {
 	}
 }
 
+// decUvarint reads a length or count: a uvarint in its shortest form.
 func decUvarint(b []byte) (uint64, []byte, error) {
 	x, n := binary.Uvarint(b)
 	if n <= 0 {
 		return 0, nil, errShortFrame
+	}
+	if !canonicalVarint(b, n) {
+		return 0, nil, errNonCanonical
 	}
 	return x, b[n:], nil
 }
@@ -531,8 +555,8 @@ func EncodeMessage(b []byte, m Message) ([]byte, error) {
 	return appendTaggedPayload(b, m)
 }
 
-// DecodeMessage parses one message produced by EncodeMessage. The
-// result does not alias b.
+// DecodeMessage parses one message produced by EncodeMessage, which
+// must span all of b. The result does not alias b.
 func DecodeMessage(b []byte) (Message, error) {
 	if len(b) < 4 {
 		return nil, errShortFrame
@@ -549,8 +573,12 @@ func DecodeMessage(b []byte) (Message, error) {
 		return nil, fmt.Errorf("transport: unknown payload type tag %#x", tag)
 	}
 	v := reflect.New(tc.typ).Elem()
-	if _, err := tc.dec(b, v); err != nil {
+	rest, err := tc.dec(b, v)
+	if err != nil {
 		return nil, err
+	}
+	if len(rest) > 0 {
+		return nil, fmt.Errorf("transport: %d bytes after the %s payload", len(rest), tc.name)
 	}
 	return v.Interface(), nil
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -116,6 +117,42 @@ func TestCodecTruncatedFrameErrors(t *testing.T) {
 			if env.From != 0 && env.From != int(buf[0])>>1 {
 				t.Errorf("cut %d: nonsense header %+v", cut, env)
 			}
+		}
+	}
+}
+
+// TestDecodeMessageRejectsNonCanonical: a message has one encoding.
+// A varint or length in a longer form than the shortest, a bool byte
+// other than 0 or 1, or bytes after the payload fail to decode instead
+// of decoding to a message that re-encodes differently.
+func TestDecodeMessageRejectsNonCanonical(t *testing.T) {
+	Register(codecPair{})
+	Register(codecNested{})
+	good, err := EncodeMessage(nil, codecPair{TS: 1, Val: "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeMessage(good); err != nil {
+		t.Fatalf("canonical encoding: %v", err)
+	}
+	tag := good[:4:4]
+	flag, err := EncodeMessage(nil, codecNested{Flag: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flagAt = 4 + 1 + 1 // the tag, the empty Pairs and Sets, then Flag
+	if flag[flagAt] != 1 {
+		t.Fatalf("flag byte at %d is %#x, want 1", flagAt, flag[flagAt])
+	}
+	flag[flagAt] = 2
+	for name, b := range map[string][]byte{
+		"long varint": append(tag, 0x82, 0x00, 1, 'v'),
+		"long length": append(tag, 0x02, 0x81, 0x00, 'v'),
+		"trailing":    append(slices.Clone(good), 0),
+		"bool 2":      flag,
+	} {
+		if m, err := DecodeMessage(b); err == nil {
+			t.Errorf("%s: decoded %#v", name, m)
 		}
 	}
 }
