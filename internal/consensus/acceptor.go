@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -35,22 +36,24 @@ type Acceptor struct {
 	topo   Topology
 	port   transport.Port
 
-	// Locking state (Figure 15 initialisation). The maps are created on
-	// first write: a pipelined host builds one acceptor per log slot, and
-	// the initial view never writes updateproof.
+	// Locking state (Figure 15 initialisation), as short lists
+	// (flat.go). updateQ[s] holds the pseudocode's updateQ[s][w] as (w,
+	// Q) pairs and updateproof[s] its updateproof[s][w], each proof
+	// naming its view; new_view_ack bodies regroup both by view. The
+	// initial view never writes updateproof.
 	view        int
 	prep        Value
-	prepview    map[int]bool
+	prepview    flatSet[int]
 	update      [2]Value
-	updateview  [2]map[int]bool
-	updateQ     [2]map[int][]core.Set
-	updateproof [2]map[int][]SignedUpdate
-	oldStep     map[stepKey]bool // update messages sent (the `old` set)
+	updateview  [2]flatSet[int]
+	updateQ     [2]flatSet[viewQ]
+	updateproof [2][]SignedUpdate
+	old         flatSet[stepKey] // update messages sent
 
 	// Senders of update2〈v, view, *〉 regardless of the attached Q, for
 	// the step-2 trigger of line 34; the step-1 trigger reads the
 	// decider's update1 record, which is keyed the same way.
-	upd2From map[vwKey]*senderRec
+	upd2From votes
 
 	dec        decider
 	hasDecided bool
@@ -59,7 +62,7 @@ type Acceptor struct {
 	// Consult-phase pending ack, while countersignatures are gathered.
 	pendingTo     core.ProcessID
 	pendingActive bool
-	pendingNeeded map[[2]int]bool // (step index 0/1, view) still unproven
+	pendingNeeded flatSet[[2]int] // (step index 0/1, view) still unproven
 
 	// Election state: the suspect timeout in Δ (5Δ at first, doubling
 	// on each expiry), and what the current step reports of the timer.
@@ -68,7 +71,7 @@ type Acceptor struct {
 	timerStopped bool // permanently stopped after a decided quorum
 	timer        Timer
 	nextView     int
-	decisionFrom map[Value]core.Set
+	decisionFrom votes
 
 	// Durability (nil for a volatile acceptor — see durable.go). dirty
 	// marks that the handled event changed promise/accept state; the
@@ -89,7 +92,14 @@ type Acceptor struct {
 // stepKey names one update message this acceptor sent: update_step〈v, w〉.
 type stepKey struct {
 	step int
-	vwKey
+	v    Value
+	w    int
+}
+
+// viewQ is one quorum of updateQ[s][w].
+type viewQ struct {
+	w int
+	q core.Set
 }
 
 // NewAcceptor builds an acceptor. signer must hold this acceptor's key.
@@ -104,6 +114,7 @@ func NewAcceptor(rqs *core.RQS, topo Topology, port transport.Port, ring *Keyrin
 		port:     port,
 		view:     InitView,
 		dec:      newDecider(rqs),
+		upd2From: votes{idx: rqs.Index()},
 		suspect:  initSuspect,
 		nextView: InitView,
 	}
@@ -226,15 +237,15 @@ func (a *Acceptor) onPrepare(env transport.Envelope, m PrepareMsg) {
 		}
 	}
 	// Line 32.
-	if a.prep != m.V || a.prepview == nil {
+	if a.prep != m.V {
 		a.prep = m.V
-		a.prepview = make(map[int]bool)
+		a.prepview = a.prepview[:0]
 	}
-	a.prepview[a.view] = true
+	a.prepview.add(a.view)
 	a.dirty = true
 	// Line 33: echo update1.
 	u := UpdateMsg{Step: 1, V: m.V, View: a.view}
-	a.markSent(1, vwKey{m.V, a.view})
+	a.old.add(stepKey{1, m.V, a.view})
 	a.sendUpdates(u)
 	// The "upon received update_step from some quorum" guards of line 34
 	// are standing rules: update messages that raced ahead of this
@@ -254,7 +265,9 @@ func (a *Acceptor) onUpdate(env transport.Envelope, m UpdateMsg) {
 	switch m.Step {
 	case 1:
 	case 2:
-		rec(&a.upd2From, vwKey{m.V, m.View}, a.rqs.Index()).add(env.From)
+		if a.upd2From.count(env.From, voteKey{v: m.V, w: m.View}) == nil {
+			return
+		}
 	default:
 		return
 	}
@@ -266,35 +279,34 @@ func (a *Acceptor) onUpdate(env transport.Envelope, m UpdateMsg) {
 // of step messages has been collected, perform the step-update and emit
 // the next update message.
 func (a *Acceptor) evalTriggers(step int, v Value, view int) {
-	if view != a.view || a.prep != v || !a.prepview[view] {
+	if view != a.view || a.prep != v || !a.prepview.has(view) {
 		return
 	}
-	k := vwKey{v, view}
+	k := voteKey{v: v, w: view}
 	switch step {
 	case 1:
-		r, ok := a.dec.upd1[k]
-		if !ok {
+		r := a.dec.upd1.find(k)
+		if r == nil {
 			return
 		}
-		for _, q := range r.tr.ContainedAll(core.Class3) {
-			if hasQuorum(a.updateQ[0][view], q) {
+		var buf [4]core.Set
+		for _, q := range r.tr.AppendContained(buf[:0], core.Class3) {
+			if a.updateQ[0].has(viewQ{view, q}) {
 				continue
 			}
 			a.applyUpdate(0, v, view, q)
-			next := UpdateMsg{Step: 2, V: v, View: view, Q: q}
-			a.markSent(2, k)
-			a.sendUpdates(next)
+			a.old.add(stepKey{2, v, view})
+			a.sendUpdates(UpdateMsg{Step: 2, V: v, View: view, Q: q})
 		}
 	case 2:
-		r, ok := a.upd2From[k]
-		if !ok || len(a.updateQ[1][view]) > 0 {
+		r := a.upd2From.find(k)
+		if r == nil || slices.ContainsFunc(a.updateQ[1], func(x viewQ) bool { return x.w == view }) {
 			return
 		}
 		if q, ok := r.tr.Contained(core.Class3); ok {
 			a.applyUpdate(1, v, view, q)
-			next := UpdateMsg{Step: 3, V: v, View: view, Q: q}
-			a.markSent(3, k)
-			a.sendUpdates(next)
+			a.old.add(stepKey{3, v, view})
+			a.sendUpdates(UpdateMsg{Step: 3, V: v, View: view, Q: q})
 		}
 	}
 }
@@ -303,25 +315,14 @@ func (a *Acceptor) evalTriggers(step int, v Value, view int) {
 // the quorum q whose step messages triggered it.
 func (a *Acceptor) applyUpdate(step int, v Value, view int, q core.Set) {
 	a.dirty = true
-	if a.update[step] != v || a.updateview[step] == nil {
+	if a.update[step] != v {
 		a.update[step] = v
-		a.updateview[step] = make(map[int]bool)
-		a.updateQ[step] = nil
+		a.updateview[step] = a.updateview[step][:0]
+		a.updateQ[step] = a.updateQ[step][:0]
 		a.updateproof[step] = nil
 	}
-	a.updateview[step][view] = true
-	if a.updateQ[step] == nil { // after a reset, or a recovery: updateQ is not persisted
-		a.updateQ[step] = make(map[int][]core.Set)
-	}
-	a.updateQ[step][view] = append(a.updateQ[step][view], q)
-}
-
-// markSent records that update_step〈k〉 was sent (the `old` set).
-func (a *Acceptor) markSent(step int, k vwKey) {
-	if a.oldStep == nil {
-		a.oldStep = make(map[stepKey]bool)
-	}
-	a.oldStep[stepKey{step, k}] = true
+	a.updateview[step].add(view)
+	a.updateQ[step].add(viewQ{view, q})
 }
 
 func (a *Acceptor) decide(v Value) {
@@ -350,18 +351,19 @@ func (a *Acceptor) onNewView(env transport.Envelope, m NewViewMsg) {
 	// Lines 23-27: gather countersignatures for every unproven update.
 	a.pendingTo = env.From
 	a.pendingActive = true
-	a.pendingNeeded = make(map[[2]int]bool)
+	a.pendingNeeded = a.pendingNeeded[:0]
 	for s := 0; s < 2; s++ {
-		for w := range a.updateview[s] {
-			if len(a.updateproof[s][w]) == 0 {
-				a.pendingNeeded[[2]int{s, w}] = true
-				req := SignReq{V: a.update[s], View: w, Step: s + 1}
-				targets := a.topo.Acceptors
-				if qs := a.updateQ[s][w]; len(qs) > 0 {
-					targets = qs[0]
-				}
-				transport.Broadcast(a.port, targets, req)
+		for _, w := range a.updateview[s] {
+			if slices.ContainsFunc(a.updateproof[s], func(su SignedUpdate) bool { return su.Msg.View == w }) {
+				continue
 			}
+			a.pendingNeeded.add([2]int{s, w})
+			req := SignReq{V: a.update[s], View: w, Step: s + 1}
+			targets := a.topo.Acceptors
+			if i := slices.IndexFunc(a.updateQ[s], func(x viewQ) bool { return x.w == w }); i >= 0 {
+				targets = a.updateQ[s][i].q
+			}
+			transport.Broadcast(a.port, targets, req)
 		}
 	}
 	a.maybeSendAck()
@@ -385,7 +387,7 @@ func (a *Acceptor) onSignReq(env transport.Envelope, m SignReq) {
 	if m.Step < 1 || m.Step > 3 {
 		return
 	}
-	if !a.oldStep[stepKey{m.Step, vwKey{m.V, m.View}}] {
+	if !a.old.has(stepKey{m.Step, m.V, m.View}) {
 		return
 	}
 	msg := UpdateMsg{Step: m.Step, V: m.V, View: m.View}
@@ -405,28 +407,25 @@ func (a *Acceptor) onSignAck(m SignAck) {
 		return
 	}
 	key := [2]int{s, su.Msg.View}
-	if !a.pendingNeeded[key] {
+	if !a.pendingNeeded.has(key) {
 		return
 	}
 	if su.Msg.V != a.update[s] || !a.ring.VerifyUpdate(su) {
 		return
 	}
 	// Deduplicate signers.
-	for _, have := range a.updateproof[s][su.Msg.View] {
-		if have.Signer == su.Signer {
-			return
+	var signers core.Set
+	for _, have := range a.updateproof[s] {
+		if have.Msg.View == su.Msg.View {
+			signers = signers.Add(have.Signer)
 		}
 	}
-	if a.updateproof[s] == nil {
-		a.updateproof[s] = make(map[int][]SignedUpdate)
+	if signers.Contains(su.Signer) {
+		return
 	}
-	a.updateproof[s][su.Msg.View] = append(a.updateproof[s][su.Msg.View], su)
-	var signers core.Set
-	for _, have := range a.updateproof[s][su.Msg.View] {
-		signers = signers.Add(have.Signer)
-	}
-	if core.IsBasic(signers, a.rqs.Adversary()) {
-		delete(a.pendingNeeded, key)
+	a.updateproof[s] = append(a.updateproof[s], su)
+	if core.IsBasic(signers.Add(su.Signer), a.rqs.Adversary()) {
+		a.pendingNeeded.remove(key)
 		a.maybeSendAck()
 	}
 }
@@ -437,15 +436,21 @@ func (a *Acceptor) maybeSendAck() {
 	}
 	a.pendingActive = false
 	body := AckBody{
-		View:   a.view,
-		Prep:   a.prep,
-		Update: a.update,
+		View:     a.view,
+		Prep:     a.prep,
+		Prepview: sortedViews(a.prepview),
+		Update:   a.update,
 	}
-	body.Prepview = sortedViews(a.prepview)
 	for s := 0; s < 2; s++ {
 		body.Updateview[s] = sortedViews(a.updateview[s])
-		body.UpdateQ[s] = copyQMap(a.updateQ[s])
-		body.Updateproof[s] = copyProofMap(a.updateproof[s])
+		body.UpdateQ[s] = make(map[int][]core.Set)
+		for _, x := range a.updateQ[s] {
+			body.UpdateQ[s][x.w] = append(body.UpdateQ[s][x.w], x.q)
+		}
+		body.Updateproof[s] = make(map[int][]SignedUpdate)
+		for _, su := range a.updateproof[s] {
+			body.Updateproof[s][su.Msg.View] = append(body.Updateproof[s][su.Msg.View], su)
+		}
 	}
 	ack := NewViewAck{Acceptor: a.id, Body: body, Sig: a.signer.Sign(body.signingBody())}
 	a.port.Send(a.pendingTo, ack)
@@ -458,15 +463,15 @@ func (a *Acceptor) onDecision(from core.ProcessID, m DecisionMsg) {
 	if !a.topo.Acceptors.Contains(from) {
 		return
 	}
-	if a.decisionFrom == nil {
-		a.decisionFrom = make(map[Value]core.Set)
+	r := a.decisionFrom.count(from, voteKey{v: m.V})
+	if r == nil {
+		return
 	}
-	a.decisionFrom[m.V] = a.decisionFrom[m.V].Add(from)
-	if _, ok := a.rqs.ContainedQuorum(a.decisionFrom[m.V], core.Class3); ok && !a.timerStopped {
+	if _, ok := a.rqs.ContainedQuorum(r.seen, core.Class3); ok && !a.timerStopped {
 		a.timerStopped = true
 		a.timer = Timer{Stop: true}
 	}
-	if !a.hasDecided && core.IsBasic(a.decisionFrom[m.V], a.rqs.Adversary()) {
+	if !a.hasDecided && core.IsBasic(r.seen, a.rqs.Adversary()) {
 		a.decide(m.V)
 	}
 }
@@ -493,27 +498,10 @@ func (a *Acceptor) onSuspectTimeout() {
 	a.timer = Timer{Arm: a.suspect}
 }
 
-func sortedViews(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for w := range m {
-		out = append(out, w)
-	}
+// sortedViews copies a view set in ascending order: acks and WAL
+// records carry views sorted.
+func sortedViews(s flatSet[int]) []int {
+	out := append(make([]int, 0, len(s)), s...)
 	sort.Ints(out)
-	return out
-}
-
-func copyQMap(m map[int][]core.Set) map[int][]core.Set {
-	out := make(map[int][]core.Set, len(m))
-	for w, qs := range m {
-		out[w] = append([]core.Set(nil), qs...)
-	}
-	return out
-}
-
-func copyProofMap(m map[int][]SignedUpdate) map[int][]SignedUpdate {
-	out := make(map[int][]SignedUpdate, len(m))
-	for w, ps := range m {
-		out[w] = append([]SignedUpdate(nil), ps...)
-	}
 	return out
 }

@@ -24,7 +24,7 @@ import (
 // — view numbers, one value per step, view sets), so replay keeps only
 // the last record and compaction is trivial: the newest record IS the
 // snapshot. Not persisted, deliberately:
-//   - oldStep (which update messages were sent): forgetting it only
+//   - old (which update messages were sent): forgetting it only
 //     makes the recovered acceptor refuse to countersign old updates
 //     (onSignReq), which errs on the safe, mute side.
 //   - updateQ / updateproof / upd2From: quorum bookkeeping and signature
@@ -118,12 +118,12 @@ func (a *Acceptor) restoreState(st AcceptorState) {
 	a.nextView = st.View
 }
 
-func viewSet(views []int) map[int]bool {
-	m := make(map[int]bool, len(views))
+func viewSet(views []int) flatSet[int] {
+	var s flatSet[int]
 	for _, w := range views {
-		m[w] = true
+		s.add(w)
 	}
-	return m
+	return s
 }
 
 // persistAndFlush runs after every step: if the event dirtied

@@ -26,7 +26,7 @@ type Learner struct {
 	port transport.Port
 
 	dec          decider
-	decisionFrom map[Value]core.Set // created on first decision message
+	decisionFrom votes
 	hasLearned   bool
 }
 
@@ -62,11 +62,8 @@ func (l *Learner) HandleEnvelope(env transport.Envelope) (Learn, bool) {
 		}
 		res = Learn{V: m.V, Step: m.Step, View: m.View}
 	case DecisionMsg:
-		if l.decisionFrom == nil {
-			l.decisionFrom = make(map[Value]core.Set)
-		}
-		l.decisionFrom[m.V] = l.decisionFrom[m.V].Add(env.From)
-		if !core.IsBasic(l.decisionFrom[m.V], l.rqs.Adversary()) {
+		r := l.decisionFrom.count(env.From, voteKey{v: m.V})
+		if r == nil || !core.IsBasic(r.seen, l.rqs.Adversary()) {
 			return Learn{}, false
 		}
 		res = Learn{V: m.V}
@@ -78,6 +75,6 @@ func (l *Learner) HandleEnvelope(env transport.Envelope) (Learn, bool) {
 	// proportional to unlearned ones.
 	l.hasLearned = true
 	l.dec = decider{}
-	l.decisionFrom = nil
+	l.decisionFrom = votes{}
 	return res, true
 }

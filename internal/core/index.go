@@ -238,7 +238,14 @@ func (idx *QuorumIndex) ClassOf(q Set) (QuorumClass, bool) {
 
 // NewTracker creates a tracker over this index, ready to use.
 func (idx *QuorumIndex) NewTracker() *QuorumTracker {
-	t := &QuorumTracker{idx: idx}
+	t := idx.Tracker()
+	return &t
+}
+
+// Tracker is NewTracker by value, for callers that keep trackers inside
+// their own records. Once a copy is in use, the original must not be.
+func (idx *QuorumIndex) Tracker() QuorumTracker {
+	t := QuorumTracker{idx: idx}
 	if idx.mode == modePostings {
 		t.missing = make([]int32, len(idx.quorums))
 		t.satisfied = make([]uint64, (len(idx.quorums)+63)/64)
