@@ -219,7 +219,7 @@ func (a *Acceptor) onPrepare(env transport.Envelope, m PrepareMsg) {
 		return
 	}
 	// (w ∈ Prepview ⇒ w < view): must not have prepared in this view yet.
-	for w := range a.prepview {
+	for _, w := range a.prepview {
 		if w >= a.view {
 			return
 		}

@@ -89,12 +89,7 @@ func TestNewValueResetsStepState(t *testing.T) {
 	// A view-1 prepare of y, with a valid proof that carries no
 	// candidate, so choose keeps y.
 	a.view = 1
-	vp := VProof{}
-	for _, id := range q2.Members() {
-		body := AckBody{View: 1}
-		vp[id] = NewViewAck{Acceptor: id, Body: body, Sig: signers[id].SignAckBody(body)}
-	}
-	a.HandleEnvelope(transport.Envelope{From: 7, To: 0, Payload: PrepareMsg{V: "y", View: 1, VProof: vp, Q: q2}})
+	a.HandleEnvelope(transport.Envelope{From: 7, To: 0, Payload: PrepareMsg{V: "y", View: 1, VProof: emptyVProof(signers, 1), Q: q2}})
 	if a.prep != "y" || !reflect.DeepEqual(a.prepview, flatSet[int]{1}) {
 		t.Fatalf("prep %q views %v, want y [1]", a.prep, a.prepview)
 	}
@@ -112,6 +107,56 @@ func TestNewValueResetsStepState(t *testing.T) {
 	if !reflect.DeepEqual(a.updateview[1], flatSet[int]{0, 1}) ||
 		!reflect.DeepEqual(a.updateQ[1], flatSet[viewQ]{{0, q2}, {1, q1}}) {
 		t.Fatalf("step 2 in view 1: %v %v", a.updateview[1], a.updateQ[1])
+	}
+}
+
+// emptyVProof is a valid view-w proof over q2 whose acks report nothing
+// prepared or updated, so choose keeps whatever value the leader names.
+func emptyVProof(signers map[core.ProcessID]*Signer, w int) VProof {
+	vp := VProof{}
+	for _, id := range q2.Members() {
+		body := AckBody{View: w}
+		vp[id] = NewViewAck{Acceptor: id, Body: body, Sig: signers[id].SignAckBody(body)}
+	}
+	return vp
+}
+
+// TestAcceptorPreparesOncePerView: line 31 accepts one prepare per view
+// (w ∈ Prepview ⇒ w < view). A leader that prepares a second value in a
+// view it already prepared in is ignored, both after a new value reset
+// prepview to that view alone and after prepview was restored with
+// fewer entries than the view number.
+func TestAcceptorPreparesOncePerView(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(a *Acceptor, signers map[core.ProcessID]*Signer)
+		view  int
+	}{
+		{"after a reset in view 1", func(a *Acceptor, signers map[core.ProcessID]*Signer) {
+			a.HandleEnvelope(transport.Envelope{From: 7, To: 0, Payload: PrepareMsg{V: "x", View: InitView}})
+			a.view = 1
+			a.HandleEnvelope(transport.Envelope{From: 7, To: 0, Payload: PrepareMsg{V: "y", View: 1, VProof: emptyVProof(signers, 1), Q: q2}})
+		}, 1},
+		{"after restoring views 2, 5, 7", func(a *Acceptor, _ map[core.ProcessID]*Signer) {
+			a.restoreState(AcceptorState{View: 7, Prep: "y", Prepview: []int{2, 5, 7}})
+		}, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, port, signers := volatileAcceptor0(t)
+			tc.setup(a, signers)
+			if a.prep != "y" || !a.prepview.has(tc.view) {
+				t.Fatalf("setup: prep %q views %v, want y prepared in view %d", a.prep, a.prepview, tc.view)
+			}
+			views := append(flatSet[int](nil), a.prepview...)
+			*port.sent = (*port.sent)[:0]
+			a.HandleEnvelope(transport.Envelope{From: 7, To: 0, Payload: PrepareMsg{V: "z", View: tc.view, VProof: emptyVProof(signers, tc.view), Q: q2}})
+			if a.prep != "y" || !reflect.DeepEqual(a.prepview, views) {
+				t.Errorf("second prepare in view %d taken: prep %q views %v", tc.view, a.prep, a.prepview)
+			}
+			if u := sentUpdates(*port.sent, 1); len(u) != 0 {
+				t.Errorf("sent update1 %+v for a second prepare in view %d", u, tc.view)
+			}
+		})
 	}
 }
 
