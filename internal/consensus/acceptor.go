@@ -104,19 +104,28 @@ type viewQ struct {
 
 // NewAcceptor builds an acceptor. signer must hold this acceptor's key.
 func NewAcceptor(rqs *core.RQS, topo Topology, port transport.Port, ring *Keyring, signer *Signer) *Acceptor {
-	return &Acceptor{
-		id:       port.ID(),
-		rqs:      rqs,
-		elems:    rqs.AdversaryElements(),
-		ring:     ring,
-		signer:   signer,
-		topo:     topo,
-		port:     port,
-		view:     InitView,
-		dec:      newDecider(rqs),
-		upd2From: votes{idx: rqs.Index()},
-		suspect:  initSuspect,
-		nextView: InitView,
+	a := &Acceptor{id: port.ID(), rqs: rqs, elems: rqs.AdversaryElements(), ring: ring, signer: signer,
+		topo: topo, port: port, dec: newDecider(rqs), upd2From: votes{idx: rqs.Index()}}
+	a.Reset()
+	return a
+}
+
+// Reset readies the acceptor for a new instance (a pipelined host's next
+// slot). It rebuilds the whole struct, so a field not named here starts
+// from zero, keeping only identity, hooks and the emptied backing
+// arrays of its lists. It panics on a durable acceptor.
+func (a *Acceptor) Reset() {
+	if a.wal != nil {
+		panic("consensus: Reset of a durable acceptor")
+	}
+	*a = Acceptor{
+		id: a.id, rqs: a.rqs, elems: a.elems, ring: a.ring, signer: a.signer, topo: a.topo, port: a.port, hooks: a.hooks,
+		view: InitView, suspect: initSuspect, nextView: InitView,
+		prepview: emptied(a.prepview), old: emptied(a.old), pendingNeeded: emptied(a.pendingNeeded),
+		updateview:  [2]flatSet[int]{emptied(a.updateview[0]), emptied(a.updateview[1])},
+		updateQ:     [2]flatSet[viewQ]{emptied(a.updateQ[0]), emptied(a.updateQ[1])},
+		updateproof: [2][]SignedUpdate{emptied(a.updateproof[0]), emptied(a.updateproof[1])},
+		dec:         a.dec.reset(), upd2From: a.upd2From.reset(), decisionFrom: a.decisionFrom.reset(),
 	}
 }
 
@@ -223,6 +232,9 @@ func (a *Acceptor) onPrepare(env transport.Envelope, m PrepareMsg) {
 		if w >= a.view {
 			return
 		}
+	}
+	if a.view == InitView && !slices.Contains(a.topo.Proposers, env.From) {
+		return // the initial view has no leader, but only proposers propose
 	}
 	if a.view != InitView {
 		if env.From != a.topo.Leader(a.view) {

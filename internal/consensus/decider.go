@@ -26,8 +26,8 @@ func (t Topology) Leader(view int) core.ProcessID {
 // Quorum containment is tracked incrementally per (value, view) record,
 // so each received update costs O(quorums-containing-sender) instead of
 // a rescan of the quorum list. The records are short lists (flat.go): a
-// pipelined host builds one decider per slot and retires the slot once
-// it decides, usually holding one record per step.
+// pipelined host drives one decider per slot in flight, usually holding
+// one record per step, and recycles it once the slot decides.
 type decider struct {
 	rqs *core.RQS
 	idx *core.QuorumIndex
@@ -40,6 +40,11 @@ type decider struct {
 func newDecider(rqs *core.RQS) decider {
 	idx := rqs.Index()
 	return decider{rqs: rqs, idx: idx, upd1: votes{idx: idx}, upd3: votes{idx: idx}}
+}
+
+// reset empties the records for a recycled instance.
+func (d *decider) reset() decider {
+	return decider{rqs: d.rqs, idx: d.idx, upd1: d.upd1.reset(), upd2: d.upd2.reset(), upd3: d.upd3.reset()}
 }
 
 // record notes an update message from an acceptor and reports whether

@@ -7,12 +7,13 @@ import (
 )
 
 // Per-slot protocol state is kept in short slices scanned linearly, not
-// in maps. A pipelined host builds one acceptor and one learner per log
-// slot, and a slot that decides in the initial view holds one key per
-// step: checking one entry (an int compare, or a string compare that is
-// immediate when both strings share a pointer) is cheaper than hashing
-// a command, and a slice costs at most one allocation where a small map
-// costs two. The lists stay short under Byzantine input too: votes
+// in maps. A pipelined host drives one acceptor or learner per log slot
+// in flight and recycles it with its lists (Acceptor.Reset), and a slot
+// that decides in the initial view holds one key per step: checking one
+// entry (an int compare, or a string compare that is immediate when
+// both strings share a pointer) is cheaper than hashing a command, and a
+// slice costs at most one allocation where a small map costs two, none
+// once recycled. The lists stay short under Byzantine input too: votes
 // counts a sender for one value in one view.
 
 // flatSet is a small set kept as a slice in insertion order. Its first
@@ -41,6 +42,13 @@ func (s *flatSet[K]) remove(k K) {
 	}
 }
 
+// emptied returns s emptied for reuse, its whole backing array zeroed
+// so that nothing of a recycled instance stays reachable through it.
+func emptied[S ~[]E, E any](s S) S {
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
 // voteKey names one message that votes are counted for: update_step〈v,
 // w, q〉, with q zero where the attached quorum does not matter, or
 // decision〈v〉 with w and q zero.
@@ -63,6 +71,9 @@ type votes struct {
 	idx  *core.QuorumIndex // nil: records keep no tracker
 	recs []voteRec
 }
+
+// reset empties the list for a recycled instance.
+func (l *votes) reset() votes { return votes{idx: l.idx, recs: emptied(l.recs)} }
 
 // find returns k's record, or nil if nobody has sent k.
 func (l *votes) find(k voteKey) *voteRec {

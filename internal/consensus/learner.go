@@ -40,6 +40,11 @@ func NewLearner(rqs *core.RQS, topo Topology, port transport.Port) *Learner {
 	}
 }
 
+// Reset readies the learner for a new instance, like Acceptor.Reset.
+func (l *Learner) Reset() {
+	*l = Learner{rqs: l.rqs, topo: l.topo, port: l.port, dec: l.dec.reset(), decisionFrom: l.decisionFrom.reset()}
+}
+
 // Pull asks every acceptor to re-send its decision (Figure 15 line 60):
 // the driver calls it on an unlearned learner once a preset time has
 // passed.
@@ -70,11 +75,6 @@ func (l *Learner) HandleEnvelope(env transport.Envelope) (Learn, bool) {
 	default:
 		return Learn{}, false
 	}
-	// Shed the per-instance protocol state: a learned learner ignores
-	// everything, so a host pipelining many instances keeps live heap
-	// proportional to unlearned ones.
 	l.hasLearned = true
-	l.dec = decider{}
-	l.decisionFrom = votes{}
 	return res, true
 }

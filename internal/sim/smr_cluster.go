@@ -30,9 +30,10 @@ type SMRCluster struct {
 type SMROptions struct {
 	// PullEvery is the log host's pull tick (default 20ms; < 0
 	// disables it). Each tick pulls decisions for slots the log host
-	// joined late, so it catches up from decided acceptors, and sends
-	// the replicas its learned prefix, below which they retire slots:
-	// with the tick off, replicas keep every slot they decide.
+	// joined late, so it catches up from decided acceptors. The tick
+	// only schedules pulls: the replicas retire slots below the
+	// learned prefix, which the log host announces as it grows, with
+	// the tick on or off.
 	PullEvery time.Duration
 	// Hooks optionally makes individual acceptor replicas Byzantine:
 	// the hook set is installed on every slot acceptor the replica

@@ -58,16 +58,19 @@ type received struct {
 	payload transport.Message
 }
 
-// TestBurstOrder drives one host's outbox through slot ports, as slot
-// instances do, and unpacks what each destination receives: every
-// flush is one envelope per destination, each destination sees its
-// messages in send order within and across flushes, and a lone message
-// travels bare.
+// TestBurstOrder sends through one host's outbox as slot instances do,
+// with the slot set before each send, and unpacks what each destination
+// receives: every flush is one envelope per destination, each
+// destination sees its messages in send order within and across
+// flushes, and a lone message travels bare.
 func TestBurstOrder(t *testing.T) {
 	net := transport.NewNetwork(3)
 	defer net.Close()
 	out := outbox{port: net.Port(0)}
-	port := func(slot int) transport.Port { return &slotPort{out: &out, slot: slot} }
+	port := func(slot int) transport.Port {
+		out.slot = slot
+		return &out
+	}
 	both := core.NewSet(1, 2)
 
 	// Flush 1: several slots to one destination set.
@@ -135,10 +138,12 @@ func TestDecisionPullForUnknownSlotCreatesNoAcceptor(t *testing.T) {
 	rqs := core.Example7RQS()
 	out := outbox{port: d.net.Port(rqs.N() + 1)} // the log host's address
 	for slot := 100; slot < 105; slot++ {        // one batch per acceptor
-		transport.Broadcast(&slotPort{out: &out, slot: slot}, rqs.Universe(), consensus.DecisionPullMsg{})
+		out.slot = slot
+		transport.Broadcast(&out, rqs.Universe(), consensus.DecisionPullMsg{})
 	}
 	out.flush()
-	transport.Broadcast(&slotPort{out: &out, slot: 200}, rqs.Universe(), consensus.DecisionPullMsg{})
+	out.slot = 200
+	transport.Broadcast(&out, rqs.Universe(), consensus.DecisionPullMsg{})
 	out.flush() // a bare pull
 	d.stop()    // every replica has drained its inbox: its map is ours to read
 	for i, r := range d.replicas {

@@ -1,16 +1,22 @@
 package smr
 
-import "sort"
-
 // liveLearners reports how many slot learners the log host holds. Call
-// it only after Stop: the map belongs to the host's goroutine.
-func (l *Log) liveLearners() int { return len(l.learners) }
+// it only after Stop: the window belongs to the host's goroutine.
+func (l *Log) liveLearners() int {
+	n := 0
+	for _, u := range l.learners.s {
+		if u.lr != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // liveAcceptors reports how many slot acceptors the replica holds. Call
-// it only after Stop: the map belongs to the replica's goroutine.
+// it only after Stop: the window belongs to the replica's goroutine.
 func (r *Replica) liveAcceptors() int {
 	n := 0
-	for _, s := range r.slots {
+	for _, s := range r.slots.s {
 		if s.acc != nil {
 			n++
 		}
@@ -22,9 +28,10 @@ func (r *Replica) liveAcceptors() int {
 // live or decided. Call it only after Stop.
 func (r *Replica) heldSlots() []int {
 	var slots []int
-	for n := range r.slots {
-		slots = append(slots, n)
+	for i, s := range r.slots.s {
+		if s.acc != nil || s.decided {
+			slots = append(slots, r.slots.floor+i)
+		}
 	}
-	sort.Ints(slots)
 	return slots
 }

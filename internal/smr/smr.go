@@ -3,41 +3,38 @@
 // framework of [34]" that motivates the paper's consensus algorithm.
 //
 // Each log slot is one consensus instance, but slots are pipelined over
-// one shared consensus deployment: a deployment performs one key
-// generation and stands up one process per role (Replica hosting
-// acceptors, Proposer hosting proposers, Log hosting learners).
-// Consensus messages travel wrapped in SlotMsg, and each host
-// demultiplexes them on its one goroutine, driving lazily created
-// per-slot protocol instances synchronously: no host creates a
-// goroutine, channel, timer or ticker per slot or per burst. A host
-// handles its inbox in bursts — the envelope it woke for plus whatever
-// is already queued behind it — and its slot instances' sends collect
-// in the host's outbox, which is flushed at the end of the burst as
-// one envelope per destination (a SlotBatch, or a bare SlotMsg when it
-// holds one message): with many slots in flight, one burst carries
-// messages for many of them, and per-envelope transport cost, not
-// protocol work, bounds pipelined throughput. Deciding a command
-// therefore costs one consensus round over an already-running cluster
-// instead of a full cluster setup — the amortization BenchmarkSMRPipelined
-// measures against the per-slot-setup baseline.
+// one shared deployment: one key generation and one process per role
+// (Replica hosting acceptors, Proposer hosting proposers, Log hosting
+// learners). Consensus messages travel wrapped in SlotMsg. Each host
+// demultiplexes them on its one goroutine into a slot window indexed by
+// slot − floor, and drives each slot's acceptor or learner
+// synchronously; an instance whose slot decides or falls below the
+// floor is reset and reused for a later slot. No host creates a
+// goroutine, channel, timer or ticker per slot. A host handles its inbox
+// in bursts — the envelope it woke for plus whatever is queued behind
+// it — and flushes its instances' sends at the end of the burst as one
+// envelope per destination (a SlotBatch, or a bare SlotMsg): with many
+// slots in flight, per-envelope transport cost, not protocol work,
+// bounds throughput. A command costs one consensus round over a running
+// cluster — the amortization BenchmarkSMRPipelined measures.
 //
 // Slots decide in the initial view: the replica never calls an
 // acceptor's Expire, so the hosts run no Election module. View changes
 // run on single instances under the lockstep sim.ConsensusCluster,
 // whose driver counts the suspect timers in rounds.
 //
-// Proposer.Append allocates log slots; many slots may be in flight at
-// once and commit out of order, with Log.Prefix exposing the gap-free
-// committed prefix. Each pull tick sends its length to the replicas
-// (PrefixMsg), and a replica drops every slot below the smallest prefix
-// over all learners, which no learner asks for again: a replica holds
-// recent slots, not the whole log. The sim package assembles a whole
-// in-memory deployment as sim.SMRCluster.
+// Proposer.Append allocates log slots; slots commit out of order, and
+// Log.Prefix is the gap-free committed prefix. Each time the prefix
+// grows by announceEvery slots the log host sends it to the replicas
+// (PrefixMsg), and a replica's floor is the smallest prefix over all
+// learners: a replica holds recent slots, not the whole log. Neither
+// host opens state for a slot maxAhead or more above its floor. The sim
+// package assembles a whole in-memory deployment as sim.SMRCluster.
 package smr
 
 import (
-	"maps"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,20 +66,43 @@ type PrefixMsg struct {
 // flushes its outbox, so a flooded host still sends its reactions.
 const hostBurst = 64
 
-// outbox collects, in send order, every slot message a host's slot
-// instances send while the host handles one inbox burst; flush sends
-// them as one envelope per destination.
+// outbox is the port a host's slot instances send through: the host
+// sets slot before it steps an instance, and each send is collected as
+// a SlotMsg for slot, in order, until flush sends the burst's messages
+// as one envelope per destination. It has no inbox: the host feeds
+// each instance from its own demultiplexing loop.
 type outbox struct {
 	port    transport.Port
+	slot    int
 	msgs    []SlotMsg
 	dsts    []core.Set // dsts[i] is where msgs[i] goes
 	scratch []SlotMsg  // one destination's share of a mixed flush
 }
 
-func (o *outbox) add(dst core.Set, m SlotMsg) {
-	o.msgs = append(o.msgs, m)
+var _ transport.Port = (*outbox)(nil)
+
+func (o *outbox) ID() core.ProcessID { return o.port.ID() }
+
+func (o *outbox) Send(to core.ProcessID, payload transport.Message) {
+	o.Broadcast(core.Set(0).Add(to), payload, 0)
+}
+
+func (o *outbox) SendHop(to core.ProcessID, payload transport.Message, _ int) {
+	o.Send(to, payload)
+}
+
+func (o *outbox) SendBatch(to core.ProcessID, payloads []transport.Message, _ int) {
+	for _, pl := range payloads {
+		o.Send(to, pl)
+	}
+}
+
+func (o *outbox) Broadcast(dst core.Set, payload transport.Message, _ int) {
+	o.msgs = append(o.msgs, SlotMsg{Slot: o.slot, Payload: payload})
 	o.dsts = append(o.dsts, dst)
 }
+
+func (o *outbox) Inbox() <-chan transport.Envelope { return nil }
 
 // flush sends the collected messages and empties the outbox. When every
 // message has the same destination set — the usual case: an acceptor's
@@ -161,41 +181,66 @@ func burst(inbox <-chan transport.Envelope, env transport.Envelope, handle func(
 	return true
 }
 
-// slotPort is one slot's view of its host: every send wraps the payload
-// in a SlotMsg and appends it to the host's outbox. It has no inbox —
-// the host feeds the slot's instance from its own demultiplexing loop.
-type slotPort struct {
-	out  *outbox
-	slot int
+// maxAhead bounds the window: a message for slot floor+maxAhead or
+// later is dropped, so a forged slot number cannot make a host allocate
+// in proportion to its distance.
+const maxAhead = 1 << 16
+
+// window is the one place a host keeps per-slot state: s[i] belongs to
+// slot floor+i.
+type window[T any] struct {
+	floor int
+	s     []T
 }
 
-var _ transport.Port = (*slotPort)(nil)
-
-func (p *slotPort) ID() core.ProcessID { return p.out.port.ID() }
-
-func (p *slotPort) Send(to core.ProcessID, payload transport.Message) {
-	p.Broadcast(core.Set(0).Add(to), payload, 0)
-}
-
-func (p *slotPort) SendHop(to core.ProcessID, payload transport.Message, _ int) {
-	p.Send(to, payload)
-}
-
-func (p *slotPort) SendBatch(to core.ProcessID, payloads []transport.Message, _ int) {
-	for _, pl := range payloads {
-		p.Send(to, pl)
+// at returns slot n's state, or nil when n lies outside [floor,
+// floor+maxAhead) or, unless open extends the window to it, past its end.
+func (w *window[T]) at(n int, open bool) *T {
+	i := n - w.floor
+	if i < 0 || i >= maxAhead || i >= len(w.s) && !open {
+		return nil
 	}
+	if i >= len(w.s) {
+		w.s = append(w.s, make([]T, i+1-len(w.s))...)
+	}
+	return &w.s[i]
 }
 
-func (p *slotPort) Broadcast(dst core.Set, payload transport.Message, _ int) {
-	p.out.add(dst, SlotMsg{Slot: p.slot, Payload: payload})
+// advance raises the floor to f, handing retire (if any) each state it
+// drops; the states above move down in place.
+func (w *window[T]) advance(f int, retire func(*T)) {
+	k := min(max(f-w.floor, 0), len(w.s))
+	for i := 0; i < k && retire != nil; i++ {
+		retire(&w.s[i])
+	}
+	n := copy(w.s, w.s[k:])
+	clear(w.s[n:])
+	w.s, w.floor = w.s[:n], max(w.floor, f)
 }
 
-func (p *slotPort) Inbox() <-chan transport.Envelope { return nil }
+// free is a host's stack of reset slot instances.
+type free[T interface{ Reset() }] []T
 
-// Replica hosts the acceptor role for every slot: a slot's acceptor is
-// created when the slot's first message other than a decision pull
-// arrives and is driven synchronously on the replica's one goroutine.
+// take pops a reset instance, or builds one when none is free.
+func (f *free[T]) take(build func() T) T {
+	if k := len(*f) - 1; k >= 0 {
+		x := (*f)[k]
+		*f = (*f)[:k]
+		return x
+	}
+	return build()
+}
+
+// put resets x and keeps it for a later slot.
+func (f *free[T]) put(x T) {
+	x.Reset()
+	*f = append(*f, x)
+}
+
+// Replica hosts the acceptor role for every slot. A slot's acceptor is
+// opened by its first message from a proposer or an acceptor, driven on
+// the replica's one goroutine, and recycled once the slot decides or
+// falls below the floor.
 type Replica struct {
 	rqs    *core.RQS
 	topo   consensus.Topology
@@ -207,16 +252,17 @@ type Replica struct {
 
 	// Owned by the replica's goroutine.
 	out     outbox
-	slots   map[int]*slotState
+	slots   window[slotState] // floor: min of learned over all learners
+	free    free[*consensus.Acceptor]
 	learned map[core.ProcessID]int // latest PrefixMsg.Upto per learner
-	floor   int                    // min of learned over all learners; no slot below it is held
 }
 
 // slotState is a slot's live acceptor or, once the slot has decided,
 // only the value a decided acceptor answers decision pulls with.
 type slotState struct {
-	acc *consensus.Acceptor // nil once decided
-	v   consensus.Value
+	acc     *consensus.Acceptor
+	v       consensus.Value
+	decided bool
 }
 
 // NewReplica starts the acceptor host on the given port.
@@ -237,7 +283,6 @@ func NewReplicaHooks(rqs *core.RQS, topo consensus.Topology, port transport.Port
 		rqs: rqs, topo: topo, ring: ring, signer: signer, hooks: hooks,
 		port: port, done: make(chan struct{}),
 		out:     outbox{port: port},
-		slots:   make(map[int]*slotState),
 		learned: make(map[core.ProcessID]int),
 	}
 	go r.run()
@@ -246,7 +291,7 @@ func NewReplicaHooks(rqs *core.RQS, topo consensus.Topology, port transport.Port
 
 // run executes every slot's acceptor on this one goroutine, one inbox
 // burst at a time, and sends each burst's reactions as one envelope per
-// destination. The slot map needs no lock — nothing else touches it.
+// destination. The slot window needs no lock — nothing else touches it.
 func (r *Replica) run() {
 	defer close(r.done)
 	for env := range r.port.Inbox() {
@@ -271,11 +316,15 @@ func (r *Replica) handle(env transport.Envelope) {
 		return
 	}
 	r.learned[env.From] = m.Upto
-	r.floor = m.Upto
+	floor := m.Upto
 	for v := uint64(r.topo.Learners); v != 0; v &= v - 1 {
-		r.floor = min(r.floor, r.learned[bits.TrailingZeros64(v)])
+		floor = min(floor, r.learned[bits.TrailingZeros64(v)])
 	}
-	maps.DeleteFunc(r.slots, func(n int, _ *slotState) bool { return n < r.floor })
+	r.slots.advance(floor, func(s *slotState) {
+		if s.acc != nil {
+			r.free.put(s.acc)
+		}
+	})
 }
 
 // deliver hands one slot message to the slot's acceptor. An acceptor
@@ -284,30 +333,35 @@ func (r *Replica) handle(env transport.Envelope) {
 // so lagging acceptors and learners still converge through decision
 // messages.
 func (r *Replica) deliver(n int, env transport.Envelope) {
-	if n < r.floor {
-		return // every learner has learned the slot
-	}
-	_, isPull := env.Payload.(consensus.DecisionPullMsg)
-	s, ok := r.slots[n]
-	if !ok {
-		if isPull {
-			return // a fresh acceptor has no decision to answer with
+	// A pull never opens a slot (a fresh acceptor has no decision), nor
+	// a prepare from anyone but a proposer.
+	_, pull := env.Payload.(consensus.DecisionPullMsg)
+	_, prep := env.Payload.(consensus.PrepareMsg)
+	open := !pull && (slices.Contains(r.topo.Proposers, env.From) || !prep && r.topo.Acceptors.Contains(env.From))
+	switch s := r.slots.at(n, open); {
+	case s == nil:
+	case s.decided:
+		if pull {
+			r.out.slot = n
+			r.out.Send(env.From, consensus.DecisionMsg{V: s.v})
 		}
-		s = &slotState{acc: consensus.NewAcceptor(r.rqs, r.topo,
-			&slotPort{out: &r.out, slot: n}, r.ring, r.signer)}
-		s.acc.SetHooks(r.hooks)
-		r.slots[n] = s
-	}
-	if s.acc == nil {
-		if isPull {
-			r.out.add(core.Set(0).Add(env.From), SlotMsg{Slot: n, Payload: consensus.DecisionMsg{V: s.v}})
+	case s.acc != nil || open:
+		if s.acc == nil {
+			s.acc = r.free.take(r.newAcceptor)
 		}
-		return
+		r.out.slot = n
+		s.acc.HandleEnvelope(env)
+		if v, ok := s.acc.Decided(); ok {
+			r.free.put(s.acc)
+			*s = slotState{v: v, decided: true}
+		}
 	}
-	s.acc.HandleEnvelope(env)
-	if v, ok := s.acc.Decided(); ok {
-		*s = slotState{v: v}
-	}
+}
+
+func (r *Replica) newAcceptor() *consensus.Acceptor {
+	a := consensus.NewAcceptor(r.rqs, r.topo, &r.out, r.ring, r.signer)
+	a.SetHooks(r.hooks)
+	return a
 }
 
 // Stop waits for the replica's goroutine to exit. Call after the
@@ -343,8 +397,8 @@ func NewProposer(topo consensus.Topology, port transport.Port) *Proposer {
 // as one batch per acceptor; the outbox is the call's own, so concurrent
 // calls share nothing.
 func (p *Proposer) Propose(slot int, cmd consensus.Value) {
-	out := outbox{port: p.port}
-	consensus.ProposeInitial(&slotPort{out: &out, slot: slot}, p.topo, cmd)
+	out := outbox{port: p.port, slot: slot}
+	consensus.ProposeInitial(&out, p.topo, cmd)
 	out.flush()
 }
 
@@ -363,48 +417,60 @@ func (p *Proposer) Append(cmd consensus.Value) int {
 // network closes.
 func (p *Proposer) Stop() { <-p.done }
 
+// announceEvery is how far the log host's learned prefix grows between
+// two PrefixMsg announcements to the replicas.
+const announceEvery = 256
+
 // Log hosts the learner role and assembles the committed command log.
-// A slot's learner is created when the slot's first message arrives,
-// driven synchronously on the log's one goroutine, and dropped once the
-// slot's entry is recorded; later messages for the slot are discarded.
+// A slot's learner is opened by its first message from an acceptor,
+// driven on the log's one goroutine, and recycled once the slot's entry
+// is recorded; later messages for the slot are discarded.
 type Log struct {
 	rqs       *core.RQS
 	topo      consensus.Topology
 	port      transport.Port
 	pullEvery time.Duration
 	done      chan struct{}
-	out       outbox            // owned by the host's goroutine
-	learners  map[int]unlearned // owned by the host's goroutine
+
+	// Owned by the host's goroutine.
+	out       outbox
+	learners  window[learnerSlot] // floor: prefix
+	free      free[*consensus.Learner]
+	announced int // the prefix last sent to the replicas
 
 	mu       sync.Mutex
-	entries  map[int]consensus.Value
+	entries  []entry // by slot
 	watchers map[int][]chan consensus.Value
 	prefix   int // every slot below it is recorded; written only by the host's goroutine
+}
+
+// learnerSlot is a slot's learner, or marks the slot recorded.
+type learnerSlot struct {
+	lr       *consensus.Learner
+	since    time.Time // when lr was opened
+	recorded bool
+}
+
+type entry struct {
+	v        consensus.Value
+	recorded bool
 }
 
 // NewLog starts the learner host on the given port. Every pullEvery it
 // asks the acceptors to re-send their decision for each slot that has
 // gone unlearned for at least that long, so a log host that missed a
-// slot's update stream catches up, and sends them its learned prefix,
-// so they can retire the slots below it. pullEvery 0 disables both: no
-// pulls, and the replicas keep every slot they decide.
+// slot's update stream catches up; pullEvery 0 disables the pulls.
+// Each time its learned prefix grows by announceEvery slots, it sends
+// the prefix to the replicas, which retire the slots below it.
 func NewLog(rqs *core.RQS, topo consensus.Topology, port transport.Port, pullEvery time.Duration) *Log {
 	l := &Log{
 		rqs: rqs, topo: topo, port: port, pullEvery: pullEvery,
 		done:     make(chan struct{}),
 		out:      outbox{port: port},
-		learners: make(map[int]unlearned),
-		entries:  make(map[int]consensus.Value),
 		watchers: make(map[int][]chan consensus.Value),
 	}
 	go l.run()
 	return l
-}
-
-// unlearned is a slot the log host has heard of but not yet learned.
-type unlearned struct {
-	lr    *consensus.Learner
-	since time.Time
 }
 
 func (l *Log) run() {
@@ -418,19 +484,23 @@ func (l *Log) run() {
 	for {
 		select {
 		case now := <-pull:
-			for _, u := range l.learners {
-				if now.Sub(u.since) >= l.pullEvery {
+			for i := range l.learners.s {
+				if u := &l.learners.s[i]; u.lr != nil && now.Sub(u.since) >= l.pullEvery {
+					l.out.slot = l.learners.floor + i
 					u.lr.Pull()
 				}
 			}
 			l.out.flush()
-			transport.Broadcast(l.port, l.topo.Acceptors, PrefixMsg{Upto: l.prefix})
 		case env, ok := <-l.port.Inbox():
 			if !ok {
 				return
 			}
 			open := burst(l.port.Inbox(), env, func(env transport.Envelope) { eachSlotMsg(env, l.deliver) })
 			l.out.flush()
+			if l.prefix >= l.announced+announceEvery {
+				l.announced = l.prefix
+				transport.Broadcast(l.port, l.topo.Acceptors, PrefixMsg{Upto: l.prefix})
+			}
 			if !open {
 				return
 			}
@@ -440,32 +510,36 @@ func (l *Log) run() {
 
 // deliver hands one slot message to the slot's learner.
 func (l *Log) deliver(slot int, env transport.Envelope) {
-	u, ok := l.learners[slot]
-	if !ok {
-		if slot < l.prefix { // a straggler: no need for l.mu
-			return
-		}
-		if _, done := l.Get(slot); done {
-			return // a straggler for a slot recorded past a gap
-		}
-		u = unlearned{
-			lr:    consensus.NewLearner(l.rqs, l.topo, &slotPort{out: &l.out, slot: slot}),
-			since: time.Now(),
-		}
-		l.learners[slot] = u
+	if !l.topo.Acceptors.Contains(env.From) {
+		return // a learner hears only acceptors
 	}
+	u := l.learners.at(slot, true)
+	if u == nil || u.recorded {
+		return
+	}
+	if u.lr == nil {
+		u.lr, u.since = l.free.take(l.newLearner), time.Now()
+	}
+	l.out.slot = slot
 	if res, ok := u.lr.HandleEnvelope(env); ok {
-		delete(l.learners, slot)
+		l.free.put(u.lr)
+		*u = learnerSlot{recorded: true}
 		l.record(slot, res.V)
+		l.learners.advance(l.prefix, nil)
 	}
 }
+
+func (l *Log) newLearner() *consensus.Learner { return consensus.NewLearner(l.rqs, l.topo, &l.out) }
 
 // record commits a slot's entry and releases its waiters.
 func (l *Log) record(slot int, v consensus.Value) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.entries[slot] = v
-	for _, ok := l.entries[l.prefix]; ok; _, ok = l.entries[l.prefix] {
+	if slot >= len(l.entries) {
+		l.entries = append(l.entries, make([]entry, slot+1-len(l.entries))...)
+	}
+	l.entries[slot] = entry{v: v, recorded: true}
+	for l.prefix < len(l.entries) && l.entries[l.prefix].recorded {
 		l.prefix++
 	}
 	for _, w := range l.watchers[slot] {
@@ -478,15 +552,22 @@ func (l *Log) record(slot int, v consensus.Value) {
 func (l *Log) Get(slot int) (consensus.Value, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	v, ok := l.entries[slot]
-	return v, ok
+	return l.lookup(slot)
+}
+
+// lookup is Get with l.mu held.
+func (l *Log) lookup(slot int) (consensus.Value, bool) {
+	if slot < 0 || slot >= len(l.entries) {
+		return consensus.None, false
+	}
+	return l.entries[slot].v, l.entries[slot].recorded
 }
 
 // Wait blocks until a slot commits or the timeout elapses. A Wait that
 // times out leaves nothing behind.
 func (l *Log) Wait(slot int, timeout time.Duration) (consensus.Value, bool) {
 	l.mu.Lock()
-	if v, ok := l.entries[slot]; ok {
+	if v, ok := l.lookup(slot); ok {
 		l.mu.Unlock()
 		return v, true
 	}
@@ -503,7 +584,7 @@ func (l *Log) Wait(slot int, timeout time.Duration) (consensus.Value, bool) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if v, ok := l.entries[slot]; ok { // committed as the timer fired
+	if v, ok := l.lookup(slot); ok { // committed as the timer fired
 		return v, true
 	}
 	ws := l.watchers[slot]
@@ -525,9 +606,9 @@ func (l *Log) Wait(slot int, timeout time.Duration) (consensus.Value, bool) {
 func (l *Log) Prefix() []consensus.Value {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []consensus.Value
-	for slot := 0; slot < l.prefix; slot++ {
-		out = append(out, l.entries[slot])
+	out := make([]consensus.Value, l.prefix)
+	for slot := range out {
+		out[slot] = l.entries[slot].v
 	}
 	return out
 }

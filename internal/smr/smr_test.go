@@ -272,14 +272,16 @@ func TestReplicaRetiresBelowLearnersPrefix(t *testing.T) {
 }
 
 // TestReplicaStateBounded: a replica retires every slot below the log
-// host's announced prefix, so what it holds, live or decided, tracks
-// the slots decided within about one pull tick rather than the whole
-// log. Before retirement each replica held all 20,000 slots.
+// host's announced prefix, and the log host announces each time its
+// prefix grows by announceEvery slots, so what a replica holds, live or
+// decided, stays within two announcements and a window of slots in
+// flight rather than the whole log. Before retirement each replica held
+// all 20,000 slots.
 func TestReplicaStateBounded(t *testing.T) {
 	const (
 		decisions = 20000
 		window    = 16
-		maxHeld   = 2000
+		maxHeld   = 2*announceEvery + window
 	)
 	d := deploy(t, core.Example7RQS())
 	defer d.stop()
@@ -294,4 +296,91 @@ func TestReplicaStateBounded(t *testing.T) {
 		}
 	}
 	t.Logf("at most %d slots held per replica", most)
+}
+
+// replicaFixture starts replica 0 of Example 7 alone on a network with
+// the proposer at n and the learner at n+1; send puts a slot message
+// from any process in its inbox.
+func replicaFixture(t *testing.T) (*Replica, *transport.Network, func(from core.ProcessID, slot int, m transport.Message)) {
+	t.Helper()
+	rqs := core.Example7RQS()
+	nA := rqs.N()
+	topo := consensus.Topology{Acceptors: rqs.Universe(), Proposers: []core.ProcessID{nA}, Learners: core.NewSet(nA + 1)}
+	ring, signers, err := consensus.GenKeys(rqs.Universe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewNetwork(nA + 3)
+	r := NewReplica(rqs, topo, net.Port(0), ring, signers[0])
+	return r, net, func(from core.ProcessID, slot int, m transport.Message) {
+		net.Port(from).Send(0, SlotMsg{Slot: slot, Payload: m})
+	}
+}
+
+// TestViewZeroPrepareFromNonProposerOpensNothing: only a proposer may
+// prepare, also in the initial view, which has no leader to check. A
+// view-0 prepare from an acceptor, the learner or an outsider, and any
+// other slot message from the learner or an outsider, must leave the
+// replica without slot state and without an update1 echo.
+func TestViewZeroPrepareFromNonProposerOpensNothing(t *testing.T) {
+	r, net, send := replicaFixture(t)
+	n := core.Example7RQS().N()
+	forged := consensus.PrepareMsg{V: "forged", View: consensus.InitView}
+	send(4, 0, forged)
+	send(n+1, 1, forged)
+	send(n+2, 2, forged)
+	send(n+1, 3, consensus.UpdateMsg{Step: 1, V: "forged"})
+	send(n+2, 4, consensus.SyncMsg{})
+	net.Close()
+	r.Stop() // the replica has drained its inbox: its window is ours to read
+	if live := r.liveAcceptors(); live != 0 {
+		t.Errorf("replica holds %d acceptors after prepares from non-proposers", live)
+	}
+	for id := core.ProcessID(0); id < n+3; id++ {
+		for env := range net.Port(id).Inbox() {
+			t.Errorf("replica sent %+v to %d", env.Payload, id)
+		}
+	}
+}
+
+// TestForgedFarSlotLeavesWindowUnchanged: a message for a slot
+// maxAhead or more above a host's floor is dropped, so a forged slot
+// number cannot make the replica's or the log host's window grow
+// toward it, nor open an instance there. Nor does the log host open a
+// learner for a message from a process that is not an acceptor.
+func TestForgedFarSlotLeavesWindowUnchanged(t *testing.T) {
+	r, net, send := replicaFixture(t)
+	n := core.Example7RQS().N()
+	net.Port(n+1).Send(0, PrefixMsg{Upto: 5})
+	send(4, 6, consensus.UpdateMsg{Step: 1, V: "v"})
+	for _, far := range []int{5 + maxAhead, 5 + 1<<40} {
+		send(4, far, consensus.UpdateMsg{Step: 1, V: "v"})
+		send(n, far, consensus.PrepareMsg{V: "v", View: consensus.InitView})
+		send(n+1, far, consensus.DecisionPullMsg{})
+	}
+	net.Close()
+	r.Stop()
+	if got, want := r.heldSlots(), []int{6}; !reflect.DeepEqual(got, want) {
+		t.Errorf("replica holds slots %v, want %v", got, want)
+	}
+	if r.slots.floor != 5 || len(r.slots.s) != 2 {
+		t.Errorf("replica window holds slots from %d on, %d long; want from 5, 2 long", r.slots.floor, len(r.slots.s))
+	}
+
+	rqs := core.Example7RQS()
+	topo := consensus.Topology{Acceptors: rqs.Universe(), Proposers: []core.ProcessID{n}, Learners: core.NewSet(n + 1)}
+	lnet := transport.NewNetwork(n + 2)
+	l := NewLog(rqs, topo, lnet.Port(n+1), 0)
+	for _, from := range rqs.Universe().Members() {
+		lnet.Port(from).Send(n+1, SlotMsg{Slot: 1 << 40, Payload: consensus.DecisionMsg{V: "v"}})
+	}
+	lnet.Port(n).Send(n+1, SlotMsg{Slot: 0, Payload: consensus.DecisionMsg{V: "v"}})
+	lnet.Close()
+	l.Stop()
+	if len(l.learners.s) != 0 || l.liveLearners() != 0 {
+		t.Errorf("log host window is %d long with %d learners after a forged far slot", len(l.learners.s), l.liveLearners())
+	}
+	if _, ok := l.Get(1 << 40); ok {
+		t.Error("log recorded a slot 2^40 ahead of its prefix")
+	}
 }

@@ -74,22 +74,32 @@ func TestNetworkFilterDrop(t *testing.T) {
 	}
 }
 
+// TestNetworkDelays: a link delay holds a message back by at least the
+// delay, and the delay heap releases messages in due-time order. The
+// message on the 20 ms link is sent first and the one on the 1 ms link
+// right after, so the fast one falls due first, and it must already be
+// waiting in its inbox when the slow one arrives. Unlike an upper bound
+// on wall time, this order check does not fail when the host runs late:
+// only if the two sends, one statement apart, lie 19 ms apart.
 func TestNetworkDelays(t *testing.T) {
 	net := NewNetwork(2)
 	defer net.Close()
 	net.SetLinkDelay(0, 1, 1*time.Millisecond)
 	net.SetLinkDelay(1, 0, 20*time.Millisecond)
 	start := time.Now()
-	net.Port(0).Send(1, "fast link")
-	recvOne(t, net.Port(1))
-	if d := time.Since(start); d > 15*time.Millisecond {
-		t.Errorf("fast link delay not applied: %v", d)
-	}
-	start = time.Now()
 	net.Port(1).Send(0, "slow link")
+	net.Port(0).Send(1, "fast link")
 	recvOne(t, net.Port(0))
 	if d := time.Since(start); d < 15*time.Millisecond {
 		t.Errorf("slow link delay not applied: %v", d)
+	}
+	select {
+	case env := <-net.Port(1).Inbox():
+		if env.Payload != "fast link" {
+			t.Errorf("fast link delivered %v", env.Payload)
+		}
+	default:
+		t.Error("fast link message not delivered before the slow one")
 	}
 }
 
