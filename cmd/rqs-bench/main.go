@@ -93,18 +93,9 @@ func run(args []string) error {
 		return runLoadMatrix()
 	}
 
-	runners := map[string]func() *expt.Table{
-		"E1":  func() *expt.Table { t, _ := expt.E1Fig1(); return t },
-		"E2":  expt.E2Fig2,
-		"E3":  expt.E3Fig3,
-		"E4":  expt.E4Fig4,
-		"E5":  expt.E5StorageLatency,
-		"E6":  func() *expt.Table { t, _ := expt.E6Theorem3(); return t },
-		"E7":  expt.E7ConsensusLatency,
-		"E8":  func() *expt.Table { t, _ := expt.E8Theorem6(); return t },
-		"E9":  expt.E9MinimalN,
-		"E10": expt.E10ViewChange,
-		"E12": expt.E12Availability,
+	runners := make(map[string]func() *expt.Table, len(expt.Experiments))
+	for _, e := range expt.Experiments {
+		runners[e.ID] = e.Run
 	}
 	order := make([]string, 0, len(runners))
 	for id := range runners {
