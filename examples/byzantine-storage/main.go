@@ -11,6 +11,7 @@ import (
 	"time"
 
 	rqs "repro"
+	"repro/internal/adversary"
 	"repro/internal/storage"
 )
 
@@ -26,25 +27,23 @@ func run() error {
 		return err
 	}
 
-	// s1 (ID 0) turns Byzantine on demand: it fabricates a history
-	// claiming an enormous timestamp with a bogus value.
+	// s1 (ID 0) turns Byzantine on demand: behind an adversary wrapper
+	// on its port, its read acks claim an enormous timestamp with a
+	// bogus value.
 	var evil atomic.Bool
-	forged := storage.History{
-		1 << 20: {0: storage.Slot{Pair: storage.Pair{TS: 1 << 20, Val: "forged!"}}},
-	}
-	var cluster *rqs.StorageCluster
-	hooks := map[rqs.ProcessID]rqs.ServerHooks{
-		0: {ForgeHistory: func() storage.History {
+	forged := []storage.TSRow{{TS: 1 << 20, Row: storage.Row{{Pair: storage.Pair{TS: 1 << 20, Val: "forged!"}}}}}
+	forge := func(p rqs.Port) rqs.Port {
+		return adversary.ForgeReadAcks(p, func(_ rqs.ProcessID, rows []storage.TSRow) []storage.TSRow {
 			if evil.Load() {
-				return forged.Clone()
+				return forged
 			}
-			return cluster.Servers[0].HistorySnapshot()
-		}},
+			return rows
+		})
 	}
-	cluster = rqs.NewStorage(system, rqs.StorageOptions{
-		Timeout: 3 * time.Millisecond,
-		Clients: 2,
-		Hooks:   hooks,
+	cluster := rqs.NewStorage(system, rqs.StorageOptions{
+		Timeout:   3 * time.Millisecond,
+		Clients:   2,
+		Byzantine: map[rqs.ProcessID]adversary.Wrap{0: forge},
 	})
 	defer cluster.Stop()
 	w, r := cluster.Writer(), cluster.Reader()

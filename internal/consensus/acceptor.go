@@ -75,7 +75,7 @@ type Acceptor struct {
 
 	// Durability (nil for a volatile acceptor — see durable.go). dirty
 	// marks that the handled event changed promise/accept state; the
-	// post-event hook appends one AcceptorState record, fsyncs, and
+	// post-event step appends one AcceptorState record, fsyncs, and
 	// only then flushes the deferred sends.
 	wal         *wal.Log
 	dp          *deferPort
@@ -83,10 +83,6 @@ type Acceptor struct {
 	dirty       bool
 	walFailed   bool
 	maxSegments int
-
-	// hooks is the Byzantine fault-injection surface (hooks.go); zero
-	// for an honest acceptor. Set before the first step via SetHooks.
-	hooks Hooks
 }
 
 // stepKey names one update message this acceptor sent: update_step〈v, w〉.
@@ -112,59 +108,20 @@ func NewAcceptor(rqs *core.RQS, topo Topology, port transport.Port, ring *Keyrin
 
 // Reset readies the acceptor for a new instance (a pipelined host's next
 // slot). It rebuilds the whole struct, so a field not named here starts
-// from zero, keeping only identity, hooks and the emptied backing
-// arrays of its lists. It panics on a durable acceptor.
+// from zero, keeping only identity and the emptied backing arrays of
+// its lists. It panics on a durable acceptor.
 func (a *Acceptor) Reset() {
 	if a.wal != nil {
 		panic("consensus: Reset of a durable acceptor")
 	}
 	*a = Acceptor{
-		id: a.id, rqs: a.rqs, elems: a.elems, ring: a.ring, signer: a.signer, topo: a.topo, port: a.port, hooks: a.hooks,
+		id: a.id, rqs: a.rqs, elems: a.elems, ring: a.ring, signer: a.signer, topo: a.topo, port: a.port,
 		view: InitView, suspect: initSuspect, nextView: InitView,
 		prepview: emptied(a.prepview), old: emptied(a.old), pendingNeeded: emptied(a.pendingNeeded),
 		updateview:  [2]flatSet[int]{emptied(a.updateview[0]), emptied(a.updateview[1])},
 		updateQ:     [2]flatSet[viewQ]{emptied(a.updateQ[0]), emptied(a.updateQ[1])},
 		updateproof: [2][]SignedUpdate{emptied(a.updateproof[0]), emptied(a.updateproof[1])},
 		dec:         a.dec.reset(), upd2From: a.upd2From.reset(), decisionFrom: a.decisionFrom.reset(),
-	}
-}
-
-// SetHooks installs the Byzantine fault-injection hooks. Must be
-// called before the first step.
-func (a *Acceptor) SetHooks(h Hooks) { a.hooks = h }
-
-// sendUpdates emits one update message to the update targets: the
-// batched broadcast on an honest acceptor, or a per-destination fan-out
-// through the Byzantine hooks so the message can be forged or withheld
-// differently per peer.
-func (a *Acceptor) sendUpdates(m UpdateMsg) {
-	targets := a.updTargets()
-	if a.hooks.ForgeUpdate == nil && a.hooks.DropUpdate == nil {
-		transport.Broadcast(a.port, targets, m)
-		return
-	}
-	for _, to := range targets.Members() {
-		if a.hooks.DropUpdate != nil && a.hooks.DropUpdate(to, m) {
-			continue
-		}
-		mm := m
-		if a.hooks.ForgeUpdate != nil {
-			mm = a.hooks.ForgeUpdate(to, mm)
-		}
-		a.port.Send(to, mm)
-	}
-}
-
-// sendDecision publishes a decision, per-destination when the forge
-// hook is installed.
-func (a *Acceptor) sendDecision(m DecisionMsg) {
-	targets := a.updTargets()
-	if a.hooks.ForgeDecision == nil {
-		transport.Broadcast(a.port, targets, m)
-		return
-	}
-	for _, to := range targets.Members() {
-		a.port.Send(to, a.hooks.ForgeDecision(to, m))
 	}
 }
 
@@ -216,9 +173,9 @@ func (a *Acceptor) dispatch(env transport.Envelope) {
 	}
 }
 
-// updTargets is where update messages go: acceptors ∪ learners.
-func (a *Acceptor) updTargets() core.Set {
-	return a.topo.Acceptors.Union(a.topo.Learners)
+// publish sends an update or decision message to acceptors ∪ learners.
+func (a *Acceptor) publish(m transport.Message) {
+	transport.Broadcast(a.port, a.topo.Acceptors.Union(a.topo.Learners), m)
 }
 
 // onPrepare is line 31-33 of Figure 15.
@@ -258,7 +215,7 @@ func (a *Acceptor) onPrepare(env transport.Envelope, m PrepareMsg) {
 	// Line 33: echo update1.
 	u := UpdateMsg{Step: 1, V: m.V, View: a.view}
 	a.old.add(stepKey{1, m.V, a.view})
-	a.sendUpdates(u)
+	a.publish(u)
 	// The "upon received update_step from some quorum" guards of line 34
 	// are standing rules: update messages that raced ahead of this
 	// prepare may already satisfy them.
@@ -308,7 +265,7 @@ func (a *Acceptor) evalTriggers(step int, v Value, view int) {
 			}
 			a.applyUpdate(0, v, view, q)
 			a.old.add(stepKey{2, v, view})
-			a.sendUpdates(UpdateMsg{Step: 2, V: v, View: view, Q: q})
+			a.publish(UpdateMsg{Step: 2, V: v, View: view, Q: q})
 		}
 	case 2:
 		r := a.upd2From.find(k)
@@ -318,7 +275,7 @@ func (a *Acceptor) evalTriggers(step int, v Value, view int) {
 		if q, ok := r.tr.Contained(core.Class3); ok {
 			a.applyUpdate(1, v, view, q)
 			a.old.add(stepKey{3, v, view})
-			a.sendUpdates(UpdateMsg{Step: 3, V: v, View: view, Q: q})
+			a.publish(UpdateMsg{Step: 3, V: v, View: view, Q: q})
 		}
 	}
 }
@@ -343,7 +300,7 @@ func (a *Acceptor) decide(v Value) {
 	a.dirty = true
 	// Figure 14 line 7: publish the decision to the acceptors (and, so
 	// pulls converge faster, to the learners).
-	a.sendDecision(DecisionMsg{V: v})
+	a.publish(DecisionMsg{V: v})
 }
 
 // onNewView is lines 21-28 of Figure 15.

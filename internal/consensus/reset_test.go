@@ -101,33 +101,18 @@ func step(a *Acceptor, env transport.Envelope) Timer {
 // another seeded sequence over the same command value and was then
 // Reset — handle the same sequence and must send the same messages,
 // report the same timer and decide the same value after every
-// envelope. Half the seeds install Byzantine hooks, which Reset keeps.
+// envelope.
 // The test fails if Reset leaves any of prepview, old, the decider's
 // update1 record, upd2From or decisionFrom from the earlier instance.
 func TestResetAcceptorMatchesFresh(t *testing.T) {
 	rqs, topo, ring, signers := example7(t)
 	script := newResetScript(t, signers)
-	forge := Hooks{
-		ForgeUpdate: func(to core.ProcessID, m UpdateMsg) UpdateMsg {
-			if to%2 == 1 {
-				m.V = "forged"
-			}
-			return m
-		},
-		DropUpdate: func(to core.ProcessID, m UpdateMsg) bool { return to == 3 && m.Step == 2 },
-	}
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		first, second := script.sequence(rng, 60), script.sequence(rng, 60)
-		var hooks Hooks
-		if seed%2 == 0 {
-			hooks = forge
-		}
 		freshPort, recycledPort := newSentPort(0), newSentPort(0)
 		fresh := NewAcceptor(rqs, topo, freshPort, ring, signers[0])
 		recycled := NewAcceptor(rqs, topo, recycledPort, ring, signers[0])
-		fresh.SetHooks(hooks)
-		recycled.SetHooks(hooks)
 		for _, env := range first {
 			step(recycled, env)
 		}

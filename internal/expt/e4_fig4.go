@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/histcheck"
 	"repro/internal/sim"
@@ -39,29 +40,23 @@ func E4Fig4() *Table {
 		sFive = 4 // s5
 		sSix  = 5 // s6
 	)
-	var (
-		st         *sim.LockstepStorage
-		forgetting bool
-	)
 	// B12 = {s1, s2}: once activated, they report their real state with
 	// the round-2 writeback's quorum ids stripped.
-	forget := func(id core.ProcessID) storage.Hooks {
-		return storage.Hooks{ForgeHistory: func() storage.History {
-			h := st.Servers[id].HistorySnapshot()
-			if !forgetting {
-				return h
-			}
-			for ts, row := range h {
-				for i := range row {
-					row[i].Sets = nil
+	forgetting := false
+	forget := func(p transport.Port) transport.Port {
+		return adversary.ForgeReadAcks(p, func(_ core.ProcessID, rows []storage.TSRow) []storage.TSRow {
+			if forgetting {
+				for i := range rows {
+					for j := range rows[i].Row {
+						rows[i].Row[j].Sets = nil
+					}
 				}
-				h[ts] = row
 			}
-			return h
-		}}
+			return rows
+		})
 	}
 	ls := &sim.Lockstep{Seed: 1}
-	st = sim.NewLockstepStorage(core.Example7RQS(), ls, map[core.ProcessID]storage.Hooks{0: forget(0), 1: forget(1)})
+	st := sim.NewLockstepStorage(core.Example7RQS(), ls, map[core.ProcessID]adversary.Wrap{0: forget, 1: forget})
 	rec := histcheck.NewRecorder()
 
 	w := st.Writer()

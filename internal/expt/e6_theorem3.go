@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/histcheck"
 	"repro/internal/sim"
@@ -79,20 +80,18 @@ func runTheorem3Schedule(rqs *core.RQS) E6Outcome {
 	q2p := core.NewSet(0, 1, 2, 3, 5) // Q2'
 	round2Dst := q1.Intersect(q2)
 
-	var (
-		st      *sim.LockstepStorage
-		forging bool
-	)
-	sigma0 := func(id core.ProcessID) storage.Hooks {
-		return storage.Hooks{ForgeHistory: func() storage.History {
+	// Once forging, {s3, s4} report σ0: no history at all.
+	forging := false
+	sigma0 := func(p transport.Port) transport.Port {
+		return adversary.ForgeReadAcks(p, func(_ core.ProcessID, rows []storage.TSRow) []storage.TSRow {
 			if forging {
-				return storage.History{}
+				return nil
 			}
-			return st.Servers[id].HistorySnapshot()
-		}}
+			return rows
+		})
 	}
 	ls := &sim.Lockstep{Seed: 1}
-	st = sim.NewLockstepStorage(rqs, ls, map[core.ProcessID]storage.Hooks{2: sigma0(2), 3: sigma0(3)})
+	st := sim.NewLockstepStorage(rqs, ls, map[core.ProcessID]adversary.Wrap{2: sigma0, 3: sigma0})
 	w := st.Writer()
 	r1 := st.Reader(storage.ReaderOptions{})
 	r2 := st.Reader(storage.ReaderOptions{})

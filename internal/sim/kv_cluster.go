@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/auth"
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -25,11 +26,11 @@ type KVOptions struct {
 	DataDir string
 	// WALNoSync skips the WAL's fdatasync (benchmark-only).
 	WALNoSync bool
-	// Hooks optionally makes individual servers Byzantine — the same
-	// map is installed in every shard group (each group is its own
-	// deployment with its own server 0..n-1, so "server 2 is
+	// Byzantine optionally makes individual servers Byzantine — the
+	// same map is installed in every shard group (each group is its
+	// own deployment with its own server 0..n-1, so "server 2 is
 	// Byzantine" means group-local server 2 in each).
-	Hooks map[core.ProcessID]storage.Hooks
+	Byzantine map[core.ProcessID]adversary.Wrap
 	// Auth, when non-nil, installs the deployment's key material on
 	// every group's servers and clients. One deployment is shared
 	// across groups: their process-ID spaces coincide (servers 0..n-1,
@@ -79,7 +80,7 @@ func newKVCluster(rqs *core.RQS, opts KVOptions, tcp bool) (*KVCluster, error) {
 			Clients:   opts.Clients,
 			DataDir:   dir,
 			WALNoSync: opts.WALNoSync,
-			Hooks:     opts.Hooks,
+			Byzantine: opts.Byzantine,
 			Auth:      opts.Auth,
 		}, tcp)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -158,16 +159,16 @@ type LockstepOp struct {
 // Done reports whether the operation completed.
 func (o *LockstepOp) Done() bool { return o.Resp > 0 }
 
-// NewLockstepStorage places rqs's servers under ls, with the given
-// Byzantine hooks.
-func NewLockstepStorage(rqs *core.RQS, ls *Lockstep, hooks map[core.ProcessID]storage.Hooks) *LockstepStorage {
+// NewLockstepStorage places rqs's servers under ls, each behind its
+// wrapper in byz, if it has one.
+func NewLockstepStorage(rqs *core.RQS, ls *Lockstep, byz map[core.ProcessID]adversary.Wrap) *LockstepStorage {
 	s := &LockstepStorage{
 		rqs:     rqs,
 		ls:      ls,
 		clients: make(map[storage.Op]core.ProcessID),
 	}
 	for id := 0; id < rqs.N(); id++ {
-		s.Servers = append(s.Servers, storage.NewServer(ls.Port(id), hooks[id]))
+		s.Servers = append(s.Servers, storage.NewServer(byzantine(byz, id, ls.Port(id)), storage.Hooks{}))
 	}
 	return s
 }

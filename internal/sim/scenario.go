@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/auth"
 	"repro/internal/chaos"
 	"repro/internal/consensus"
@@ -80,12 +81,10 @@ type Scenario struct {
 
 	// System builds the refined quorum system (nil: FiveServerRQS).
 	System func() *core.RQS
-	// Hooks makes selected servers Byzantine (nil: all honest). On the
-	// kv workload the same map is installed in every shard group.
-	Hooks func(r *core.RQS) map[core.ProcessID]storage.Hooks
-	// AcceptorHooks makes selected acceptor replicas Byzantine on SMR
-	// runs (nil: all honest) — the consensus-level mirror of Hooks.
-	AcceptorHooks func(r *core.RQS) map[core.ProcessID]consensus.Hooks
+	// Byzantine wraps the ports of selected servers, or of acceptor
+	// replicas on SMR runs (nil: all honest). On the kv workload the
+	// same map is installed in every shard group.
+	Byzantine map[core.ProcessID]adversary.Wrap
 	// Script builds the seeded fault script (nil: no injector).
 	Script func(r *core.RQS, seed int64) *chaos.Script
 	// Events runs concurrently with the workload for faults that are
@@ -222,14 +221,6 @@ func RunScenario(sc *Scenario, tr Transport, wl Workload, seed int64) *RunResult
 	if opTimeout <= 0 {
 		opTimeout = DefaultOpTimeout
 	}
-	var hooks map[core.ProcessID]storage.Hooks
-	if sc.Hooks != nil {
-		hooks = sc.Hooks(system)
-	}
-	var acceptorHooks map[core.ProcessID]consensus.Hooks
-	if sc.AcceptorHooks != nil {
-		acceptorHooks = sc.AcceptorHooks(system)
-	}
 	// Authenticated runs use the HMAC mode: the scenario matrix cares
 	// about the protocol's tolerance behavior, not signature scheme
 	// latency, and both modes share every verification code path. All
@@ -261,7 +252,7 @@ func RunScenario(sc *Scenario, tr Transport, wl Workload, seed int64) *RunResult
 	var proxy *chaos.Proxy
 	var runWorkload func() error
 	if wl == SMRWorkload {
-		c, err := NewSMRCluster(system, SMROptions{Hooks: acceptorHooks})
+		c, err := NewSMRCluster(system, SMROptions{Byzantine: sc.Byzantine})
 		if err != nil {
 			res.Err = fmt.Errorf("smr cluster: %w", err)
 			return res
@@ -283,7 +274,7 @@ func RunScenario(sc *Scenario, tr Transport, wl Workload, seed int64) *RunResult
 			groups = 2
 		}
 		kc, err := newKVCluster(system, KVOptions{Groups: groups, Clients: kvScenarioClients,
-			DataDir: dataDir, Hooks: hooks, Auth: dep}, tr == TCPTransport)
+			DataDir: dataDir, Byzantine: sc.Byzantine, Auth: dep}, tr == TCPTransport)
 		if err != nil {
 			res.Err = fmt.Errorf("%s cluster: %w", tr, err)
 			return res

@@ -3,10 +3,12 @@ package sim
 import (
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/chaos"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 // The named scenarios of the chaos matrix. Each is a fault campaign the
@@ -22,7 +24,7 @@ var bothTransports = []Transport{MemoryTransport, TCPTransport}
 // campaign covers: the two single-register protocols plus the keyed
 // service (whose cell drives multi-key writes across both shard
 // groups). Byzantine scenarios pin their workload explicitly — their
-// forging hooks target one protocol's message types.
+// wrappers forge one protocol's message types.
 var storageWorkloads = []Workload{SWMRWorkload, MWMRWorkload, KVWorkload}
 
 var allWorkloads = []Workload{SWMRWorkload, MWMRWorkload, KVWorkload, SMRWorkload}
@@ -30,61 +32,53 @@ var allWorkloads = []Workload{SWMRWorkload, MWMRWorkload, KVWorkload, SMRWorkloa
 // everyLink matches any sender and any receiver.
 var everyLink = core.EmptySet
 
-// staleForge makes a server answer every MWMR read with the initial
+// staleForge makes server id answer every MWMR read with the initial
 // 〈zero-tag, ⊥〉 — a Byzantine server hiding the newest write. A
 // quorum system meeting the class-3 intersection requirement masks it;
-// one below it does not (see byzantine-stale-tag-weak).
-func staleForge(id core.ProcessID) func(*core.RQS) map[core.ProcessID]storage.Hooks {
-	return func(*core.RQS) map[core.ProcessID]storage.Hooks {
-		return map[core.ProcessID]storage.Hooks{
-			id: {ForgeMWRead: func(core.ProcessID) (storage.Tag, string) {
-				return storage.Tag{}, storage.NoValue
-			}},
-		}
-	}
+// one below it does not (see byzantine-stale-tag-weak). The forger
+// holds no writer's key, so its acks carry no signatures.
+func staleForge(id core.ProcessID) map[core.ProcessID]adversary.Wrap {
+	return map[core.ProcessID]adversary.Wrap{id: func(p transport.Port) transport.Port {
+		return adversary.ForgeMWReadAcks(p, func(_ core.ProcessID, a storage.MWReadAck) storage.MWReadAck {
+			// A Byzantine server may lie about Synced as about the pair.
+			return storage.MWReadAck{Seq: a.Seq, Synced: true}
+		})
+	}}
 }
 
-// replayForge makes a server answer every MWMR read after the first
-// (per key) by re-serving its first captured ack with the sequence
-// number rewritten to the current request's — a compromised server
-// replaying an old, once-valid reply. The countersignature binds the
-// original sequence number, so authenticated clients reject the replay.
-func replayForge(id core.ProcessID) func(*core.RQS) map[core.ProcessID]storage.Hooks {
-	return func(*core.RQS) map[core.ProcessID]storage.Hooks {
-		return map[core.ProcessID]storage.Hooks{
-			id: {ReplayMWRead: func(core.ProcessID) bool { return true }},
-		}
-	}
+// replayForge makes server id answer every MWMR read after the first
+// (per key) by re-serving its first ack with the sequence number
+// rewritten to the current request's — a compromised server replaying
+// an old, once-valid reply. The countersignature binds the original
+// sequence number, so authenticated clients reject the replay.
+func replayForge(id core.ProcessID) map[core.ProcessID]adversary.Wrap {
+	return map[core.ProcessID]adversary.Wrap{id: adversary.ReplayMWReadAcks}
 }
 
-// equivocate makes acceptor id equivocate: every consensus update and
-// decision it sends to an odd-numbered destination carries a fabricated
-// value while even-numbered destinations receive the true one — the
-// classic split-vote attack. Both acceptors and learners key their
-// collection by value and demand basic sender sets (decisions) or
+// equivocate makes acceptor replica id equivocate: every consensus
+// update and decision it sends to an odd-numbered destination carries a
+// fabricated value while even-numbered destinations receive the true
+// one — the classic split-vote attack. Both acceptors and learners key
+// their collection by value and demand basic sender sets (decisions) or
 // class-3 quorums (updates) before adopting, so the fabricated value
 // never accumulates past its single Byzantine sender.
-func equivocate(id core.ProcessID) func(*core.RQS) map[core.ProcessID]consensus.Hooks {
-	return func(*core.RQS) map[core.ProcessID]consensus.Hooks {
-		forge := func(to core.ProcessID, v consensus.Value) consensus.Value {
-			if to%2 == 1 {
-				return v + "#equivocated"
+func equivocate(id core.ProcessID) map[core.ProcessID]adversary.Wrap {
+	return map[core.ProcessID]adversary.Wrap{id: func(p transport.Port) transport.Port {
+		return adversary.ForgeSlotMsgs(p, func(to core.ProcessID, m transport.Message) transport.Message {
+			if to%2 == 0 {
+				return m
 			}
-			return v
-		}
-		return map[core.ProcessID]consensus.Hooks{
-			id: {
-				ForgeUpdate: func(to core.ProcessID, m consensus.UpdateMsg) consensus.UpdateMsg {
-					m.V = forge(to, m.V)
-					return m
-				},
-				ForgeDecision: func(to core.ProcessID, m consensus.DecisionMsg) consensus.DecisionMsg {
-					m.V = forge(to, m.V)
-					return m
-				},
-			},
-		}
-	}
+			switch m := m.(type) {
+			case consensus.UpdateMsg:
+				m.V += "#equivocated"
+				return m
+			case consensus.DecisionMsg:
+				m.V += "#equivocated"
+				return m
+			}
+			return m
+		})
+	}}
 }
 
 // scenarios is the registry, in canonical matrix order.
@@ -147,7 +141,7 @@ var scenarios = []*Scenario{
 		Transports: bothTransports,
 		Workloads:  []Workload{MWMRWorkload, KVWorkload},
 		System:     func() *core.RQS { return core.ByzantineThirdRQS(4) },
-		Hooks:      staleForge(0),
+		Byzantine:  staleForge(0),
 	},
 	{
 		Name: "byzantine-stale-tag-weak",
@@ -163,7 +157,7 @@ var scenarios = []*Scenario{
 		Transports: bothTransports,
 		Workloads:  []Workload{MWMRWorkload, KVWorkload},
 		System:     func() *core.RQS { return core.MajorityRQS(3) },
-		Hooks:      staleForge(0),
+		Byzantine:  staleForge(0),
 		Script: func(r *core.RQS, seed int64) *chaos.Script {
 			n := r.N() // clients: writers/putters on n, n+1; readers/getters on n+2, n+3
 			return chaos.NewScript(seed).
@@ -186,7 +180,7 @@ var scenarios = []*Scenario{
 		Transports: bothTransports,
 		Workloads:  []Workload{MWMRWorkload, KVWorkload},
 		System:     func() *core.RQS { return core.MajorityRQS(3) },
-		Hooks:      staleForge(0),
+		Byzantine:  staleForge(0),
 		Auth:       true,
 	},
 	{
@@ -203,7 +197,7 @@ var scenarios = []*Scenario{
 		Transports: bothTransports,
 		Workloads:  []Workload{MWMRWorkload, KVWorkload},
 		System:     func() *core.RQS { return core.MajorityRQS(3) },
-		Hooks:      replayForge(0),
+		Byzantine:  replayForge(0),
 		Auth:       true,
 		Script: func(r *core.RQS, seed int64) *chaos.Script {
 			clients := core.FullSet(r.N() + kvScenarioClients).Diff(r.Universe())
@@ -222,10 +216,10 @@ var scenarios = []*Scenario{
 			"collection with basic-set/quorum adoption guards means the " +
 			"fabricated value never outgrows its single sender; the honest " +
 			"three-quorum still decides every proposed command.",
-		Transports:    []Transport{MemoryTransport},
-		Workloads:     []Workload{SMRWorkload},
-		System:        func() *core.RQS { return core.ByzantineThirdRQS(4) },
-		AcceptorHooks: equivocate(0),
+		Transports: []Transport{MemoryTransport},
+		Workloads:  []Workload{SMRWorkload},
+		System:     func() *core.RQS { return core.ByzantineThirdRQS(4) },
+		Byzantine:  equivocate(0),
 	},
 	{
 		Name: "kill9-restart-midwrite",

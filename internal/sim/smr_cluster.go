@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/smr"
@@ -35,10 +36,9 @@ type SMROptions struct {
 	// learned prefix, which the log host announces as it grows, with
 	// the tick on or off.
 	PullEvery time.Duration
-	// Hooks optionally makes individual acceptor replicas Byzantine:
-	// the hook set is installed on every slot acceptor the replica
-	// creates (the consensus-level mirror of StorageOptions.Hooks).
-	Hooks map[core.ProcessID]consensus.Hooks
+	// Byzantine optionally makes individual acceptor replicas
+	// Byzantine: each wraps its replica's port (internal/adversary).
+	Byzantine map[core.ProcessID]adversary.Wrap
 }
 
 // NewSMRCluster starts the shared deployment. The whole cluster —
@@ -63,8 +63,8 @@ func NewSMRCluster(rqs *core.RQS, opts SMROptions) (*SMRCluster, error) {
 	net := transport.NewNetwork(nA + 2)
 	c := &SMRCluster{RQS: rqs, Net: net, Topo: topo, Ring: ring}
 	for _, id := range rqs.Universe().Members() {
-		c.Replicas = append(c.Replicas, smr.NewReplicaHooks(
-			rqs, topo, net.Port(id), ring, signers[id], opts.Hooks[id]))
+		c.Replicas = append(c.Replicas, smr.NewReplica(
+			rqs, topo, byzantine(opts.Byzantine, id, net.Port(id)), ring, signers[id]))
 	}
 	c.Prop = smr.NewProposer(topo, net.Port(nA))
 	c.Log = smr.NewLog(rqs, topo, net.Port(nA+1), opts.PullEvery)

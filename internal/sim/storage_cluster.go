@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/auth"
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -68,8 +69,10 @@ type StorageOptions struct {
 	// Timeout is the protocol's 2Δ timer (default storage.DefaultTimeout
 	// in memory, 5ms over loopback TCP).
 	Timeout time.Duration
-	// Hooks optionally makes individual servers Byzantine.
-	Hooks map[core.ProcessID]storage.Hooks
+	// Byzantine optionally makes individual servers Byzantine: each
+	// wraps its server's port (internal/adversary). A restarted server
+	// comes back honest.
+	Byzantine map[core.ProcessID]adversary.Wrap
 	// DataDir, when non-empty, runs every server over a write-ahead log
 	// in DataDir/s<id>/wal: acks only follow the fsync, and
 	// RestartServer replays the log instead of losing the state. Empty
@@ -173,7 +176,7 @@ func newStorageCluster(rqs *core.RQS, opts StorageOptions, tcp bool) (*StorageCl
 	}
 	c.clients = ports[rqs.N():]
 	for id := 0; id < rqs.N(); id++ {
-		srv, err := c.newServer(ports[id], id, opts.Hooks[id])
+		srv, err := c.newServer(byzantine(opts.Byzantine, id, ports[id]), id)
 		if err != nil {
 			c.Stop()
 			return nil, fmt.Errorf("sim: server %d: %w", id, err)
@@ -233,14 +236,14 @@ func (c *StorageCluster) buildPorts(total int, tcp bool) ([]transport.Port, erro
 
 // newServer builds server id over port in the cluster's durability
 // mode.
-func (c *StorageCluster) newServer(port transport.Port, id core.ProcessID, hooks storage.Hooks) (*storage.Server, error) {
+func (c *StorageCluster) newServer(port transport.Port, id core.ProcessID) (*storage.Server, error) {
 	var srv *storage.Server
 	var err error
 	if c.dataDir == "" {
-		srv = storage.NewServer(port, hooks)
+		srv = storage.NewServer(port, storage.Hooks{})
 	} else {
 		dir := filepath.Join(c.dataDir, fmt.Sprintf("s%d", id), "wal")
-		srv, err = storage.NewDurableServer(port, hooks, dir,
+		srv, err = storage.NewDurableServer(port, storage.Hooks{}, dir,
 			storage.DurableOptions{NoSync: c.walNoSync})
 		if err != nil {
 			return nil, err
@@ -250,6 +253,15 @@ func (c *StorageCluster) newServer(port transport.Port, id core.ProcessID, hooks
 		srv.SetAuth(c.auth.Signer(id), c.auth.Verifier())
 	}
 	return srv, nil
+}
+
+// byzantine returns process id's port behind its wrapper in wraps, if
+// it has one.
+func byzantine(wraps map[core.ProcessID]adversary.Wrap, id core.ProcessID, p transport.Port) transport.Port {
+	if w := wraps[id]; w != nil {
+		return w(p)
+	}
+	return p
 }
 
 // Writer returns a writer on a fresh client port.
@@ -352,7 +364,7 @@ func (c *StorageCluster) RestartServer(id core.ProcessID, down time.Duration) er
 	if err != nil {
 		return fmt.Errorf("sim: restart server %d: %w", id, err)
 	}
-	fresh, err := c.newServer(port, id, storage.Hooks{})
+	fresh, err := c.newServer(port, id)
 	if err != nil {
 		return fmt.Errorf("sim: recover server %d: %w", id, err)
 	}

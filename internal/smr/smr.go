@@ -246,7 +246,6 @@ type Replica struct {
 	topo   consensus.Topology
 	ring   *consensus.Keyring
 	signer *consensus.Signer
-	hooks  consensus.Hooks // installed on every slot acceptor (chaos injection)
 	port   transport.Port
 	done   chan struct{}
 
@@ -268,19 +267,8 @@ type slotState struct {
 // NewReplica starts the acceptor host on the given port.
 func NewReplica(rqs *core.RQS, topo consensus.Topology, port transport.Port,
 	ring *consensus.Keyring, signer *consensus.Signer) *Replica {
-	return NewReplicaHooks(rqs, topo, port, ring, signer, consensus.Hooks{})
-}
-
-// NewReplicaHooks is NewReplica with a Byzantine fault-injection
-// surface (consensus.Hooks) installed on every slot acceptor this
-// replica creates — the chaos matrix's handle for forging or
-// equivocating protocol messages below the SMR slot driver. Hooks must
-// be supplied at construction: slot acceptors are created lazily on
-// the replica's goroutine, so a later setter would race.
-func NewReplicaHooks(rqs *core.RQS, topo consensus.Topology, port transport.Port,
-	ring *consensus.Keyring, signer *consensus.Signer, hooks consensus.Hooks) *Replica {
 	r := &Replica{
-		rqs: rqs, topo: topo, ring: ring, signer: signer, hooks: hooks,
+		rqs: rqs, topo: topo, ring: ring, signer: signer,
 		port: port, done: make(chan struct{}),
 		out:     outbox{port: port},
 		learned: make(map[core.ProcessID]int),
@@ -359,9 +347,7 @@ func (r *Replica) deliver(n int, env transport.Envelope) {
 }
 
 func (r *Replica) newAcceptor() *consensus.Acceptor {
-	a := consensus.NewAcceptor(r.rqs, r.topo, &r.out, r.ring, r.signer)
-	a.SetHooks(r.hooks)
-	return a
+	return consensus.NewAcceptor(r.rqs, r.topo, &r.out, r.ring, r.signer)
 }
 
 // Stop waits for the replica's goroutine to exit. Call after the

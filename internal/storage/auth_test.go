@@ -193,54 +193,6 @@ func TestServerRejectsUnverifiableWrites(t *testing.T) {
 	}
 }
 
-// TestReplayedAckFailsClientVerification drives the ReplayMWRead hook
-// end to end at the burst level: the first read is served honestly and
-// captured, the second re-serves the capture with the new seq — and
-// the client's verifier must reject exactly that re-serve.
-func TestReplayedAckFailsClientVerification(t *testing.T) {
-	dep := auth.MustDeployment(auth.ModeHMAC, core.NewSet(0, 4, 5))
-	net := transport.NewNetwork(6)
-	defer net.Close()
-	srv := NewServer(net.Port(0), Hooks{ReplayMWRead: func(core.ProcessID) bool { return true }})
-	srv.SetAuth(dep.Signer(0), dep.Verifier())
-
-	c := newMWClient(core.MajorityRQS(3), net.Port(5))
-	c.setAuth(nil, dep.Verifier())
-
-	tag := Tag{TS: 7, Writer: 4}
-	wsig := dep.Signer(4).Sign(tagBody(nil, "k", tag, "v"))
-	if !srv.handleBurst([]transport.Envelope{
-		{From: 5, To: 0, Payload: MWWriteReq{Seq: 1, Key: "k", Tag: tag, Val: "v", Sig: wsig}},
-	}) {
-		t.Fatal("setup write failed")
-	}
-	<-net.Port(5).Inbox() // its ack
-
-	read := func(seq int64) MWReadAck {
-		t.Helper()
-		if !srv.handleBurst([]transport.Envelope{{From: 5, To: 0, Payload: MWReadReq{Seq: seq, Key: "k"}}}) {
-			t.Fatal("read burst failed")
-		}
-		env := <-net.Port(5).Inbox()
-		return env.Payload.(MWReadAck)
-	}
-
-	c.seq = 100
-	first := read(c.seq)
-	if !c.verifyReadAck(0, "k", first) {
-		t.Fatal("honest first ack rejected")
-	}
-
-	c.seq = 101
-	replayed := read(c.seq)
-	if replayed.Seq != 101 || replayed.Tag != tag {
-		t.Fatalf("replay did not masquerade as a fresh ack: %#v", replayed)
-	}
-	if c.verifyReadAck(0, "k", replayed) {
-		t.Fatal("replayed ack verified — countersignature failed to bind the seq")
-	}
-}
-
 // TestAuthDurableCrashSweep is the crash-point sweep over signed-record
 // replay: a durable server applies signed writes until the WAL's
 // simulated kill -9 fires at byte offset `limit`; the fresh incarnation

@@ -60,7 +60,7 @@ func registerWALTypes() {
 // write-ahead log in dir. If dir already holds a log, the keyspace is
 // rebuilt by replaying the latest snapshot plus the record suffix —
 // the recovery path a kill -9'd server takes when it rejoins.
-func NewDurableServer(port transport.Port, hooks Hooks, dir string, opts DurableOptions) (*Server, error) {
+func NewDurableServer(port transport.Port, _ Hooks, dir string, opts DurableOptions) (*Server, error) {
 	registerWALTypes()
 	l, err := wal.Open(dir, wal.Options{
 		SegmentBytes: opts.SegmentBytes,
@@ -70,7 +70,7 @@ func NewDurableServer(port transport.Port, hooks Hooks, dir string, opts Durable
 	if err != nil {
 		return nil, err
 	}
-	s := NewServer(port, hooks)
+	s := NewServer(port, Hooks{})
 	if err := l.Replay(s.installSnapshot, s.replayRecord); err != nil {
 		l.Close()
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -178,9 +179,11 @@ func TestCASCountsOneVerdictPerServer(t *testing.T) {
 // (it is answered in its arrival position). The test floods one server
 // with a full burst of hot-key reads around a single cold-key read and
 // asserts the acks come back in exactly the arrival order. The second
-// case interleaves SWMR writes and reads so that every hook fires, and
-// each hook calls back into its own server: hooks run inline, outside
-// the state locks, so this must neither deadlock nor reorder.
+// case puts the server behind adversary wrappers (a rewrite of every
+// reply, read-ack forging, MWMR replay), interleaves SWMR writes and
+// reads so that every wrapper acts, and has each call back into its
+// own server from Send: the server sends outside its state locks, so
+// this must neither deadlock nor reorder.
 func TestBurstKeyFairness(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -190,39 +193,33 @@ func TestBurstKeyFairness(t *testing.T) {
 			net := transport.NewNetwork(2)
 			defer net.Close()
 			var srv *storage.Server
-			var drops, forges, replays atomic.Int32
-			var hooks storage.Hooks
+			var sends, forges atomic.Int32
+			port := net.Port(0)
 			if tc.reentrant {
-				hooks = storage.Hooks{
-					DropWrite: func(core.ProcessID, storage.WriteReq) bool {
-						srv.StateSnapshot()
-						drops.Add(1)
-						return false
-					},
-					ForgeHistory: func() storage.History {
-						forges.Add(1)
-						return srv.HistorySnapshot()
-					},
-					ReplayMWRead: func(core.ProcessID) bool {
-						srv.StateSnapshot()
-						replays.Add(1)
-						return false
-					},
-				}
+				port = adversary.Port(port, func(_ core.ProcessID, m transport.Message, send func(transport.Message)) {
+					srv.StateSnapshot()
+					sends.Add(1)
+					send(m)
+				})
+				port = adversary.ForgeReadAcks(port, func(_ core.ProcessID, rows []storage.TSRow) []storage.TSRow {
+					srv.HistorySnapshot()
+					forges.Add(1)
+					return rows
+				})
+				port = adversary.ReplayMWReadAcks(port)
 			}
-			srv = storage.NewServer(net.Port(0), hooks)
+			srv = storage.NewServer(port, storage.Hooks{})
 			srv.Start()
 
 			client := net.Port(1)
 			const total = 64
 			const coldAt = 40
-			var writes, reads int32
+			var reads int32
 			var want []int64 // MWMR read seqs in arrival order
 			for seq := int64(1); seq <= total; seq++ {
 				switch {
 				case tc.reentrant && seq%8 == 3:
 					client.Send(0, storage.WriteReq{TS: seq, Val: "v", Round: 1})
-					writes++
 				case tc.reentrant && seq%8 == 6:
 					client.Send(0, storage.ReadReq{ReadNo: seq, Round: 1})
 					reads++
@@ -249,9 +246,8 @@ func TestBurstKeyFairness(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("MWMR read acks arrived in order %v, want arrival order %v: hot-key traffic reordered the cold key", got, want)
 			}
-			if tc.reentrant && (drops.Load() != writes || forges.Load() != reads || replays.Load() != int32(len(want))) {
-				t.Fatalf("hooks fired %d/%d/%d times, want %d/%d/%d (DropWrite/ForgeHistory/ReplayMWRead)",
-					drops.Load(), forges.Load(), replays.Load(), writes, reads, len(want))
+			if tc.reentrant && (sends.Load() != total || forges.Load() != reads) {
+				t.Fatalf("wrappers saw %d replies and %d read acks, want %d and %d", sends.Load(), forges.Load(), total, reads)
 			}
 			srv.Stop() // not deferred: a deadlocked server would never stop
 		})

@@ -13,42 +13,13 @@ import (
 	"repro/internal/wal"
 )
 
-// Hooks let the fault-injection layer turn a server Byzantine. All hooks
-// are optional; a zero Hooks value is an honest server. Hooks run on the
-// server's goroutine, outside the server's state locks (a hook may call
-// back into accessors like HistorySnapshot or StateSnapshot). Hooks
-// apply to every key of the keyspace; the chaos matrix runs its forging
-// cells on the swmr, mwmr and multi-key kv workloads.
-type Hooks struct {
-	// ForgeHistory, if non-nil, replaces the history whose suffix read
-	// acks carry (state forging, as the Byzantine servers of the
-	// Theorem 3 proof do when they revert to σ0 or fabricate σ1).
-	ForgeHistory func() History
-	// DropWrite, if non-nil and returning true, silently ignores a write
-	// request ("forgetting" rounds, as in execution ex4 of Figure 4).
-	DropWrite func(from core.ProcessID, req WriteReq) bool
-	// ForgeMWRead, if non-nil, replaces the 〈tag, value〉 this server
-	// reports in MWMR read acks — the Byzantine stale/forged-tag mode:
-	// returning an old tag makes the server deny completed writes,
-	// returning a fabricated 〈ts, writer-id〉 tag makes it invent them.
-	// Whether either lie can reach a reader's return value is exactly
-	// the class-3 intersection question the chaos campaigns test. On an
-	// authenticated deployment the forged ack carries no valid
-	// signatures (the hook bypasses the signing path, exactly like a
-	// compromised server that does not hold the writers' keys), so
-	// verifying clients discard it.
-	ForgeMWRead func(from core.ProcessID) (Tag, string)
-	// ReplayMWRead, if non-nil and returning true, makes the server
-	// answer the MWMR read with a *captured* earlier ack — the first
-	// one it ever served for that key — with only the Seq field
-	// rewritten to match the current request. This is the Byzantine
-	// replay attack against authenticated tags: the stale pair carries
-	// a perfectly valid writer signature, and only the server
-	// countersignature (which binds the requesting client's fresh seq)
-	// exposes the reuse. Until a first ack has been captured for the
-	// key the server answers honestly.
-	ReplayMWRead func(from core.ProcessID) bool
-}
+// Hooks is empty, and NewServer and NewDurableServer ignore it: a
+// Byzantine server is an honest one behind a port that rewrites what
+// it sends (internal/adversary).
+//
+// Deprecated: it stays only so that callers of the old constructor
+// signature (the benchmark module) still build; pass Hooks{}.
+type Hooks struct{}
 
 // serverBurst bounds how many inbox envelopes the server drains per
 // wakeup. A durable server hands each burst's WAL records to group
@@ -136,25 +107,23 @@ func shardOf(key string) int {
 // request kind, each holding its key's shard lock only around the
 // apply.
 type Server struct {
-	id    core.ProcessID
-	port  transport.Port
-	hooks Hooks
+	id   core.ProcessID
+	port transport.Port
 
 	// Authenticated-deployment state (nil when auth is off — see
 	// auth.go). The server verifies writer signatures before applying
 	// writes, countersigns its read acks, and silently drops writes
 	// whose signature fails (the sender is either Byzantine or outside
-	// the deployment; an honest quorum still acks). authBuf and
-	// replayCap are touched only by the server goroutine.
+	// the deployment; an honest quorum still acks). authBuf is touched
+	// only by the server goroutine.
 	signer       auth.Signer
 	verifier     auth.Verifier
 	authRejects  atomic.Uint64
 	authBuf      []byte
-	appendSigner auth.AppendSigner    // signer's append form, nil if unsupported
-	sigSlab      []byte               // countersignature slab (see signAck)
-	rowSlab      []TSRow              // read-ack row slab (see suffix)
-	dmemo        digestMemo           // last value digest (bursts repeat one value)
-	replayCap    map[string]MWReadAck // Hooks.ReplayMWRead capture, keyed by register
+	appendSigner auth.AppendSigner // signer's append form, nil if unsupported
+	sigSlab      []byte            // countersignature slab (see signAck)
+	rowSlab      []TSRow           // read-ack row slab (see suffix)
+	dmemo        digestMemo        // last value digest (bursts repeat one value)
 
 	shards [kvShardCount]kvShard
 
@@ -189,13 +158,12 @@ type Server struct {
 }
 
 // NewServer creates a server bound to the given port.
-func NewServer(port transport.Port, hooks Hooks) *Server {
+func NewServer(port transport.Port, _ Hooks) *Server {
 	s := &Server{
-		id:    port.ID(),
-		port:  port,
-		hooks: hooks,
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		id:   port.ID(),
+		port: port,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	for i := range s.shards {
 		s.shards[i].regs = make(map[string]*regState)
@@ -301,8 +269,8 @@ func (s *Server) SetState(st ServerState) {
 }
 
 // HistorySnapshot returns a deep copy of the server's current history
-// for the key-"" register, for assertions and Byzantine state capture.
-// Keyspace-wide capture is StateSnapshot.
+// for the key-"" register, for assertions. Keyspace-wide capture is
+// StateSnapshot.
 func (s *Server) HistorySnapshot() History {
 	sh := s.lock("")
 	defer sh.mu.Unlock()
@@ -395,9 +363,6 @@ func (s *Server) handleBurst(burst []transport.Envelope) bool {
 // handleWrite serves a SWMR write or reader writeback (Figure 6, lines
 // 2–7): store the pair, log it if the row changed, acknowledge.
 func (s *Server) handleWrite(env *transport.Envelope, req WriteReq) {
-	if s.hooks.DropWrite != nil && s.hooks.DropWrite(env.From, req) {
-		return
-	}
 	if env.Aliased() {
 		req.Val = strings.Clone(req.Val)
 	}
@@ -410,13 +375,7 @@ func (s *Server) handleWrite(env *transport.Envelope, req WriteReq) {
 // handleRead serves a SWMR read (Figure 6): reply with the key's
 // history from the reader's last atomic return on (ReadReq.From).
 func (s *Server) handleRead(env *transport.Envelope, req ReadReq) {
-	var rows []TSRow
-	if s.hooks.ForgeHistory != nil {
-		rows = s.hooks.ForgeHistory().Rows(req.From)
-	} else {
-		rows = s.suffix(req.Key, req.From)
-	}
-	s.reply(env, ReadAck{ReadNo: req.ReadNo, Round: req.Round, Rows: rows})
+	s.reply(env, ReadAck{ReadNo: req.ReadNo, Round: req.Round, Rows: s.suffix(req.Key, req.From)})
 }
 
 // handleMWWrite serves an MWMR write: the register adopts a newer tag.
@@ -443,19 +402,6 @@ func (s *Server) handleMWWrite(env *transport.Envelope, req MWWriteReq) {
 // the writer signature that came with it, and whether the state is
 // already durable; countersigned on an authenticated deployment.
 func (s *Server) handleMWRead(env *transport.Envelope, req MWReadReq) {
-	if s.hooks.ForgeMWRead != nil {
-		// A Byzantine server may lie about Synced like it lies about
-		// the pair; class-3 masking covers both. The forged ack carries
-		// no signatures: the hook models a compromised server process,
-		// which holds neither the writers' keys nor a will to
-		// countersign honestly — verifying clients discard it.
-		tag, val := s.hooks.ForgeMWRead(env.From)
-		s.reply(env, MWReadAck{Seq: req.Seq, Tag: tag, Val: val, Synced: true})
-		return
-	}
-	if s.hooks.ReplayMWRead != nil && s.hooks.ReplayMWRead(env.From) && s.serveReplay(env, req) {
-		return
-	}
 	tag, val, sig := s.mw(req.Key)
 	ack := MWReadAck{Seq: req.Seq, Tag: tag, Synced: s.walSynced()}
 	if req.TagOnly {
@@ -469,9 +415,6 @@ func (s *Server) handleMWRead(env *transport.Envelope, req MWReadReq) {
 	if s.signer != nil {
 		s.authBuf = ackBodyD(s.authBuf[:0], s.id, req.Seq, req.Key, ack.Tag, s.dmemo.of(ack.Val), ack.Synced)
 		ack.SSig = s.signAck(s.authBuf)
-	}
-	if s.hooks.ReplayMWRead != nil {
-		s.captureAck(req.Key, ack)
 	}
 	s.reply(env, ack)
 }
@@ -543,34 +486,6 @@ func (s *Server) verifyWrite(key string, tag Tag, val string, sig []byte) bool {
 	}
 	s.authBuf = tagBodyD(s.authBuf[:0], key, tag, s.dmemo.of(val))
 	return s.verifier.Verify(tag.Writer, s.authBuf, sig)
-}
-
-// captureAck records the first honest read ack served for key, for
-// Hooks.ReplayMWRead to re-serve later. The ack's Val/WSig are
-// server-owned (cloned on apply), so retaining them is safe.
-func (s *Server) captureAck(key string, ack MWReadAck) {
-	if s.replayCap == nil {
-		s.replayCap = make(map[string]MWReadAck)
-	}
-	if _, ok := s.replayCap[key]; !ok {
-		s.replayCap[strings.Clone(key)] = ack
-	}
-}
-
-// serveReplay re-serves the ack captured for the request's key with
-// only the Seq field rewritten — the Byzantine replay attack. The
-// writer signature on the stale pair is still perfectly valid; the
-// server countersignature, which binds the *original* request's seq,
-// is what fails verification at an authenticated client. Reports
-// false when nothing has been captured for the key yet.
-func (s *Server) serveReplay(env *transport.Envelope, req MWReadReq) bool {
-	cap, ok := s.replayCap[req.Key]
-	if !ok {
-		return false
-	}
-	cap.Seq = req.Seq
-	s.reply(env, cap)
-	return true
 }
 
 // walSynced reports whether every record appended to the WAL is

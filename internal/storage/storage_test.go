@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adversary"
+	"repro/internal/auth"
 	"repro/internal/core"
 	"repro/internal/histcheck"
 	"repro/internal/sim"
@@ -168,22 +170,25 @@ func TestSWMRErrClosed(t *testing.T) {
 	}
 }
 
+// forgeRows makes a server ship rows in every read ack instead of its
+// history.
+func forgeRows(rows []storage.TSRow) adversary.Wrap {
+	return func(p transport.Port) transport.Port {
+		return adversary.ForgeReadAcks(p, func(core.ProcessID, []storage.TSRow) []storage.TSRow { return rows })
+	}
+}
+
 func TestByzantineServerCannotFabricateValues(t *testing.T) {
 	// A single Byzantine server ({s1} ∈ B) forges a history claiming a
 	// huge timestamp. safe() requires a basic subset of witnesses, so the
 	// fabricated pair must never be returned; moreover highCand forces
 	// the reader to look past it. (s1 rather than s2: every quorum of
 	// Example 7 contains s2, so liveness requires s2 correct.)
-	forged := storage.History{
-		999: {0: storage.Slot{Pair: storage.Pair{TS: 999, Val: "evil"}},
-			1: storage.Slot{Pair: storage.Pair{TS: 999, Val: "evil"}}},
-	}
-	hooks := map[core.ProcessID]storage.Hooks{
-		0: {ForgeHistory: func() storage.History { return forged.Clone() }},
-	}
+	evil := storage.Slot{Pair: storage.Pair{TS: 999, Val: "evil"}}
+	forged := []storage.TSRow{{TS: 999, Row: storage.Row{evil, evil}}}
 	c := sim.NewStorageCluster(core.Example7RQS(), sim.StorageOptions{
-		Timeout: 2 * time.Millisecond,
-		Hooks:   hooks,
+		Timeout:   2 * time.Millisecond,
+		Byzantine: map[core.ProcessID]adversary.Wrap{0: forgeRows(forged)},
 	})
 	defer c.Stop()
 	w, r := c.Writer(), c.Reader()
@@ -196,22 +201,68 @@ func TestByzantineServerCannotFabricateValues(t *testing.T) {
 }
 
 func TestByzantineServerDroppingWrites(t *testing.T) {
-	// A Byzantine server (s3) that ignores all writes (but answers reads
-	// with its stale state) must not prevent progress or atomicity: the
-	// class-1 quorum Q1 = {s2,s4,s5,s6} stays fully correct.
-	hooks := map[core.ProcessID]storage.Hooks{
-		2: {DropWrite: func(core.ProcessID, storage.WriteReq) bool { return true }},
-	}
-	c := sim.NewStorageCluster(core.Example7RQS(), sim.StorageOptions{
-		Timeout: 2 * time.Millisecond,
-		Hooks:   hooks,
-	})
+	// A server (s3) that never receives a write (but answers reads with
+	// its stale state) must not prevent progress or atomicity: the
+	// class-1 quorum Q1 = {s2,s4,s5,s6} stays fully correct. Losing the
+	// writes is omission, so the link drops them.
+	c := sim.NewStorageCluster(core.Example7RQS(), sim.StorageOptions{Timeout: 2 * time.Millisecond})
 	defer c.Stop()
+	c.Net.SetFilter(func(env transport.Envelope) transport.Verdict {
+		if _, w := env.Payload.(storage.WriteReq); w && env.To == 2 {
+			return transport.Drop
+		}
+		return transport.Deliver
+	})
 	w, r := c.Writer(), c.Reader()
 	w.Write("x")
 	w.Write("y")
 	if res := r.Read(); res.Val != "y" {
 		t.Errorf("read = %+v, want y", res)
+	}
+}
+
+// TestReplayedAckFailsClientVerification drives the replay wrapper end
+// to end through a running server: the first read is served honestly
+// and captured, the second re-serves the capture with the new seq — and
+// the client's verifier must reject exactly that re-serve.
+func TestReplayedAckFailsClientVerification(t *testing.T) {
+	dep := auth.MustDeployment(auth.ModeHMAC, core.NewSet(0, 4, 5))
+	net := transport.NewNetwork(6)
+	defer net.Close()
+	srv := storage.NewServer(adversary.ReplayMWReadAcks(net.Port(0)), storage.Hooks{})
+	srv.SetAuth(dep.Signer(0), dep.Verifier())
+	srv.Start()
+	defer srv.Stop()
+	client := net.Port(5)
+	reply := func() transport.Message {
+		t.Helper()
+		select {
+		case env := <-client.Inbox():
+			return env.Payload
+		case <-time.After(10 * time.Second):
+			t.Fatal("no reply")
+			return nil
+		}
+	}
+
+	tag := storage.Tag{TS: 7, Writer: 4}
+	client.Send(0, storage.MWWriteReq{Seq: 1, Key: "k", Tag: tag, Val: "v", Sig: storage.SignTag(dep.Signer(4), "k", tag, "v")})
+	reply()
+	read := func(seq int64) storage.MWReadAck {
+		t.Helper()
+		client.Send(0, storage.MWReadReq{Seq: seq, Key: "k"})
+		return reply().(storage.MWReadAck)
+	}
+
+	if first := read(100); !storage.VerifyReadAck(dep.Verifier(), 100, 0, "k", first) {
+		t.Fatal("honest first ack rejected")
+	}
+	replayed := read(101)
+	if replayed.Seq != 101 || replayed.Tag != tag {
+		t.Fatalf("replay did not masquerade as a fresh ack: %#v", replayed)
+	}
+	if storage.VerifyReadAck(dep.Verifier(), 101, 0, "k", replayed) {
+		t.Fatal("replayed ack verified — countersignature failed to bind the seq")
 	}
 }
 
@@ -238,12 +289,9 @@ func TestConcurrentAtomicityStress(t *testing.T) {
 	// The core safety test: a writer and two readers hammer the storage
 	// concurrently while server s1 is Byzantine (forging stale state);
 	// the recorded history must be atomic.
-	stale := storage.History{}
-	hooks := map[core.ProcessID]storage.Hooks{
-		0: {ForgeHistory: func() storage.History { return stale.Clone() }},
-	}
 	c := sim.NewStorageCluster(core.Example7RQS(), sim.StorageOptions{
-		Timeout: time.Millisecond, Clients: 3, Hooks: hooks,
+		Timeout: time.Millisecond, Clients: 3,
+		Byzantine: map[core.ProcessID]adversary.Wrap{0: forgeRows(nil)},
 	})
 	defer c.Stop()
 

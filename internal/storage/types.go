@@ -139,8 +139,8 @@ func ascending(rows []TSRow) bool {
 }
 
 // History is a server's entire history of the shared variable, keyed by
-// timestamp: the form state snapshots and forging hooks use. Absent rows
-// mean 〈〈0,⊥〉, ∅〉 everywhere, matching the initialisation of Figure 6.
+// timestamp: the form state snapshots use. Absent rows mean 〈〈0,⊥〉, ∅〉
+// everywhere, matching the initialisation of Figure 6.
 type History map[int64]Row
 
 // Slot returns the slot for (ts, rnd); rnd ∈ {1,2,3}.

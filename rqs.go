@@ -148,8 +148,6 @@ type (
 	WriteResult = storage.WriteResult
 	// ReadResult reports a read's value, timestamp and round count.
 	ReadResult = storage.ReadResult
-	// ServerHooks injects Byzantine behaviour into a storage server.
-	ServerHooks = storage.Hooks
 	// Tag orders MWMR writes: lexicographic on (TS, Writer).
 	Tag = storage.Tag
 )
@@ -230,10 +228,6 @@ type (
 	// (match with errors.As); Observed carries the version to retry
 	// against.
 	KVCASConflict = storage.ErrCASConflict
-	// AcceptorHooks injects Byzantine behaviour — equivocation, forged
-	// decisions, masked updates — into a consensus acceptor (the
-	// consensus-level mirror of ServerHooks).
-	AcceptorHooks = consensus.Hooks
 )
 
 // The signature schemes.
@@ -396,8 +390,8 @@ var (
 
 // NewStorageServer runs one storage server on an arbitrary Port (e.g. a
 // TCPNode), for hand-assembled deployments.
-func NewStorageServer(port Port, hooks ServerHooks) *storage.Server {
-	return storage.NewServer(port, hooks)
+func NewStorageServer(port Port) *storage.Server {
+	return storage.NewServer(port, storage.Hooks{})
 }
 
 // NewStorageWriter builds the writer client on an arbitrary Port.

@@ -80,7 +80,7 @@ func TestFacadeCustomDeployment(t *testing.T) {
 	defer net.Close()
 	var stops []func()
 	for id := 0; id < system.N(); id++ {
-		srv := NewStorageServer(net.Port(id), ServerHooks{})
+		srv := NewStorageServer(net.Port(id))
 		srv.Start()
 		stops = append(stops, srv.Stop)
 	}
