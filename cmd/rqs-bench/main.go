@@ -93,10 +93,7 @@ func run(args []string) error {
 		return runLoadMatrix()
 	}
 
-	runners := make(map[string]func() *expt.Table, len(expt.Experiments))
-	for _, e := range expt.Experiments {
-		runners[e.ID] = e.Run
-	}
+	runners := expt.Experiments
 	order := make([]string, 0, len(runners))
 	for id := range runners {
 		order = append(order, id)

@@ -69,9 +69,8 @@ func ForgeReadAcks(p transport.Port, f func(to core.ProcessID, rows []storage.TS
 
 // ForgeMWReadAcks makes a storage server send f's ack in place of each
 // MWMR read ack: a stale tag denies completed writes, a fabricated one
-// invents them. A forger that holds no writer's key cannot sign what
-// it forges, so on an authenticated deployment verifying clients
-// discard the forged ack.
+// invents them. A forger holds no writer's key, so on an authenticated
+// deployment verifying clients discard what it forges.
 func ForgeMWReadAcks(p transport.Port, f func(to core.ProcessID, ack storage.MWReadAck) storage.MWReadAck) transport.Port {
 	return Port(p, func(to core.ProcessID, m transport.Message, send func(transport.Message)) {
 		if a, ok := m.(storage.MWReadAck); ok {
@@ -83,24 +82,25 @@ func ForgeMWReadAcks(p transport.Port, f func(to core.ProcessID, ack storage.MWR
 
 // ReplayMWReadAcks makes a storage server answer every MWMR read of a
 // key, once it has served one full read of that key, with the first
-// ack it sent for the key, only the Seq rewritten to the current
-// request's: an old, once-valid reply re-served as fresh. The writer
-// signature on the stale pair still verifies; the server
-// countersignature binds the original Seq, and that is what exposes the
-// replay to an authenticated client.
+// ack it sent for the key, only the Seq rewritten: an old, once-valid
+// reply re-served as fresh. The writer signature on the stale pair
+// still verifies; the server countersignature binds the original Seq,
+// which exposes the replay to an authenticated client.
 //
 // An ack names no key, so the wrapper reads the requests off the inbox
 // it relays to the server: the server must consume Inbox (Start), not
 // be driven through HandleEnvelope.
 func ReplayMWReadAcks(p transport.Port) transport.Port {
-	r := &replay{reads: make(map[readID]storage.MWReadReq), first: make(map[string]storage.MWReadAck)}
+	in := p.Inbox()
+	r := &replay{inbox: make(chan transport.Envelope, cap(in)),
+		reads: make(map[readID]storage.MWReadReq), first: make(map[string]storage.MWReadAck)}
 	r.port = port{Port: p, rw: r.rewrite}
+	go r.relay(in)
 	return r
 }
 
 type replay struct {
 	port
-	once  sync.Once
 	inbox chan transport.Envelope
 
 	mu    sync.Mutex
@@ -114,33 +114,27 @@ type readID struct {
 	seq  int64
 }
 
-// Inbox relays the port's inbox, noting each MWMR read on the way.
-func (r *replay) Inbox() <-chan transport.Envelope {
-	r.once.Do(func() {
-		in := r.Port.Inbox()
-		r.inbox = make(chan transport.Envelope, cap(in))
-		go func() {
-			defer close(r.inbox)
-			for env := range in {
-				if req, ok := env.Payload.(storage.MWReadReq); ok {
-					req.Key = strings.Clone(req.Key) // may alias a receive arena
-					r.mu.Lock()
-					r.reads[readID{env.From, req.Seq}] = req
-					r.mu.Unlock()
-				}
-				r.inbox <- env
-			}
-		}()
-	})
-	return r.inbox
+func (r *replay) Inbox() <-chan transport.Envelope { return r.inbox }
+
+// relay hands the server its inbox, noting each MWMR read on the way.
+func (r *replay) relay(in <-chan transport.Envelope) {
+	defer close(r.inbox)
+	for env := range in {
+		if req, ok := env.Payload.(storage.MWReadReq); ok {
+			req.Key = strings.Clone(req.Key) // may alias a receive arena
+			r.mu.Lock()
+			r.reads[readID{env.From, req.Seq}] = req
+			r.mu.Unlock()
+		}
+		r.inbox <- env
+	}
 }
 
 func (r *replay) rewrite(to core.ProcessID, m transport.Message, send func(transport.Message)) {
 	if a, ok := m.(storage.MWReadAck); ok {
 		r.mu.Lock()
-		id := readID{to, a.Seq}
-		req, known := r.reads[id]
-		delete(r.reads, id)
+		req, known := r.reads[readID{to, a.Seq}]
+		delete(r.reads, readID{to, a.Seq})
 		if first, ok := r.first[req.Key]; known && ok {
 			first.Seq = a.Seq
 			m = first

@@ -17,10 +17,10 @@ var update = flag.Bool("update", false, "rewrite testdata/E*.golden from the cur
 // the files with `go test ./internal/expt -run TestGolden -update` and
 // list the change where the change is recorded.
 func TestGolden(t *testing.T) {
-	for _, e := range Experiments {
-		t.Run(e.ID, func(t *testing.T) {
-			got := e.Run().Format()
-			path := filepath.Join("testdata", e.ID+".golden")
+	for id, run := range Experiments {
+		t.Run(id, func(t *testing.T) {
+			got := run().Format()
+			path := filepath.Join("testdata", id+".golden")
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
@@ -32,7 +32,7 @@ func TestGolden(t *testing.T) {
 				t.Fatalf("%v (run with -update to create it)", err)
 			}
 			if got != string(want) {
-				t.Errorf("%s differs from %s:\n%s", e.ID, path, unifiedDiff(path, e.ID, string(want), got))
+				t.Errorf("%s differs from %s:\n%s", id, path, unifiedDiff(path, id, string(want), got))
 			}
 		})
 	}

@@ -68,24 +68,18 @@ func (t *Table) Format() string {
 	return b.String()
 }
 
-// Experiment is one table rqs-bench renders.
-type Experiment struct {
-	ID  string
-	Run func() *Table
-}
-
-// Experiments lists every table, in rqs-bench's order. E11 is the
+// Experiments renders every table rqs-bench prints, by ID. E11 is the
 // throughput suite of bench_test.go, not a table.
-var Experiments = []Experiment{
-	{"E1", func() *Table { t, _ := E1Fig1(); return t }},
-	{"E2", E2Fig2},
-	{"E3", E3Fig3},
-	{"E4", E4Fig4},
-	{"E5", E5StorageLatency},
-	{"E6", func() *Table { t, _ := E6Theorem3(); return t }},
-	{"E7", E7ConsensusLatency},
-	{"E8", func() *Table { t, _ := E8Theorem6(); return t }},
-	{"E9", E9MinimalN},
-	{"E10", E10ViewChange},
-	{"E12", E12Availability},
+var Experiments = map[string]func() *Table{
+	"E1":  func() *Table { t, _ := E1Fig1(); return t },
+	"E2":  E2Fig2,
+	"E3":  E3Fig3,
+	"E4":  E4Fig4,
+	"E5":  E5StorageLatency,
+	"E6":  func() *Table { t, _ := E6Theorem3(); return t },
+	"E7":  E7ConsensusLatency,
+	"E8":  func() *Table { t, _ := E8Theorem6(); return t },
+	"E9":  E9MinimalN,
+	"E10": E10ViewChange,
+	"E12": E12Availability,
 }

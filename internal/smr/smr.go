@@ -362,12 +362,14 @@ type Proposer struct {
 	topo consensus.Topology
 	port transport.Port
 	next atomic.Int64 // next slot Append hands out
+	outs sync.Pool    // *outbox, one per Propose call in progress
 	done chan struct{}
 }
 
 // NewProposer starts the proposer host on the given port.
 func NewProposer(topo consensus.Topology, port transport.Port) *Proposer {
 	p := &Proposer{topo: topo, port: port, done: make(chan struct{})}
+	p.outs.New = func() any { return &outbox{port: port} }
 	// Nothing addresses the proposer host (view-change traffic is the
 	// only proposer-bound kind), but the inbox must still drain so
 	// unexpected senders cannot wedge.
@@ -380,12 +382,15 @@ func NewProposer(topo consensus.Topology, port transport.Port) *Proposer {
 }
 
 // Propose submits a command for a log slot. Its sync and prepare travel
-// as one batch per acceptor; the outbox is the call's own, so concurrent
-// calls share nothing.
+// as one batch per acceptor. The call takes an outbox of its own from a
+// pool, so concurrent calls share nothing and the outbox's buffers are
+// reused.
 func (p *Proposer) Propose(slot int, cmd consensus.Value) {
-	out := outbox{port: p.port, slot: slot}
-	consensus.ProposeInitial(&out, p.topo, cmd)
+	out := p.outs.Get().(*outbox)
+	out.slot = slot
+	consensus.ProposeInitial(out, p.topo, cmd)
 	out.flush()
+	p.outs.Put(out)
 }
 
 // Append allocates the next free log slot, proposes cmd into it, and

@@ -13,12 +13,10 @@ import (
 	"repro/internal/wal"
 )
 
-// Hooks is empty, and NewServer and NewDurableServer ignore it: a
-// Byzantine server is an honest one behind a port that rewrites what
-// it sends (internal/adversary).
+// Hooks is empty and ignored: a Byzantine server is an honest one
+// behind a port that rewrites what it sends (internal/adversary).
 //
-// Deprecated: it stays only so that callers of the old constructor
-// signature (the benchmark module) still build; pass Hooks{}.
+// Deprecated: it keeps the benchmark module's calls building.
 type Hooks struct{}
 
 // serverBurst bounds how many inbox envelopes the server drains per
@@ -263,21 +261,9 @@ func (s *Server) SetState(st ServerState) {
 	}
 	for key, snap := range st {
 		sh := s.lock(key)
-		sh.regs[key] = &regState{rows: snap.History.Clone().Rows(0), mwTag: snap.MWTag, mwVal: snap.MWVal, mwSig: bytes.Clone(snap.MWSig)}
+		sh.regs[key] = &regState{rows: snap.History.Rows(0), mwTag: snap.MWTag, mwVal: snap.MWVal, mwSig: bytes.Clone(snap.MWSig)}
 		sh.mu.Unlock()
 	}
-}
-
-// HistorySnapshot returns a deep copy of the server's current history
-// for the key-"" register, for assertions. Keyspace-wide capture is
-// StateSnapshot.
-func (s *Server) HistorySnapshot() History {
-	sh := s.lock("")
-	defer sh.mu.Unlock()
-	if reg := sh.regs[""]; reg != nil {
-		return historyOf(reg.rows)
-	}
-	return make(History)
 }
 
 func (s *Server) run() {

@@ -143,24 +143,6 @@ func ascending(rows []TSRow) bool {
 // everywhere, matching the initialisation of Figure 6.
 type History map[int64]Row
 
-// Slot returns the slot for (ts, rnd); rnd ∈ {1,2,3}.
-func (h History) Slot(ts int64, rnd int) Slot {
-	if h == nil {
-		return Slot{}
-	}
-	return h[ts][rnd-1]
-}
-
-// Clone deep-copies the history (server state must not escape by
-// reference through the in-memory transport).
-func (h History) Clone() History {
-	out := make(History, len(h))
-	for ts, row := range h {
-		out[ts] = row.clone()
-	}
-	return out
-}
-
 // historyOf deep-copies ts-ascending rows into a History.
 func historyOf(rows []TSRow) History {
 	h := make(History, len(rows))
@@ -170,13 +152,13 @@ func historyOf(rows []TSRow) History {
 	return h
 }
 
-// Rows returns the rows with timestamps at least from, ts-ascending.
-// The rows share their quorum-id sets with h.
+// Rows deep-copies the rows with timestamps at least from,
+// ts-ascending.
 func (h History) Rows(from int64) []TSRow {
 	var out []TSRow
 	for ts, row := range h {
 		if ts >= from {
-			out = append(out, TSRow{TS: ts, Row: row})
+			out = append(out, TSRow{TS: ts, Row: row.clone()})
 		}
 	}
 	slices.SortFunc(out, func(a, b TSRow) int { return cmp.Compare(a.TS, b.TS) })
