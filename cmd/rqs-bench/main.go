@@ -93,9 +93,8 @@ func run(args []string) error {
 		return runLoadMatrix()
 	}
 
-	runners := expt.Experiments
-	order := make([]string, 0, len(runners))
-	for id := range runners {
+	order := make([]string, 0, len(expt.Experiments))
+	for id := range expt.Experiments {
 		order = append(order, id)
 	}
 	sort.Slice(order, func(i, j int) bool {
@@ -113,14 +112,14 @@ func run(args []string) error {
 		selected = nil
 		for _, id := range strings.Split(*exps, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
-			if _, ok := runners[id]; !ok {
+			if _, ok := expt.Experiments[id]; !ok {
 				return fmt.Errorf("unknown experiment %q (try -list)", id)
 			}
 			selected = append(selected, id)
 		}
 	}
 	for _, id := range selected {
-		fmt.Println(runners[id]().Format())
+		fmt.Println(expt.Experiments[id]().Format())
 	}
 	return nil
 }

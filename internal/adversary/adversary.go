@@ -89,9 +89,11 @@ func ForgeMWReadAcks(p transport.Port, f func(to core.ProcessID, ack storage.MWR
 //
 // An ack names no key, so the wrapper reads the requests off the inbox
 // it relays to the server: the server must consume Inbox (Start), not
-// be driven through HandleEnvelope.
+// be driven through HandleEnvelope. The relay goroutine is p's only
+// reader until p's inbox closes.
 func ReplayMWReadAcks(p transport.Port) transport.Port {
 	in := p.Inbox()
+	// As deep as the inbox it relays, so a burst still queues in full.
 	r := &replay{inbox: make(chan transport.Envelope, cap(in)),
 		reads: make(map[readID]storage.MWReadReq), first: make(map[string]storage.MWReadAck)}
 	r.port = port{Port: p, rw: r.rewrite}

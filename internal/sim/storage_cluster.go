@@ -255,8 +255,7 @@ func (c *StorageCluster) newServer(port transport.Port, id core.ProcessID) (*sto
 	return srv, nil
 }
 
-// byzantine returns process id's port behind its wrapper in wraps, if
-// it has one.
+// byzantine returns p behind process id's wrapper in wraps, if any.
 func byzantine(wraps map[core.ProcessID]adversary.Wrap, id core.ProcessID, p transport.Port) transport.Port {
 	if w := wraps[id]; w != nil {
 		return w(p)

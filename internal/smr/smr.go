@@ -382,9 +382,8 @@ func NewProposer(topo consensus.Topology, port transport.Port) *Proposer {
 }
 
 // Propose submits a command for a log slot. Its sync and prepare travel
-// as one batch per acceptor. The call takes an outbox of its own from a
-// pool, so concurrent calls share nothing and the outbox's buffers are
-// reused.
+// as one batch per acceptor, built in an outbox the call takes from a
+// pool: concurrent calls share nothing, and buffers are reused.
 func (p *Proposer) Propose(slot int, cmd consensus.Value) {
 	out := p.outs.Get().(*outbox)
 	out.slot = slot

@@ -19,14 +19,6 @@ func VerifyReadAck(v auth.Verifier, seq int64, from core.ProcessID, key string, 
 	return c.verifyReadAck(from, key, ack)
 }
 
-// Slot returns the slot for (ts, rnd); rnd ∈ {1,2,3}.
-func (h History) Slot(ts int64, rnd int) Slot {
-	if h == nil {
-		return Slot{}
-	}
-	return h[ts][rnd-1]
-}
-
 // HistorySnapshot returns a deep copy of the server's current history
 // for the key-"" register, for assertions. Keyspace-wide capture is
 // StateSnapshot.

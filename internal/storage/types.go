@@ -143,6 +143,14 @@ func ascending(rows []TSRow) bool {
 // everywhere, matching the initialisation of Figure 6.
 type History map[int64]Row
 
+// Slot returns the slot for (ts, rnd); rnd ∈ {1,2,3}.
+func (h History) Slot(ts int64, rnd int) Slot {
+	if h == nil {
+		return Slot{}
+	}
+	return h[ts][rnd-1]
+}
+
 // historyOf deep-copies ts-ascending rows into a History.
 func historyOf(rows []TSRow) History {
 	h := make(History, len(rows))
